@@ -1,8 +1,8 @@
-"""Dense float64 vector/matrix primitives and the seeded RNG used everywhere else.
+"""Float64 nonlinearities, the shape error type and the seeded RNG used everywhere else.
 
-Vectors are 1-D and matrices are 2-D row-major ``numpy.float64`` arrays. There
-is no broadcasting anywhere in this package: every shape is checked explicitly
-so that the hand-written backward passes cannot hide a silent shape bug.
+``sigmoid`` and ``tanh`` work elementwise on arrays of any shape, ``softmax``
+takes one vector and ``l2_norm`` flattens its input. Shapes are not checked
+here: callers that need fixed shapes check them and raise ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -16,42 +16,6 @@ FLOAT = np.float64
 
 class ShapeError(ValueError):
     """Raised when operands have incompatible shapes."""
-
-
-def vec(values) -> np.ndarray:
-    """Build a 1-D float64 vector from any sequence of numbers."""
-    v = np.asarray(values, dtype=FLOAT)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def mat(values) -> np.ndarray:
-    """Build a 2-D row-major float64 matrix from nested sequences."""
-    m = np.asarray(values, dtype=FLOAT)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
-    return np.ascontiguousarray(m)
-
-
-def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``w @ x + b`` with explicit shape validation."""
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeError(
-            f"affine expects (matrix, vector, vector), got shapes "
-            f"{w.shape}, {x.shape}, {b.shape}"
-        )
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"affine: matrix is {w.shape} but input vector has length {x.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ShapeError(f"affine: matrix is {w.shape} but bias has length {b.shape[0]}")
-    return w @ x + b
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -85,18 +49,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=FLOAT))
-
-
-_ELEMENTWISE = {"tanh": tanh, "sigmoid": sigmoid}
-
-
-def elementwise(name: str, v: np.ndarray) -> np.ndarray:
-    """Apply a named nonlinearity ('tanh' or 'sigmoid') entrywise."""
-    try:
-        fn = _ELEMENTWISE[name]
-    except KeyError:
-        raise ValueError(f"unknown elementwise function {name!r}") from None
-    return fn(v)
 
 
 class Rng:

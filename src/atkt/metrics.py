@@ -49,10 +49,6 @@ class PredictionLog:
         self.probs.append(float(prob))
         self.labels.append(int(label))
 
-    def extend(self, student_id: str, steps, skills, probs, labels) -> None:
-        for step, skill, prob, label in zip(steps, skills, probs, labels):
-            self.add(student_id, step, skill, prob, label)
-
     def __len__(self) -> int:
         return len(self.probs)
 

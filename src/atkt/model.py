@@ -10,7 +10,10 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
   * to predict the response at step t, the hidden states h_1..h_{t-2} are
     aggregated by a small attention head (tanh projection, dot-product score
     against a learned context vector, softmax over the causal window) and the
-    aggregate is concatenated with h_{t-1};
+    aggregate is concatenated with h_{t-1}. Every window's softmax is computed
+    at once as a ratio of exclusive prefix sums, N_k / D_k, over shifted
+    exponentials of the scores (exact while ||attn_u||_1 < 350), so attention
+    costs O(T) per sequence in both directions;
   * an affine layer maps the composite to one logit per skill, a sigmoid
     gives per-skill mastery probabilities, and the probability at the
     attempted skill is scored with binary cross-entropy.
@@ -24,6 +27,7 @@ everything is float64 and validated against central finite differences.
 from __future__ import annotations
 
 import base64
+import binascii
 import datetime as _dt
 import hashlib
 import json
@@ -129,8 +133,10 @@ class ForwardTrace:
     hidden: np.ndarray  # [n, B, H]
     attn_hidden: np.ndarray | None  # [n, B, attn_dim]
     attn_logits: np.ndarray | None  # [n, B]
-    attn_weights: list[np.ndarray]  # per target k: [k, B] (softmax over window)
-    seq_attn_weights: np.ndarray | None  # [n, B], "sequence" window mode only
+    # a_j = exp(l_j - row max) for j < seq_len - 2, else 0; and each target's
+    # normaliser D_k. Target k's window weights are attn_exp[:k] / attn_norm[k].
+    attn_exp: np.ndarray | None  # [n, B]
+    attn_norm: np.ndarray | None  # [n, B]
     agg_hidden: np.ndarray  # [n, B, H]
     composite: np.ndarray  # [n, B, 2H]
     probs: np.ndarray  # [n, B, S] full per-skill mastery probabilities
@@ -293,6 +299,9 @@ def forward(
     ``attention_window`` picks how attention weights are normalized:
     "causal" renormalizes over each prediction's own window; "sequence"
     normalizes once over all aggregable states and reuses prefix weights.
+    Both compute aggregate k as N_k / D_k, with N_k the prefix sum of
+    exp-weighted hidden states before k; only the normaliser D_k differs
+    (its own prefix sum, or the row total).
     """
     if attention_window not in ATTENTION_WINDOWS:
         raise ValueError(f"attention_window must be one of {ATTENTION_WINDOWS}")
@@ -338,34 +347,13 @@ def forward(
         hidden[t] = h
 
     step_mask = _step_mask(batch)
-    attn_hidden = None
-    attn_logits = None
-    attn_weights: list[np.ndarray] = []
-    seq_attn_weights = None
-    agg = np.zeros((n, b, hd), dtype=FLOAT)
+    attn_hidden = attn_logits = attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
-        attn_logits = attn_hidden @ params.attn_u  # [n, B]
-        if attention_window == "causal":
-            attn_weights.append(np.zeros((0, b), dtype=FLOAT))
-            for k in range(1, n):
-                w = attn_logits[:k]
-                w = np.exp(w - w.max(axis=0, keepdims=True))
-                w = w / w.sum(axis=0, keepdims=True)
-                attn_weights.append(w)
-                agg[k] = np.einsum("jb,jbh->bh", w, hidden[:k])
-        else:
-            # One softmax per row over every state that any window can use
-            # (j < seq_len - 2); each prediction then takes its prefix sum.
-            support = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 2)
-            shifted = np.where(support, attn_logits, -np.inf)
-            peak = shifted.max(axis=0, keepdims=True)
-            expw = np.where(support, np.exp(shifted - np.where(np.isfinite(peak), peak, 0.0)), 0.0)
-            total = expw.sum(axis=0, keepdims=True)
-            seq_attn_weights = np.divide(expw, total, out=np.zeros_like(expw), where=total > 0)
-            weighted = seq_attn_weights[:, :, None] * hidden
-            prefix = np.cumsum(weighted, axis=0)
-            agg[1:] = prefix[:-1]
+        attn_hidden, attn_logits, attn_exp, attn_norm, agg = _attention_forward(
+            params, hidden, batch.seq_lens, attention_window
+        )
+    else:
+        agg = np.zeros((n, b, hd), dtype=FLOAT)
 
     composite = np.concatenate([agg, hidden], axis=2)
     if attention_enabled:
@@ -394,8 +382,8 @@ def forward(
         hidden=hidden,
         attn_hidden=attn_hidden,
         attn_logits=attn_logits,
-        attn_weights=attn_weights,
-        seq_attn_weights=seq_attn_weights,
+        attn_exp=attn_exp,
+        attn_norm=attn_norm,
         agg_hidden=agg,
         composite=composite,
         probs=probs,
@@ -429,24 +417,17 @@ def backward(params: ModelParams, trace: ForwardTrace, batch: Batch) -> Gradient
     tgt_flat = trace.target_skills.ravel()[flat_mask]
     dz_flat = dz_sel.ravel()[flat_mask]
 
-    dhidden = np.zeros((n, b, hd), dtype=FLOAT)
+    # With attention off the aggregate half of the composite is exact zeros,
+    # so the head gradients there are exact zeros too.
+    comp_flat = trace.composite.reshape(n * b, 2 * hd)[flat_mask]
+    np.add.at(grads["head_w"], tgt_flat, dz_flat[:, None] * comp_flat)
+    np.add.at(grads["head_b"], tgt_flat, dz_flat)
+    dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
+    dcomp[flat_mask] = dz_flat[:, None] * params.head_w[tgt_flat]
+    dcomp = dcomp.reshape(n, b, 2 * hd)
+    dhidden = dcomp[:, :, hd:]
     if trace.attention_enabled:
-        comp_flat = trace.composite.reshape(n * b, 2 * hd)[flat_mask]
-        np.add.at(grads["head_w"], tgt_flat, dz_flat[:, None] * comp_flat)
-        np.add.at(grads["head_b"], tgt_flat, dz_flat)
-        dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
-        dcomp[flat_mask] = dz_flat[:, None] * params.head_w[tgt_flat]
-        dcomp = dcomp.reshape(n, b, 2 * hd)
-        dagg = dcomp[:, :, :hd]
-        dhidden += dcomp[:, :, hd:]
-        _attention_backward(params, trace, dagg, dhidden, grads)
-    else:
-        hid_flat = trace.hidden.reshape(n * b, hd)[flat_mask]
-        np.add.at(grads["head_w"][:, hd:], tgt_flat, dz_flat[:, None] * hid_flat)
-        np.add.at(grads["head_b"], tgt_flat, dz_flat)
-        dh_head = np.zeros((n * b, hd), dtype=FLOAT)
-        dh_head[flat_mask] = dz_flat[:, None] * params.head_w[tgt_flat, hd:]
-        dhidden += dh_head.reshape(n, b, hd)
+        _attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
 
     # LSTM backward through time.
     d_embed = np.empty((n, b, params.input_dim), dtype=FLOAT)
@@ -480,30 +461,52 @@ def backward(params: ModelParams, trace: ForwardTrace, batch: Batch) -> Gradient
     return GradientSet(params=grads, d_embed=d_embed)
 
 
-def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
-    n, b, hd = trace.hidden.shape
-    u = trace.attn_hidden
-    dlogits = np.zeros((n, b), dtype=FLOAT)
-    if trace.attention_window == "causal":
-        for k in range(1, n):
-            dagg_k = dagg[k]
-            if not dagg_k.any():
-                continue
-            w = trace.attn_weights[k]  # [k, B]
-            window = trace.hidden[:k]
-            dw = np.einsum("bh,jbh->jb", dagg_k, window)
-            dhidden[:k] += w[:, :, None] * dagg_k[None, :, :]
-            dlogits[:k] += w * (dw - np.sum(w * dw, axis=0, keepdims=True))
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """out[k] = sum of x[:k] along axis 0 (out[0] = 0)."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    return out
+
+
+def _attention_forward(params, hidden, seq_lens, window):
+    """Returns (attn_hidden, attn_logits, attn_exp, attn_norm, agg); see forward.
+
+    Only states some window can use (j < seq_len - 2) get a nonzero a_j.
+    """
+    n = hidden.shape[0]
+    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
+    attn_logits = attn_hidden @ params.attn_u  # [n, B]
+    # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
+    # row max every a_j >= exp(-2 ||attn_u||_1) stays a normal float64 (and
+    # 1/D_k finite) while ||attn_u||_1 < 350.
+    support = np.arange(n)[:, None] < (seq_lens[None, :] - 2)
+    attn_exp = np.where(support, np.exp(attn_logits - attn_logits.max(axis=0)), 0.0)
+    if window == "causal":
+        attn_norm = _exclusive_cumsum(attn_exp)
     else:
-        w = trace.seq_attn_weights  # [n, B], zero outside each row's support
-        dweights = np.zeros((n, b), dtype=FLOAT)
-        for k in range(1, n):
-            dagg_k = dagg[k]
-            if not dagg_k.any():
-                continue
-            dweights[:k] += np.einsum("bh,jbh->jb", dagg_k, trace.hidden[:k])
-            dhidden[:k] += w[:k, :, None] * dagg_k[None, :, :]
-        dlogits = w * (dweights - np.sum(w * dweights, axis=0, keepdims=True))
+        attn_norm = np.repeat(attn_exp.sum(axis=0, keepdims=True), n, axis=0)
+    numer = _exclusive_cumsum(attn_exp[:, :, None] * hidden)
+    norm = attn_norm[:, :, None]
+    agg = np.divide(numer, norm, out=np.zeros_like(numer), where=norm > 0)
+    return attn_hidden, attn_logits, attn_exp, attn_norm, agg
+
+
+def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
+    # Through agg_k = N_k / D_k: dN_k = dagg_k / D_k and
+    # dD_k = -(dagg_k . agg_k) / D_k. State j enters N_k for every k > j, and
+    # D_k for every k > j ("causal") or for every k ("sequence").
+    norm = trace.attn_norm[:, :, None]
+    dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
+    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)  # [n, B]
+    dnumer_after = _exclusive_cumsum(dnumer[::-1])[::-1]
+    if trace.attention_window == "causal":
+        dnorm_sum = _exclusive_cumsum(dnorm[::-1])[::-1]
+    else:
+        dnorm_sum = dnorm.sum(axis=0)
+    a = trace.attn_exp
+    dhidden += a[:, :, None] * dnumer_after
+    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
+    u = trace.attn_hidden
     du = dlogits[:, :, None] * params.attn_u[None, None, :]
     grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
     dpre = (1.0 - u * u) * du
@@ -580,23 +583,64 @@ def save_checkpoint(path, params: ModelParams, config: dict, timestamp: bool = T
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint back; returns (params, config echo)."""
+    """Read a checkpoint back; returns (params, config echo).
+
+    Any malformed, corrupted or shape-inconsistent document raises
+    ``CheckpointError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not an {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')}")
-    arrays = doc["arrays"]
+    arrays = doc.get("arrays")
+    config = doc.get("config", {})
+    if not isinstance(arrays, dict) or not isinstance(config, dict):
+        raise CheckpointError(f'{path} needs "arrays" and "config" objects')
     if set(arrays) != set(PARAM_NAMES):
         raise CheckpointError(f"checkpoint arrays {sorted(arrays)} do not match {sorted(PARAM_NAMES)}")
+    for name, entry in arrays.items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"])
+            and isinstance(entry.get("data"), str)
+        ):
+            raise CheckpointError(f"checkpoint array {name} needs a shape (list of sizes) and data")
     if _checkpoint_digest(arrays) != doc.get("checksum"):
         raise CheckpointError(f"checksum mismatch in {path}")
     decoded = {}
     for name, entry in arrays.items():
-        raw = base64.b64decode(entry["data"])
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except binascii.Error as exc:
+            raise CheckpointError(f"checkpoint array {name} is not valid base64: {exc}") from exc
+        if len(raw) != 8 * math.prod(entry["shape"]):
+            raise CheckpointError(
+                f"checkpoint array {name} has shape {entry['shape']} but {len(raw)} payload bytes"
+            )
         decoded[name] = np.frombuffer(raw, dtype="<f8").astype(FLOAT).reshape(entry["shape"])
-    return ModelParams(**decoded), doc.get("config", {})
+    params = ModelParams(**decoded)
+    _check_shapes(params)
+    return params, config
+
+
+def _check_shapes(params: ModelParams) -> None:
+    """Every shape must follow from skill_emb, resp_emb, lstm_u and attn_w."""
+    if any(getattr(params, name).ndim != 2 for name in ("skill_emb", "resp_emb", "lstm_u", "attn_w")):
+        raise CheckpointError("checkpoint arrays skill_emb, resp_emb, lstm_u and attn_w must be matrices")
+    s, h, a = params.num_skills, params.hidden_dim, params.attn_dim
+    # In PARAM_NAMES order, as documented on ModelParams.
+    want = [(s, params.skill_dim), (2, params.resp_dim), (4 * h, params.input_dim), (4 * h, h),
+            (4 * h,), (a, h), (a,), (a,), (s, 2 * h), (s,)]
+    bad = [
+        f"{name} is {list(arr.shape)}, expected {list(shape)}"
+        for (name, arr), shape in zip(params.named_arrays(), want)
+        if arr.shape != shape
+    ]
+    if bad:
+        raise CheckpointError("inconsistent checkpoint shapes: " + "; ".join(bad))

@@ -2,8 +2,11 @@
 
 ``sequence_forward`` composes the single-vector ops step by step, per
 sequence; ``plain_lstm_forward`` is a from-scratch LSTM-plus-head with no
-attention wiring at all (the ablation target). Both are deliberately kept
-separate from the batched implementation they validate.
+attention wiring at all (the ablation target); ``loop_attention_forward`` and
+``loop_attention_backward`` compute the batched history attention one
+prediction window at a time, O(n^2) per sequence, as drop-in replacements for
+``model._attention_forward`` and ``model._attention_backward``. All are
+deliberately kept separate from the batched implementation they validate.
 """
 
 import numpy as np
@@ -73,3 +76,61 @@ def plain_lstm_forward(params, batch):
     targets = np.where(step_mask, batch.skills[:, 1:].T, 0)
     pred = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
     return probs, pred
+
+
+def loop_attention_forward(params, hidden, seq_lens, window):
+    """Per-window softmax aggregates; same return layout as the model's.
+
+    "causal" takes a fresh softmax over each window h_0..h_{k-1}; "sequence"
+    takes one softmax per row over j < seq_len - 2 and sums its prefixes.
+    The exp/normaliser slots are None: only ``loop_attention_backward``
+    consumes a trace built from this.
+    """
+    n, b, hd = hidden.shape
+    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
+    attn_logits = attn_hidden @ params.attn_u
+    agg = np.zeros((n, b, hd))
+    for k in range(1, n):
+        agg[k] = np.einsum("jb,jbh->bh", _window_weights(attn_logits, seq_lens, window, k), hidden[:k])
+    return attn_hidden, attn_logits, None, None, agg
+
+
+def loop_attention_backward(params, trace, dagg, dhidden, grads):
+    """dagg -> (dhidden, dlogits) one window at a time, then the projection."""
+    n, b, hd = trace.hidden.shape
+    u = trace.attn_hidden
+    seq_lens = trace.batch.seq_lens
+    dlogits = np.zeros((n, b))
+    if trace.attention_window == "causal":
+        for k in range(1, n):
+            w = _window_weights(trace.attn_logits, seq_lens, "causal", k)  # [k, B]
+            dw = np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
+            dhidden[:k] += w[:, :, None] * dagg[k][None, :, :]
+            dlogits[:k] += w * (dw - np.sum(w * dw, axis=0, keepdims=True))
+    else:
+        w = _window_weights(trace.attn_logits, seq_lens, "sequence", n)  # [n, B]
+        dweights = np.zeros((n, b))
+        for k in range(1, n):
+            dweights[:k] += np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
+            dhidden[:k] += w[:k, :, None] * dagg[k][None, :, :]
+        dlogits = w * (dweights - np.sum(w * dweights, axis=0, keepdims=True))
+    du = dlogits[:, :, None] * params.attn_u[None, None, :]
+    grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
+    dpre = (1.0 - u * u) * du
+    grads["attn_w"] += np.einsum("kbw,kbh->wh", dpre, trace.hidden)
+    grads["attn_b"] += dpre.sum(axis=(0, 1))
+    dhidden += dpre @ params.attn_w
+
+
+def _window_weights(logits, seq_lens, window, k):
+    """Weights [k, B] of the states h_0..h_{k-1} in target k's aggregate."""
+    if window == "causal":
+        w = np.exp(logits[:k] - logits[:k].max(axis=0, keepdims=True))
+        return w / w.sum(axis=0, keepdims=True)
+    support = np.arange(len(logits))[:, None] < (seq_lens[None, :] - 2)
+    shifted = np.where(support, logits, -np.inf)
+    peak = shifted.max(axis=0, keepdims=True)
+    expw = np.where(support, np.exp(shifted - np.where(np.isfinite(peak), peak, 0.0)), 0.0)
+    total = expw.sum(axis=0, keepdims=True)
+    w = np.divide(expw, total, out=np.zeros_like(expw), where=total > 0)
+    return w[:k]

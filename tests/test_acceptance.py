@@ -150,11 +150,9 @@ def test_c5_ablation():
         [data.sequences[i] for i in split.train], 6, config.batch_size, rng=None
     ):
         trace, _ = model.forward(result.params, batch, attention_enabled=True)
-        for k, w in enumerate(trace.attn_weights):
-            if k == 0:
-                continue
+        for k in range(1, trace.pred.shape[0]):
             valid = trace.step_mask[k]
-            sums = w.sum(axis=0)[valid]
+            sums = trace.attn_exp[:k, valid].sum(axis=0) / trace.attn_norm[k, valid]
             assert np.all(np.abs(sums - 1.0) <= 1e-10)
             windows += int(valid.sum())
     print(f"  checked {windows} prediction windows")

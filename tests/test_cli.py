@@ -1,3 +1,5 @@
+import base64
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -210,6 +212,33 @@ class TestEval:
         data.write_text(serialize_triple_line(big))
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data) == 2
         assert "skills" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "case", ["json_list", "no_arrays", "shape_vs_payload", "bad_base64", "short_head_b"]
+    )
+    def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
+        ckpt = self.make_chance_checkpoint(tmp_path)
+        doc = json.loads(ckpt.read_text())
+        arrays = doc["arrays"]
+        if case == "json_list":
+            doc = [doc]
+        elif case == "no_arrays":
+            del doc["arrays"]
+        else:
+            if case == "shape_vs_payload":
+                arrays["head_w"]["shape"][1] += 1
+            elif case == "bad_base64":
+                arrays["head_b"]["data"] = "!" + arrays["head_b"]["data"][1:]
+            else:
+                head_b = np.frombuffer(base64.b64decode(arrays["head_b"]["data"]), dtype="<f8")
+                arrays["head_b"]["shape"] = [head_b.size - 1]
+                arrays["head_b"]["data"] = base64.b64encode(head_b[:-1].tobytes()).decode("ascii")
+            doc["checksum"] = model._checkpoint_digest(arrays)
+        ckpt.write_text(json.dumps(doc))
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data_file) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), lines
 
 
 class TestSweep:

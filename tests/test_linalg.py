@@ -3,49 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from atkt.linalg import (
-    Rng,
-    ShapeError,
-    affine,
-    elementwise,
-    l2_norm,
-    mat,
-    sigmoid,
-    softmax,
-    tanh,
-    vec,
-)
+from atkt.linalg import Rng, ShapeError, l2_norm, sigmoid, softmax, tanh
 
 
-class TestAffine:
-    def test_identity(self):
-        out = affine(mat([[1, 0], [0, 1]]), vec([3, 4]), vec([0, 0]))
-        np.testing.assert_array_equal(out, [3, 4])
-
-    def test_hand_arithmetic(self):
-        out = affine(mat([[1, 2]]), vec([3, 4]), vec([5]))
-        np.testing.assert_array_equal(out, [16])
-
-    def test_zero_weight(self):
-        out = affine(mat([[0, 0]]), vec([7, 9]), vec([-2]))
-        np.testing.assert_array_equal(out, [-2])
-
-    def test_dim_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*length 2"):
-            affine(mat([[1, 2, 3], [4, 5, 6]]), vec([1, 2]), vec([0, 0]))
-        with pytest.raises(ShapeError, match=r"\(2, 2\).*length 3"):
-            affine(mat([[1, 2], [3, 4]]), vec([1, 2]), vec([0, 0, 0]))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = rng.normal(size=(4, 3))
-            x, y = rng.normal(size=3), rng.normal(size=3)
-            a, b = rng.normal(size=2)
-            zero = np.zeros(4)
-            lhs = affine(w, a * x + b * y, zero)
-            rhs = a * affine(w, x, zero) + b * affine(w, y, zero)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10
+def vec(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestSoftmax:
@@ -92,13 +54,13 @@ class TestL2Norm:
 
 class TestElementwise:
     def test_tanh_zero(self):
-        np.testing.assert_array_equal(elementwise("tanh", vec([0])), [0])
+        np.testing.assert_array_equal(tanh(vec([0])), [0])
 
     def test_sigmoid_half(self):
-        np.testing.assert_array_equal(elementwise("sigmoid", vec([0])), [0.5])
+        np.testing.assert_array_equal(sigmoid(vec([0])), [0.5])
 
     def test_sigmoid_extreme_negative_is_stable(self):
-        out = elementwise("sigmoid", vec([-710]))
+        out = sigmoid(vec([-710]))
         assert np.isfinite(out).all()
         assert 0.0 < out[0] <= 1e-300
 
@@ -109,10 +71,6 @@ class TestElementwise:
     def test_matches_numpy_tanh(self):
         v = np.linspace(-4, 4, 17)
         np.testing.assert_array_equal(tanh(v), np.tanh(v))
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="relu"):
-            elementwise("relu", vec([1.0]))
 
 
 class TestRng:

@@ -28,7 +28,12 @@ from atkt.training import (
     numeric_gradients,
 )
 
-from reference_impl import plain_lstm_forward, sequence_forward
+from reference_impl import (
+    loop_attention_backward,
+    loop_attention_forward,
+    plain_lstm_forward,
+    sequence_forward,
+)
 
 
 def tiny_params(seed=0, num_skills=4, skill_dim=3, resp_dim=2, hidden_dim=3, attn_dim=3):
@@ -193,25 +198,26 @@ class TestForward:
     def test_window_weights_sum_to_one(self):
         _, batch = random_batch(2, lengths=(6, 5, 4, 3, 2))
         trace, _ = model.forward(tiny_params(seed=3), batch)
-        for k, w in enumerate(trace.attn_weights):
-            if k == 0:
-                assert w.shape == (0, batch.size)
-                continue
+        np.testing.assert_array_equal(trace.agg_hidden[0], 0.0)  # empty window
+        for k in range(1, trace.pred.shape[0]):
+            valid = trace.step_mask[k]
+            w = trace.attn_exp[:k, valid] / trace.attn_norm[k, valid]
             np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-10)
             assert np.all(w > 0)
 
     def test_matches_single_step_reference(self):
-        for attention in (True, False):
-            seqs, batch = random_batch(4, lengths=(6, 4, 3, 2))
-            p = tiny_params(seed=7)
-            trace, loss = model.forward(p, batch, attention_enabled=attention)
-            ref_losses = []
-            for b, seq in enumerate(seqs):
-                preds, seq_loss = sequence_forward(p, seq, attention=attention)
-                ref_losses.append(seq_loss)
-                for k, want in enumerate(preds):
-                    assert trace.pred[k, b] == pytest.approx(want, abs=1e-12)
-            assert loss == pytest.approx(np.mean(ref_losses), abs=1e-12)
+        for lengths in [(6, 4, 3, 2), (130, 47, 9, 2)]:
+            for attention in (True, False):
+                seqs, batch = random_batch(4, lengths=lengths)
+                p = tiny_params(seed=7)
+                trace, loss = model.forward(p, batch, attention_enabled=attention)
+                ref_losses = []
+                for b, seq in enumerate(seqs):
+                    preds, seq_loss = sequence_forward(p, seq, attention=attention)
+                    ref_losses.append(seq_loss)
+                    for k, want in enumerate(preds):
+                        assert trace.pred[k, b] == pytest.approx(want, abs=1e-12)
+                assert loss == pytest.approx(np.mean(ref_losses), abs=1e-12)
 
     def test_sequence_window_mode_prefix_weights(self):
         # Global normalization: each window reuses the whole-sequence
@@ -219,7 +225,9 @@ class TestForward:
         seqs, batch = random_batch(5, lengths=(5,))
         p = tiny_params(seed=8)
         trace, _ = model.forward(p, batch, attention_window="sequence")
-        w = trace.seq_attn_weights[:, 0]
+        norm = trace.attn_norm[:, 0]
+        assert np.all(norm == norm[0])  # one normaliser for every window
+        w = trace.attn_exp[:, 0] / norm[0]
         support = len(seqs[0]) - 2  # states any window can use
         assert w[support:] == pytest.approx(0.0, abs=0)
         assert w[:support].sum() == pytest.approx(1.0, abs=1e-12)
@@ -306,6 +314,16 @@ class TestAblation:
         np.testing.assert_array_equal(trace.pred, ref_pred)
         np.testing.assert_array_equal(trace.probs, ref_probs)
 
+    def test_attention_gradients_are_exact_zeros_when_disabled(self):
+        _, batch = random_batch(16, lengths=(6, 5, 4, 3, 2))
+        p = tiny_params(seed=16)
+        trace, _ = model.forward(p, batch, attention_enabled=False)
+        grads = model.backward(p, trace, batch).params
+        for name in ("attn_w", "attn_b", "attn_u"):
+            np.testing.assert_array_equal(grads[name], 0.0)
+        np.testing.assert_array_equal(grads["head_w"][:, : p.hidden_dim], 0.0)
+        assert np.any(grads["head_w"][:, p.hidden_dim :] != 0.0)
+
     def test_attention_params_are_inert_when_disabled(self):
         _, batch = random_batch(15)
         p = tiny_params(seed=15)
@@ -340,6 +358,46 @@ class TestGradientCheck:
         report = compare_gradients(analytic, numeric)
         assert not report.passed
         assert [e.array for e in report.failures()] == ["attn_w"]
+
+
+class TestPrefixSumAttention:
+    """The batched attention against the per-window loop oracle."""
+
+    LENGTHS = (123, 60, 17, 5, 3, 2)
+
+    def run(self, p, batch, window):
+        trace, loss = model.forward(p, batch, attention_window=window)
+        grads = model.backward(p, trace, batch)
+        return trace, loss, grads
+
+    @pytest.mark.parametrize("window", model.ATTENTION_WINDOWS)
+    @pytest.mark.parametrize("large_logits", [False, True])
+    def test_matches_loop_oracle(self, monkeypatch, window, large_logits):
+        _, batch = random_batch(30, lengths=self.LENGTHS)
+        p = tiny_params(seed=30)
+        if large_logits:
+            # ||attn_u||_1 ~ 205, inside the documented < 350 range.
+            p.attn_w *= 20.0
+            p.attn_u *= 120.0
+        trace, loss, grads = self.run(p, batch, window)
+        with monkeypatch.context() as m:
+            m.setattr(model, "_attention_forward", loop_attention_forward)
+            m.setattr(model, "_attention_backward", loop_attention_backward)
+            ref_trace, ref_loss, ref_grads = self.run(p, batch, window)
+
+        if large_logits:
+            seen = trace.attn_logits[trace.step_mask]
+            assert seen.max() >= 100.0 and seen.min() <= -100.0
+        valid = trace.step_mask
+        pairs = [
+            ("loss", np.array(loss), np.array(ref_loss)),
+            ("pred", trace.pred[valid], ref_trace.pred[valid]),
+            ("d_embed", grads.d_embed, ref_grads.d_embed),
+        ]
+        pairs += [(name, grads.params[name], ref_grads.params[name]) for name in grads.params]
+        for name, got, want in pairs:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
 
 
 class TestBackwardValidation:
