@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +21,18 @@ from .data import (
     Dataset,
     load_dataset,
     make_folds,
+    read_text,
     segment_dataset,
     serialize_triple_line,
 )
-from .linalg import ShapeError
+from .linalg import ShapeError, sigmoid
 from .metrics import DegenerateLabelsError, PredictionLog
 from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .training import (
     SWEEP_BETAS,
     SWEEP_EPSILONS,
     DivergenceError,
+    FIELD_TYPES,
     TrainConfig,
     evaluate,
     prepare_split_sequences,
@@ -78,39 +79,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_optional(parser):
-    def inner(raw: str):
-        return None if raw.lower() in ("none", "off") else parser(raw)
-
-    return inner
-
-
-_FIELD_PARSERS = {
-    "skill_dim": int,
-    "resp_dim": int,
-    "hidden_dim": int,
-    "attn_dim": int,
-    "batch_size": int,
-    "lr": float,
-    "lr_decay": float,
-    "lr_decay_every": int,
-    "max_epochs": int,
-    "patience": _parse_optional(int),
-    "max_seq_len": int,
-    "epsilon": _parse_optional(float),
-    "beta": float,
-    "attention": _parse_bool,
-    "attention_window": str,
-    "fgsm_scope": str,
-    "strict_truncate": _parse_bool,
-    "seed": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "grad_clip": _parse_optional(float),
-}
-
-assert set(_FIELD_PARSERS) == {f.name for f in dataclass_fields(TrainConfig)}
+def _parse_value(key: str, raw: str):
+    """One config value, parsed as the key's TrainConfig annotation says."""
+    kind, optional = FIELD_TYPES[key]
+    if optional and raw.lower() in ("none", "off"):
+        return None
+    return _parse_bool(raw) if kind is bool else kind(raw)
 
 
 def parse_config_text(text: str) -> TrainConfig:
@@ -125,12 +99,12 @@ def parse_config_text(text: str) -> TrainConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](raw_value)
+            values[key] = _parse_value(key, raw_value)
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     config = TrainConfig(**values)
@@ -147,8 +121,12 @@ def load_config(path) -> TrainConfig:
 
 
 def config_from_echo(echo: dict) -> TrainConfig:
-    known = {f.name for f in dataclass_fields(TrainConfig)}
-    return TrainConfig.from_dict({k: v for k, v in echo.items() if k in known})
+    """The TrainConfig a checkpoint echoes (other keys are ignored); a bad
+    value there is a bad checkpoint."""
+    try:
+        return TrainConfig.from_dict({k: v for k, v in echo.items() if k in FIELD_TYPES})
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +134,10 @@ def config_from_echo(echo: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def cmd_prepare(args) -> int:
     from .data import parse_triple_line
 
-    text = _read_text(args.data)
+    text = read_text(args.data)
     if not text.strip():
         raise DataFormatError(1, "empty input file")
     dataset = parse_triple_line(text)
@@ -252,8 +225,10 @@ def cmd_eval(args) -> int:
         fold_ids = range(len(folds))
     else:
         wanted = args.fold if args.fold is not None else echo.get("fold", 0)
-        fold_ids = [_check_fold(int(wanted), len(folds))]
-    combined = PredictionLog()
+        if type(wanted) is not int:  # only an echoed fold can be anything else
+            raise CheckpointError(f"checkpoint config: fold must be of type int, got {wanted!r}")
+        fold_ids = [_check_fold(wanted, len(folds))]
+    logs = []
     scores = []
     for k in fold_ids:
         split = folds[k]
@@ -261,17 +236,13 @@ def cmd_eval(args) -> int:
         seqs = prepare_split_sequences(dataset, indices, config)
         _, fold_auc, log = evaluate(params, seqs, config, dataset.num_skills)
         scores.append(fold_auc)
-        combined.student_ids.extend(log.student_ids)
-        combined.steps.extend(log.steps)
-        combined.skills.extend(log.skills)
-        combined.probs.extend(log.probs)
-        combined.labels.extend(log.labels)
+        logs.append(log)
         print(f"fold {k} {args.split} AUC {fold_auc:.6f}")
     if args.all_folds:
         print(f"AUC {np.mean(scores):.6f} ± {np.std(scores):.6f} across {len(scores)} folds")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            combined.write_csv(fh)
+            PredictionLog.concat(logs).write_csv(fh)
     return EXIT_OK
 
 
@@ -332,12 +303,11 @@ def cmd_trace(args) -> int:
         params, batch, attention_enabled=config.attention, attention_window=config.attention_window
     )
     steps = len(seq)
-    # Row 0 is the untouched initial state (zero composite); row t the state
-    # after the first t interactions, i.e. what the model believes just
-    # before seeing the outcome of exercise t+1.
-    initial, _ = model.predict_step(params, np.zeros(2 * params.hidden_dim), tracked[0])
+    # Row 0 is the untouched initial state (a zero composite leaves only
+    # head_b); row t the state after the first t interactions, i.e. what the
+    # model believes just before seeing the outcome of exercise t+1.
     grid = np.empty((steps, len(tracked)))
-    grid[0] = initial[tracked]
+    grid[0] = sigmoid(params.head_b[tracked])
     for t in range(1, steps):
         grid[t] = trace.probs[t - 1, 0, tracked]
     attempts = [(int(seq.skills[t]), int(seq.responses[t])) for t in range(steps)]

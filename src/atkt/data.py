@@ -176,9 +176,18 @@ def serialize_triple_line(dataset: Dataset) -> str:
     return "\n".join(parts) + ("\n" if parts else "")
 
 
+def read_text(path) -> str:
+    """A data file's text; bytes that are not UTF-8 are a DataFormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(raw.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}") from None
+
+
 def load_dataset(path, num_skills: int | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_triple_line(fh.read(), num_skills=num_skills)
+    return parse_triple_line(read_text(path), num_skills=num_skills)
 
 
 def make_folds(dataset: Dataset, seed: int) -> list[FoldSplit]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,20 +34,20 @@ def bce(prob: float, label: int) -> float:
 
 @dataclass
 class PredictionLog:
-    """Parallel per-prediction records: probability, label, and provenance."""
+    """Per-prediction columns: probability, label, and provenance."""
 
-    probs: list[float] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-    student_ids: list[str] = field(default_factory=list)
-    steps: list[int] = field(default_factory=list)
-    skills: list[int] = field(default_factory=list)
+    probs: np.ndarray = field(default_factory=lambda: np.zeros(0))  # float64 [N]
+    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    student_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=object))  # str
+    steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    skills: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def add(self, student_id: str, step: int, skill: int, prob: float, label: int) -> None:
-        self.student_ids.append(student_id)
-        self.steps.append(int(step))
-        self.skills.append(int(skill))
-        self.probs.append(float(prob))
-        self.labels.append(int(label))
+    @classmethod
+    def concat(cls, logs: list[PredictionLog]) -> PredictionLog:
+        """The rows of ``logs``, in order, as one log."""
+        if not logs:
+            return cls()
+        return cls(**{f.name: np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(cls)})
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -56,9 +56,10 @@ class PredictionLog:
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["student_id", "step", "skill", "prob", "label"])
         for sid, step, skill, prob, label in zip(
-            self.student_ids, self.steps, self.skills, self.probs, self.labels
+            self.student_ids.tolist(), self.steps.tolist(), self.skills.tolist(),
+            self.probs.tolist(), self.labels.tolist(),
         ):
-            writer.writerow([sid, step, skill, repr(float(prob)), label])
+            writer.writerow([sid, step, skill, repr(prob), label])
 
 
 def _scores_labels(log: PredictionLog) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Batch
-from .linalg import FLOAT, Rng, ShapeError, sigmoid, softmax, tanh
+from .linalg import FLOAT, Rng, ShapeError, sigmoid, tanh
 from .metrics import PROB_CLAMP
 
 PARAM_NAMES = (
@@ -185,69 +185,6 @@ def init_params(
 
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-
-
-# ---------------------------------------------------------------------------
-# Single-vector reference operations. These define the per-step semantics;
-# the batched forward below must agree with them (tested), and the trace/
-# visualization code uses them directly.
-# ---------------------------------------------------------------------------
-
-
-def embed_interaction(params: ModelParams, skill: int, response: int) -> np.ndarray:
-    """Response-aware embedding: order of the concatenation encodes a."""
-    if not 0 <= skill < params.num_skills:
-        raise ShapeError(f"skill id {skill} out of range [0, {params.num_skills})")
-    if response not in (0, 1):
-        raise ValueError(f"response must be 0 or 1, got {response!r}")
-    if response == 1:
-        return np.concatenate([params.skill_emb[skill], params.resp_emb[1]])
-    return np.concatenate([params.resp_emb[0], params.skill_emb[skill]])
-
-
-def lstm_step(
-    params: ModelParams, e: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update; returns (h, c)."""
-    h = params.hidden_dim
-    z = params.lstm_w @ e + params.lstm_u @ h_prev + params.lstm_b
-    gi = sigmoid(z[0:h])
-    gf = sigmoid(z[h : 2 * h])
-    gg = tanh(z[2 * h : 3 * h])
-    go = sigmoid(z[3 * h : 4 * h])
-    c = gf * c_prev + gi * gg
-    return go * tanh(c), c
-
-
-def attend_history(params: ModelParams, hiddens) -> np.ndarray:
-    """Softmax-weighted aggregate of past hidden states.
-
-    ``hiddens`` is the causal window (may be empty, giving a zero vector).
-    """
-    hiddens = list(hiddens)
-    if not hiddens:
-        return np.zeros(params.hidden_dim, dtype=FLOAT)
-    stack = np.stack(hiddens)  # [k, H]
-    u = tanh(stack @ params.attn_w.T + params.attn_b)
-    weights = softmax(u @ params.attn_u)
-    return weights @ stack
-
-
-def compose(agg: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Concatenate aggregated history with the current hidden state."""
-    if agg.shape != current.shape:
-        raise ShapeError(f"compose expects equal lengths, got {agg.shape} and {current.shape}")
-    return np.concatenate([agg, current])
-
-
-def predict_step(
-    params: ModelParams, composite: np.ndarray, skill: int
-) -> tuple[np.ndarray, float]:
-    """Per-skill mastery probabilities and the one at the attempted skill."""
-    if not 0 <= skill < params.num_skills:
-        raise ShapeError(f"skill id {skill} out of range [0, {params.num_skills})")
-    probs = sigmoid(params.head_w @ composite + params.head_b)
-    return probs, float(probs[skill])
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +528,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not an {CHECKPOINT_FORMAT} file")
@@ -624,6 +561,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"checkpoint array {name} has shape {entry['shape']} but {len(raw)} payload bytes"
             )
         decoded[name] = np.frombuffer(raw, dtype="<f8").astype(FLOAT).reshape(entry["shape"])
+        if not np.all(np.isfinite(decoded[name])):
+            raise CheckpointError(f"checkpoint array {name} holds non-finite values")
     params = ModelParams(**decoded)
     _check_shapes(params)
     return params, config

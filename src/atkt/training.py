@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -63,6 +65,12 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def validate(self) -> None:
+        for name, (kind, optional) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ((value is None and optional) or _type_ok(kind, value)):
+                what = "a finite float" if kind is float else f"of type {kind.__name__}"
+                none = " or none" if optional else ""
+                raise ValueError(f"{name} must be {what}{none}, got {value!r}")
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.beta > 0 and self.epsilon is None:
@@ -79,8 +87,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be >= 2")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        for name in ("lr", "lr_decay"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError("grad_clip must be > 0 or none")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or none")
 
@@ -89,13 +100,31 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
+
+
+# The config schema: every reader (config files, checkpoint echoes, code)
+# takes the keys and their types from TrainConfig's annotations. Field name ->
+# (int, float, bool or str; whether the annotation is "kind | None").
+FIELD_TYPES = {
+    name: (typing.get_args(hint)[0], True) if typing.get_args(hint) else (hint, False)
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+}
+
+
+def _type_ok(kind: type, value) -> bool:
+    """Int takes int, float takes a finite int or float; bool is only a bool."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        # Finite; unlike math.isfinite, the comparison cannot overflow on a huge int.
+        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+    return isinstance(value, kind)
 
 
 @dataclass
@@ -228,18 +257,17 @@ def prepare_split_sequences(
     return out
 
 
-def collect_predictions(trace: ForwardTrace, batch: Batch, log: PredictionLog) -> None:
-    """Append every valid target of a batch to a prediction log."""
-    for b in range(batch.size):
-        sid = batch.student_ids[b]
-        for k in range(int(batch.seq_lens[b]) - 1):
-            log.add(
-                sid,
-                step=k + 1,
-                skill=int(batch.skills[b, k + 1]),
-                prob=float(trace.pred[k, b]),
-                label=int(batch.responses[b, k + 1]),
-            )
+def collect_predictions(trace: ForwardTrace, batch: Batch) -> PredictionLog:
+    """Every valid target of a batch, row by row, as a prediction log."""
+    valid = trace.step_mask.T  # [B, n]
+    rows, ks = np.nonzero(valid)
+    return PredictionLog(
+        probs=trace.pred.T[valid],
+        labels=batch.responses[:, 1:][valid],
+        student_ids=np.asarray(batch.student_ids, dtype=object)[rows],
+        steps=ks + 1,
+        skills=batch.skills[:, 1:][valid],
+    )
 
 
 def evaluate(
@@ -249,7 +277,7 @@ def evaluate(
     num_skills: int,
 ) -> tuple[float, float, PredictionLog]:
     """Loss, AUC and the full prediction log for a split (deterministic order)."""
-    log = PredictionLog()
+    logs = []
     total_loss = 0.0
     total_rows = 0
     for batch in make_batches(sequences, num_skills, config.batch_size, rng=None):
@@ -258,7 +286,8 @@ def evaluate(
         )
         total_loss += loss * batch.size
         total_rows += batch.size
-        collect_predictions(trace, batch, log)
+        logs.append(collect_predictions(trace, batch))
+    log = PredictionLog.concat(logs)
     mean_loss = total_loss / max(total_rows, 1)
     return mean_loss, auc(log), log
 

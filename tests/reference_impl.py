@@ -1,7 +1,10 @@
 """Independent reference paths used to check the production model code.
 
-``sequence_forward`` composes the single-vector ops step by step, per
-sequence; ``plain_lstm_forward`` is a from-scratch LSTM-plus-head with no
+The single-vector ops (``embed_interaction``, ``lstm_step``,
+``attend_history``, ``compose``, ``predict_step``) define the per-step
+semantics the batched ``model.forward`` must agree with;
+``sequence_forward`` composes them step by step, per sequence;
+``plain_lstm_forward`` is a from-scratch LSTM-plus-head with no
 attention wiring at all (the ablation target); ``loop_attention_forward`` and
 ``loop_attention_backward`` compute the batched history attention one
 prediction window at a time, O(n^2) per sequence, as drop-in replacements for
@@ -11,16 +14,61 @@ deliberately kept separate from the batched implementation they validate.
 
 import numpy as np
 
-from atkt.linalg import sigmoid
+from atkt.linalg import FLOAT, ShapeError, sigmoid, softmax, tanh
 from atkt.metrics import bce
-from atkt.model import (
-    attend_history,
-    build_embeddings,
-    compose,
-    embed_interaction,
-    lstm_step,
-    predict_step,
-)
+from atkt.model import build_embeddings
+
+
+def embed_interaction(params, skill, response):
+    """Response-aware embedding: order of the concatenation encodes a."""
+    if not 0 <= skill < params.num_skills:
+        raise ShapeError(f"skill id {skill} out of range [0, {params.num_skills})")
+    if response not in (0, 1):
+        raise ValueError(f"response must be 0 or 1, got {response!r}")
+    if response == 1:
+        return np.concatenate([params.skill_emb[skill], params.resp_emb[1]])
+    return np.concatenate([params.resp_emb[0], params.skill_emb[skill]])
+
+
+def lstm_step(params, e, h_prev, c_prev):
+    """One LSTM cell update; returns (h, c)."""
+    h = params.hidden_dim
+    z = params.lstm_w @ e + params.lstm_u @ h_prev + params.lstm_b
+    gi = sigmoid(z[0:h])
+    gf = sigmoid(z[h : 2 * h])
+    gg = tanh(z[2 * h : 3 * h])
+    go = sigmoid(z[3 * h : 4 * h])
+    c = gf * c_prev + gi * gg
+    return go * tanh(c), c
+
+
+def attend_history(params, hiddens):
+    """Softmax-weighted aggregate of past hidden states.
+
+    ``hiddens`` is the causal window (may be empty, giving a zero vector).
+    """
+    hiddens = list(hiddens)
+    if not hiddens:
+        return np.zeros(params.hidden_dim, dtype=FLOAT)
+    stack = np.stack(hiddens)  # [k, H]
+    u = tanh(stack @ params.attn_w.T + params.attn_b)
+    weights = softmax(u @ params.attn_u)
+    return weights @ stack
+
+
+def compose(agg, current):
+    """Concatenate aggregated history with the current hidden state."""
+    if agg.shape != current.shape:
+        raise ShapeError(f"compose expects equal lengths, got {agg.shape} and {current.shape}")
+    return np.concatenate([agg, current])
+
+
+def predict_step(params, composite, skill):
+    """Per-skill mastery probabilities and the one at the attempted skill."""
+    if not 0 <= skill < params.num_skills:
+        raise ShapeError(f"skill id {skill} out of range [0, {params.num_skills})")
+    probs = sigmoid(params.head_w @ composite + params.head_b)
+    return probs, float(probs[skill])
 
 
 def sequence_forward(params, sequence, attention=True):

@@ -102,9 +102,13 @@ def test_c3_auc_oracle():
         labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        log = PredictionLog()
-        for i in range(n):
-            log.add("s", i, 0, float(scores[i]), int(labels[i]))
+        log = PredictionLog(
+            probs=scores,
+            labels=labels.astype(np.int64),
+            student_ids=np.full(n, "s", dtype=object),
+            steps=np.arange(n),
+            skills=np.zeros(n, dtype=np.int64),
+        )
         assert abs(auc(log) - auc_bruteforce(log)) <= 1e-12
 
 

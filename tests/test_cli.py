@@ -75,6 +75,26 @@ class TestConfigParsing:
         assert cfg.attention is False
         assert cfg.grad_clip == 5.0
 
+    @pytest.mark.parametrize(
+        "key, raw, want",
+        [
+            *[("attention", raw, True) for raw in ("true", "TRUE", "1", "yes", "Yes", "on", "ON")],
+            *[("strict_truncate", raw, False) for raw in ("false", "False", "0", "no", "NO", "off", "Off")],
+            ("patience", "none", None),
+            ("patience", "OFF", None),
+            ("epsilon", "None", None),
+            ("epsilon", "off", None),
+            ("grad_clip", "NONE", None),
+            ("grad_clip", "off", None),
+            ("epsilon", "10", 10.0),
+            ("patience", "7", 7),
+            ("attention_window", "sequence", "sequence"),
+        ],
+    )
+    def test_accepted_spellings(self, key, raw, want):
+        value = getattr(parse_config_text(f"{key} = {raw}\n"), key)
+        assert value == want and type(value) is type(want)
+
     def test_not_key_value(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words\n")
@@ -214,28 +234,54 @@ class TestEval:
         assert "skills" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize(
-        "case", ["json_list", "no_arrays", "shape_vs_payload", "bad_base64", "short_head_b"]
-    )
-    def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
+    # A checkpoint whose config echo holds a bad value is a bad checkpoint.
+    ECHO_FAULTS = {
+        "echo_seed_str": ("seed", "x"),
+        "echo_batch_size_str": ("batch_size", "x"),
+        "echo_batch_size_0": ("batch_size", 0),
+        "echo_max_seq_len_float": ("max_seq_len", 2.5),
+        "echo_fold_str": ("fold", "a"),
+        "echo_fold_float": ("fold", 1.5),
+        "echo_fold_bool": ("fold", True),
+    }
+
+    def malformed_checkpoint(self, tmp_path, case):
         ckpt = self.make_chance_checkpoint(tmp_path)
+        if case == "non_utf8":
+            ckpt.write_bytes(b"\xff" + ckpt.read_bytes())
+            return ckpt
         doc = json.loads(ckpt.read_text())
         arrays = doc["arrays"]
         if case == "json_list":
             doc = [doc]
         elif case == "no_arrays":
             del doc["arrays"]
+        elif case in self.ECHO_FAULTS:
+            key, value = self.ECHO_FAULTS[case]
+            doc["config"][key] = value
         else:
+            head_b = np.frombuffer(base64.b64decode(arrays["head_b"]["data"]), dtype="<f8").copy()
             if case == "shape_vs_payload":
                 arrays["head_w"]["shape"][1] += 1
             elif case == "bad_base64":
                 arrays["head_b"]["data"] = "!" + arrays["head_b"]["data"][1:]
+            elif case == "nan_head_b":
+                head_b[0] = np.nan
+                arrays["head_b"]["data"] = base64.b64encode(head_b.tobytes()).decode("ascii")
             else:
-                head_b = np.frombuffer(base64.b64decode(arrays["head_b"]["data"]), dtype="<f8")
                 arrays["head_b"]["shape"] = [head_b.size - 1]
                 arrays["head_b"]["data"] = base64.b64encode(head_b[:-1].tobytes()).decode("ascii")
             doc["checksum"] = model._checkpoint_digest(arrays)
         ckpt.write_text(json.dumps(doc))
+        return ckpt
+
+    @pytest.mark.parametrize(
+        "case",
+        ["json_list", "no_arrays", "shape_vs_payload", "bad_base64", "short_head_b",
+         *ECHO_FAULTS, "nan_head_b", "non_utf8"],
+    )
+    def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
+        ckpt = self.malformed_checkpoint(tmp_path, case)
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data_file) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error:"), lines
@@ -326,6 +372,13 @@ class TestTrace:
                        "--skills", "77", "--out", tmp_path / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["echo_batch_size_str", "echo_max_seq_len_float", "nan_head_b"])
+    def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
+        ckpt = TestEval().malformed_checkpoint(tmp_path, case)
+        assert run_cli("trace", "--checkpoint", ckpt, "--data", data_file, "--out", tmp_path / "x") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), lines
+
     def test_unknown_student_exits_2(self, tmp_path, data_file):
         ckpt = TestEval().make_chance_checkpoint(tmp_path)
         code = run_cli("trace", "--checkpoint", ckpt, "--data", data_file,
@@ -344,6 +397,23 @@ class TestExitCodes:
         cfg = tmp_path / "bad.txt"
         cfg.write_text("nonsense_key = 4\n")
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize(
+        "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1"]
+    )
+    def test_bad_config_value_exits_1_with_one_line(self, tmp_path, data_file, capsys, line):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+
+    def test_non_utf8_data_exits_2(self, tmp_path, config_file, capsys):
+        data = tmp_path / "data.txt"
+        data.write_bytes(b"3\n1,\xff2,1\n1,0,1\n")
+        assert run_cli("train", "--config", config_file, "--data", data, "--out", tmp_path / "o") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: line 2:"), lines
 
     def test_out_of_range_fold_exits_1(self, tmp_path, data_file, config_file):
         assert run_cli("train", "--config", config_file, "--data", data_file,

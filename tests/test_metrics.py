@@ -8,10 +8,14 @@ from atkt.metrics import DegenerateLabelsError, PredictionLog, auc, auc_brutefor
 
 
 def make_log(scores, labels):
-    log = PredictionLog()
-    for i, (p, a) in enumerate(zip(scores, labels)):
-        log.add(student_id=f"s{i}", step=i, skill=0, prob=p, label=a)
-    return log
+    n = len(scores)
+    return PredictionLog(
+        probs=np.asarray(scores, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64),
+        student_ids=np.array([f"s{i}" for i in range(n)], dtype=object),
+        steps=np.arange(n),
+        skills=np.zeros(n, dtype=np.int64),
+    )
 
 
 def random_log(rng, max_len=500):

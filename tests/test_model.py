@@ -10,13 +10,8 @@ from atkt.linalg import Rng, ShapeError
 from atkt.model import (
     CheckpointError,
     ModelParams,
-    attend_history,
-    compose,
-    embed_interaction,
     init_params,
     load_checkpoint,
-    lstm_step,
-    predict_step,
     save_checkpoint,
 )
 from atkt.training import (
@@ -29,9 +24,14 @@ from atkt.training import (
 )
 
 from reference_impl import (
+    attend_history,
+    compose,
+    embed_interaction,
     loop_attention_backward,
     loop_attention_forward,
+    lstm_step,
     plain_lstm_forward,
+    predict_step,
     sequence_forward,
 )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atkt import model
-from atkt.data import FoldSplit, generate_synthetic, make_folds
+from atkt.data import FoldSplit, generate_synthetic, make_batches, make_folds, segment_dataset
 from atkt.linalg import Rng
 from atkt.training import (
     AdamState,
@@ -13,6 +13,7 @@ from atkt.training import (
     TrainConfig,
     adam_step,
     clip_gradients,
+    collect_predictions,
     combine_gradients,
     compare_gradients,
     grad_check,
@@ -61,6 +62,19 @@ class TestConfig:
         cfg = tiny_config(beta=0.2, epsilon=2.0)
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", True), ("seed", 1.0), ("batch_size", "8"), ("lr", "0.1"), ("lr", float("inf")),
+         ("beta", float("nan")), ("beta", None), ("grad_clip", float("nan")), ("attention", 1),
+         ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0)],
+    )
+    def test_validate_rejects_bad_type_or_range(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value}).validate()
+
+    def test_int_is_a_valid_float(self):
+        TrainConfig(lr=1, beta=1, epsilon=10, grad_clip=5).validate()
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -269,6 +283,25 @@ class TestGradCheckHarness:
         analytic = {"b": np.array([1e-12])}
         numeric = {"b": np.array([-1e-12])}
         assert compare_gradients(analytic, numeric).passed
+
+
+class TestCollectPredictions:
+    def test_matches_per_target_loop(self):
+        # Segments of length 9, 9, 2 per student: every batch mixes long and short rows.
+        ds = segment_dataset(tiny_dataset(num_students=9, seq_len=20, seed=4), max_len=9)
+        params = model.init_params(ds.num_skills, 6, 3, 5, 5, Rng(2).split("init"))
+        for batch in make_batches(list(ds.sequences), ds.num_skills, 4, rng=None):
+            trace, _ = model.forward(params, batch)
+            log = collect_predictions(trace, batch)
+            want = [
+                (batch.student_ids[b], k + 1, int(batch.skills[b, k + 1]), float(trace.pred[k, b]),
+                 int(batch.responses[b, k + 1]))
+                for b in range(batch.size)
+                for k in range(int(batch.seq_lens[b]) - 1)
+            ]
+            got = zip(log.student_ids.tolist(), log.steps.tolist(), log.skills.tolist(),
+                      log.probs.tolist(), log.labels.tolist())
+            assert list(got) == want
 
 
 class TestCheckpointRoundTrip:
