@@ -223,11 +223,15 @@ def cmd_eval(args) -> int:
     folds = make_folds(dataset, config.seed)
     if args.all_folds:
         fold_ids = range(len(folds))
+    elif args.fold is not None:
+        fold_ids = [_check_fold(args.fold, len(folds))]
     else:
-        wanted = args.fold if args.fold is not None else echo.get("fold", 0)
-        if type(wanted) is not int:  # only an echoed fold can be anything else
-            raise CheckpointError(f"checkpoint config: fold must be of type int, got {wanted!r}")
-        fold_ids = [_check_fold(wanted, len(folds))]
+        echoed = echo.get("fold", 0)
+        if type(echoed) is not int or not 0 <= echoed < len(folds):
+            raise CheckpointError(
+                f"checkpoint config: fold must be an int in [0, {len(folds)}), got {echoed!r}"
+            )
+        fold_ids = [echoed]
     logs = []
     scores = []
     for k in fold_ids:
@@ -306,10 +310,11 @@ def cmd_trace(args) -> int:
     # Row 0 is the untouched initial state (a zero composite leaves only
     # head_b); row t the state after the first t interactions, i.e. what the
     # model believes just before seeing the outcome of exercise t+1.
+    probs = model.skill_probs(params, trace)
     grid = np.empty((steps, len(tracked)))
     grid[0] = sigmoid(params.head_b[tracked])
     for t in range(1, steps):
-        grid[t] = trace.probs[t - 1, 0, tracked]
+        grid[t] = probs[t - 1, 0, tracked]
     attempts = [(int(seq.skills[t]), int(seq.responses[t])) for t in range(steps)]
 
     out = Path(args.out)

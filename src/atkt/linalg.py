@@ -1,8 +1,8 @@
 """Float64 nonlinearities, the shape error type and the seeded RNG used everywhere else.
 
-``sigmoid`` and ``tanh`` work elementwise on arrays of any shape, ``softmax``
-takes one vector and ``l2_norm`` flattens its input. Shapes are not checked
-here: callers that need fixed shapes check them and raise ``ShapeError``.
+``sigmoid`` and ``tanh`` work elementwise on arrays of any shape and
+``l2_norm`` flattens its input. Shapes are not checked here: callers that need
+fixed shapes check them and raise ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ FLOAT = np.float64
 
 class ShapeError(ValueError):
     """Raised when operands have incompatible shapes."""
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Overflow-safe softmax of a vector (max-subtraction trick)."""
-    if v.size == 0:
-        raise ShapeError("softmax of an empty vector is undefined")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
 
 
 def l2_norm(v: np.ndarray) -> float:

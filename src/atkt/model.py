@@ -14,9 +14,12 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
     at once as a ratio of exclusive prefix sums, N_k / D_k, over shifted
     exponentials of the scores (exact while ||attn_u||_1 < 350), so attention
     costs O(T) per sequence in both directions;
-  * an affine layer maps the composite to one logit per skill, a sigmoid
-    gives per-skill mastery probabilities, and the probability at the
-    attempted skill is scored with binary cross-entropy.
+  * an affine layer maps the composite to one logit per skill and a sigmoid
+    gives per-skill mastery probabilities; the probability at the attempted
+    skill is scored with binary cross-entropy. Training and evaluation compute
+    only that one probability (the attempted skill's head row, gathered per
+    target); ``skill_probs`` rebuilds every skill's probability on demand,
+    which is what ``atkt trace`` plots.
 
 The loss is the mean over sequences of the per-sequence mean BCE over its
 T-1 targets. ``backward`` returns exact gradients for every parameter array
@@ -120,7 +123,7 @@ class GradientSet:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and the visualizers need, per batch.
+    """Everything the backward pass and ``skill_probs`` need, per batch.
 
     Time-major layout: axis 0 indexes the L-1 consumed steps (equivalently
     the L-1 prediction targets), axis 1 the batch rows.
@@ -138,9 +141,8 @@ class ForwardTrace:
     attn_exp: np.ndarray | None  # [n, B]
     attn_norm: np.ndarray | None  # [n, B]
     agg_hidden: np.ndarray  # [n, B, H]
-    composite: np.ndarray  # [n, B, 2H]
-    probs: np.ndarray  # [n, B, S] full per-skill mastery probabilities
-    pred: np.ndarray  # [n, B] probability at the attempted skill
+    composite: np.ndarray  # [n, B, 2H]; the aggregate half is zeros with attention off
+    pred: np.ndarray  # [n, B] probability at the attempted skill (the only one computed)
     step_mask: np.ndarray  # bool [n, B]; valid input steps == valid targets
     target_skills: np.ndarray  # int64 [n, B] (clipped to 0 where padded)
     attention_enabled: bool
@@ -293,17 +295,17 @@ def forward(
         agg = np.zeros((n, b, hd), dtype=FLOAT)
 
     composite = np.concatenate([agg, hidden], axis=2)
+    # The loss reads one skill per target, so only its head row is applied:
+    # O(n*B*2H) rather than O(n*B*S*2H) for the full head (see skill_probs).
+    target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
     if attention_enabled:
-        logits = composite @ params.head_w.T + params.head_b
+        logit = np.einsum("nbh,nbh->nb", composite, params.head_w[target_skills])
     else:
         # The aggregate half is identically zero; skipping it keeps the
         # ablated model bit-identical to a plain LSTM with the right-half
         # head columns.
-        logits = hidden @ params.head_w[:, hd:].T + params.head_b
-    probs = sigmoid(logits)
-
-    target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
-    pred = np.take_along_axis(probs, target_skills[:, :, None], axis=2)[:, :, 0]
+        logit = np.einsum("nbh,nbh->nb", hidden, params.head_w[target_skills, hd:])
+    pred = sigmoid(logit + params.head_b[target_skills])
 
     labels = batch.responses[:, 1:].T.astype(FLOAT)
     clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -323,7 +325,6 @@ def forward(
         attn_norm=attn_norm,
         agg_hidden=agg,
         composite=composite,
-        probs=probs,
         pred=pred,
         step_mask=step_mask,
         target_skills=target_skills,
@@ -332,6 +333,22 @@ def forward(
         batch=batch,
     )
     return trace, loss
+
+
+def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
+    """Every skill's mastery probability at every step, [n, B, S].
+
+    ``forward`` computes only the attempted skill's probability; this rebuilds
+    the full head from the trace for inspection. Its entry at a valid target
+    agrees with ``trace.pred`` to rounding (the dot products are summed in a
+    different order), not bit for bit.
+    """
+    if trace.attention_enabled:
+        logits = trace.composite @ params.head_w.T + params.head_b
+    else:
+        hd = params.hidden_dim
+        logits = trace.hidden @ params.head_w[:, hd:].T + params.head_b
+    return sigmoid(logits)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, batch: Batch) -> GradientSet:

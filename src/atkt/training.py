@@ -87,7 +87,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be >= 2")
-        for name in ("lr", "lr_decay"):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("lr", "lr_decay", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.grad_clip is not None and self.grad_clip <= 0:

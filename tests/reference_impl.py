@@ -5,18 +5,33 @@ The single-vector ops (``embed_interaction``, ``lstm_step``,
 semantics the batched ``model.forward`` must agree with;
 ``sequence_forward`` composes them step by step, per sequence;
 ``plain_lstm_forward`` is a from-scratch LSTM-plus-head with no
-attention wiring at all (the ablation target); ``loop_attention_forward`` and
-``loop_attention_backward`` compute the batched history attention one
-prediction window at a time, O(n^2) per sequence, as drop-in replacements for
-``model._attention_forward`` and ``model._attention_backward``. All are
-deliberately kept separate from the batched implementation they validate.
+attention wiring at all (the ablation target); ``full_head_forward`` scores
+every skill at every step and keeps the attempted one's column, the oracle for
+the gathered head; ``softmax`` backs ``attend_history``;
+``loop_attention_forward`` and ``loop_attention_backward`` compute the batched
+history attention one prediction window at a time, O(n^2) per sequence, as
+drop-in replacements for ``model._attention_forward`` and
+``model._attention_backward``. All are deliberately kept separate from the
+batched implementation they validate.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from atkt.linalg import FLOAT, ShapeError, sigmoid, softmax, tanh
-from atkt.metrics import bce
+from atkt import model
+from atkt.linalg import FLOAT, ShapeError, sigmoid, tanh
+from atkt.metrics import PROB_CLAMP, bce
 from atkt.model import build_embeddings
+
+
+def softmax(v):
+    """Overflow-safe softmax of a vector (max-subtraction trick)."""
+    if v.size == 0:
+        raise ShapeError("softmax of an empty vector is undefined")
+    shifted = v - np.max(v)
+    e = np.exp(shifted)
+    return e / np.sum(e)
 
 
 def embed_interaction(params, skill, response):
@@ -118,12 +133,41 @@ def plain_lstm_forward(params, batch):
         h = go * np.tanh(c)
         hiddens.append(h)
     stack = np.stack(hiddens)
-    logits = stack @ params.head_w[:, hd:].T + params.head_b
+    probs = sigmoid(stack @ params.head_w[:, hd:].T + params.head_b)
+    step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
+    targets = np.where(step_mask, batch.skills[:, 1:].T, 0)
+    logit = np.einsum("nbh,nbh->nb", stack, params.head_w[targets, hd:])
+    pred = sigmoid(logit + params.head_b[targets])
+    return probs, pred
+
+
+def full_head_forward(params, batch, attention_enabled=True, attention_window="causal"):
+    """The forward pass with the full skill head; returns (trace, loss, probs).
+
+    Every skill's probability at every step, then the attempted skill's
+    column: the head as ``model.forward`` computed it before it gathered one
+    head row per target. The embedding, LSTM and attention trunk is
+    ``model.forward``'s (checked by the oracles above); the mask, targets,
+    predictions and loss are rebuilt here from the batch and put into the
+    trace, so ``model.backward`` on it gives this head's gradients.
+    """
+    trace, _ = model.forward(params, batch, attention_enabled, attention_window)
+    hd = params.hidden_dim
+    if attention_enabled:
+        logits = trace.composite @ params.head_w.T + params.head_b
+    else:
+        logits = trace.hidden @ params.head_w[:, hd:].T + params.head_b
     probs = sigmoid(logits)
+    n = batch.max_len - 1
     step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
     targets = np.where(step_mask, batch.skills[:, 1:].T, 0)
     pred = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
-    return probs, pred
+    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    nll = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
+    trace = replace(trace, pred=pred, step_mask=step_mask, target_skills=targets)
+    return trace, float(per_seq.mean()), probs
 
 
 def loop_attention_forward(params, hidden, seq_lens, window):

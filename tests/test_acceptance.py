@@ -143,7 +143,7 @@ def test_c5_ablation():
         trace, _ = model.forward(params, batch, attention_enabled=False)
         ref_probs, ref_pred = plain_lstm_forward(params, batch)
         assert np.array_equal(trace.pred, ref_pred)
-        assert np.array_equal(trace.probs, ref_probs)
+        assert np.array_equal(model.skill_probs(params, trace), ref_probs)
 
     # One full training epoch with attention on: every prediction window's
     # weights form a distribution.

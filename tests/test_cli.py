@@ -237,12 +237,14 @@ class TestEval:
     # A checkpoint whose config echo holds a bad value is a bad checkpoint.
     ECHO_FAULTS = {
         "echo_seed_str": ("seed", "x"),
+        "echo_seed_negative": ("seed", -3),
         "echo_batch_size_str": ("batch_size", "x"),
         "echo_batch_size_0": ("batch_size", 0),
         "echo_max_seq_len_float": ("max_seq_len", 2.5),
         "echo_fold_str": ("fold", "a"),
         "echo_fold_float": ("fold", 1.5),
         "echo_fold_bool": ("fold", True),
+        "echo_fold_out_of_range": ("fold", 9),
     }
 
     def malformed_checkpoint(self, tmp_path, case):
@@ -399,14 +401,19 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
 
     @pytest.mark.parametrize(
-        "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1"]
+        "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1",
+                 "seed = -1", "adam_beta1 = 1.0", "adam_beta1 = -0.1", "adam_beta2 = 1",
+                 "adam_eps = 0"]
     )
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, data_file, capsys, line):
         cfg = tmp_path / "bad.txt"
-        cfg.write_text(TINY_CONFIG + line + "\n")
+        # Keys may not repeat, so the "seed" case replaces the tiny config's seed line.
+        key = line.split(" = ")[0]
+        base = TINY_CONFIG.replace("seed = 11\n", "") if key == "seed" else TINY_CONFIG
+        cfg.write_text(base + line + "\n")
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+        assert len(lines) == 1 and lines[0].startswith("config error:") and key in lines[0], lines
 
     def test_non_utf8_data_exits_2(self, tmp_path, config_file, capsys):
         data = tmp_path / "data.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -27,6 +28,7 @@ from reference_impl import (
     attend_history,
     compose,
     embed_interaction,
+    full_head_forward,
     loop_attention_backward,
     loop_attention_forward,
     lstm_step,
@@ -312,7 +314,7 @@ class TestAblation:
         trace, _ = model.forward(p, batch, attention_enabled=False)
         ref_probs, ref_pred = plain_lstm_forward(p, batch)
         np.testing.assert_array_equal(trace.pred, ref_pred)
-        np.testing.assert_array_equal(trace.probs, ref_probs)
+        np.testing.assert_array_equal(model.skill_probs(p, trace), ref_probs)
 
     def test_attention_gradients_are_exact_zeros_when_disabled(self):
         _, batch = random_batch(16, lengths=(6, 5, 4, 3, 2))
@@ -398,6 +400,74 @@ class TestPrefixSumAttention:
         for name, got, want in pairs:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+
+class TestGatheredHead:
+    """The one-row-per-target head against the full-skill-head oracle."""
+
+    CASES = {
+        # Lengths that mix 2 with long rows, over few skills, so targets repeat.
+        "mixed_lengths": (31, (60, 2, 37, 2, 9, 2, 14)),
+        # Every row attempts skill 2 at every step.
+        "same_target": (32, (12, 12, 7, 2)),
+    }
+    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+
+    def params(self, seed):
+        p = tiny_params(seed=seed)
+        p.head_b[:] = Rng(seed).split("head_b").uniform(-1.0, 1.0, size=p.num_skills)
+        return p
+
+    def batch(self, case):
+        seed, lengths = self.CASES[case]
+        seqs, batch = random_batch(seed, lengths=lengths)
+        if case == "same_target":
+            for s in seqs:
+                s.skills[:] = 2
+            batch = make_batches(seqs, 4, batch_size=len(seqs), rng=None)[0]
+        return batch
+
+    @pytest.mark.parametrize("attention", ATTENTION)
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_full_head_oracle(self, case, attention):
+        batch = self.batch(case)
+        p = self.params(31)
+        enabled, window = self.ATTENTION[attention]
+        trace, loss = model.forward(p, batch, enabled, window)
+        grads = model.backward(p, trace, batch)
+        ref_trace, ref_loss, _ = full_head_forward(p, batch, enabled, window)
+        ref_grads = model.backward(p, ref_trace, batch)
+
+        valid = ref_trace.step_mask
+        pairs = [
+            ("loss", np.array(loss), np.array(ref_loss)),
+            ("pred", trace.pred[valid], ref_trace.pred[valid]),
+            ("d_embed", grads.d_embed, ref_grads.d_embed),
+        ]
+        pairs += [(name, grads.params[name], ref_grads.params[name]) for name in model.PARAM_NAMES]
+        for name, got, want in pairs:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("attention", ATTENTION)
+    @pytest.mark.parametrize("case", CASES)
+    def test_skill_probs_equal_full_head(self, case, attention):
+        batch = self.batch(case)
+        p = self.params(32)
+        enabled, window = self.ATTENTION[attention]
+        trace, _ = model.forward(p, batch, enabled, window)
+        _, _, ref_probs = full_head_forward(p, batch, enabled, window)
+        probs = model.skill_probs(p, trace)
+        assert probs.shape == (batch.max_len - 1, batch.size, p.num_skills)
+        np.testing.assert_array_equal(probs, ref_probs)
+
+    def test_trace_holds_no_per_skill_array(self):
+        _, batch = random_batch(33, num_skills=11)
+        trace, _ = model.forward(tiny_params(num_skills=11), batch)
+        for f in dataclasses.fields(trace):
+            value = getattr(trace, f.name)
+            if isinstance(value, np.ndarray):
+                assert 11 not in value.shape, f.name
 
 
 class TestBackwardValidation:

@@ -67,7 +67,9 @@ class TestConfig:
         "key, value",
         [("seed", True), ("seed", 1.0), ("batch_size", "8"), ("lr", "0.1"), ("lr", float("inf")),
          ("beta", float("nan")), ("beta", None), ("grad_clip", float("nan")), ("attention", 1),
-         ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0)],
+         ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0),
+         ("seed", -1), ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
+         ("adam_eps", 0.0), ("adam_eps", -1e-8)],
     )
     def test_validate_rejects_bad_type_or_range(self, key, value):
         with pytest.raises(ValueError, match=key):
