@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .data import Dataset, InteractionSequence, generate_synthetic, load_dataset, make_folds
 from .model import ModelParams, forward, backward, init_params, load_checkpoint, save_checkpoint
-from .training import TrainConfig, train, sweep, grad_check
+from .training import TrainConfig, train, sweep
 
 __all__ = [
     "Dataset",
@@ -20,7 +20,6 @@ __all__ = [
     "backward",
     "forward",
     "generate_synthetic",
-    "grad_check",
     "init_params",
     "load_checkpoint",
     "load_dataset",

@@ -25,7 +25,6 @@ class Perturbation:
 
     r: np.ndarray  # [n, B, d_in], same layout as the embedding tensor
     epsilon: float
-    scope: str
 
 
 def fgsm_perturbation(
@@ -42,17 +41,11 @@ def fgsm_perturbation(
         raise ValueError(f"scope must be one of {FGSM_SCOPES}, got {scope!r}")
     if not np.all(np.isfinite(d_embed)):
         raise ValueError("embedding gradient contains non-finite entries")
-    if scope == "per_sequence":
-        # One ball per batch row: norms over (step, coordinate).
-        norms = np.sqrt(np.sum(d_embed**2, axis=(0, 2)))  # [B]
-        scale = np.divide(
-            epsilon, norms, out=np.zeros_like(norms), where=norms > 0
-        )
-        r = d_embed * scale[None, :, None]
-    else:
-        norm = float(np.sqrt(np.sum(d_embed**2)))
-        r = d_embed * (epsilon / norm) if norm > 0 else np.zeros_like(d_embed)
-    return Perturbation(r=r, epsilon=float(epsilon), scope=scope)
+    # One ball per batch row (norms over step and coordinate), or one for all.
+    axes = (0, 2) if scope == "per_sequence" else None
+    norms = np.sqrt(np.sum(d_embed**2, axis=axes, keepdims=True))
+    scale = np.divide(epsilon, norms, out=np.zeros_like(norms), where=norms > 0)
+    return Perturbation(r=d_embed * scale, epsilon=float(epsilon))
 
 
 def make_adversarial(embeddings: np.ndarray, perturbation: Perturbation) -> np.ndarray:

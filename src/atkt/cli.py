@@ -9,6 +9,7 @@ defaults). Exit codes: 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
@@ -20,7 +21,9 @@ from .data import (
     DataFormatError,
     Dataset,
     load_dataset,
+    make_batches,
     make_folds,
+    parse_triple_line,
     read_text,
     segment_dataset,
     serialize_triple_line,
@@ -116,8 +119,12 @@ def parse_config_text(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_config_text(text)
 
 
 def config_from_echo(echo: dict) -> TrainConfig:
@@ -135,8 +142,6 @@ def config_from_echo(echo: dict) -> TrainConfig:
 
 
 def cmd_prepare(args) -> int:
-    from .data import parse_triple_line
-
     text = read_text(args.data)
     if not text.strip():
         raise DataFormatError(1, "empty input file")
@@ -162,6 +167,14 @@ def _check_fold(fold: int, num_folds: int) -> int:
     return fold
 
 
+def _folds(dataset: Dataset, seed: int):
+    """The dataset's folds; too few students to fill them is a data error."""
+    try:
+        return make_folds(dataset, seed)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+
+
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
     if args.seed is not None:
         config.seed = args.seed
@@ -184,7 +197,7 @@ def _load_for_checkpoint(data_path, params: model.ModelParams) -> Dataset:
 def cmd_train(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     dataset = load_dataset(args.data)
-    folds = make_folds(dataset, config.seed)
+    folds = _folds(dataset, config.seed)
     split = folds[_check_fold(args.fold, len(folds))]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +233,7 @@ def cmd_eval(args) -> int:
     params, echo = load_checkpoint(args.checkpoint)
     config = config_from_echo(echo)
     dataset = _load_for_checkpoint(args.data, params)
-    folds = make_folds(dataset, config.seed)
+    folds = _folds(dataset, config.seed)
     if args.all_folds:
         fold_ids = range(len(folds))
     elif args.fold is not None:
@@ -253,7 +266,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     dataset = load_dataset(args.data)
-    folds = make_folds(dataset, config.seed)
+    folds = _folds(dataset, config.seed)
     if args.folds:
         wanted = [_check_fold(int(tok), len(folds)) for tok in args.folds.split(",")]
         folds = [folds[k] for k in wanted]
@@ -276,10 +289,9 @@ def _pick_sequence(dataset: Dataset, args):
             if seq.student_id == args.student:
                 return seq
         raise DataError(f"student {args.student!r} not found")
-    try:
-        return dataset.sequences[args.index]
-    except IndexError:
-        raise DataError(f"sequence index {args.index} out of range") from None
+    if not 0 <= args.index < len(dataset.sequences):
+        raise DataError(f"sequence index {args.index} out of range")
+    return dataset.sequences[args.index]
 
 
 def _default_tracked(seq, limit: int = 5) -> list[int]:
@@ -289,8 +301,6 @@ def _default_tracked(seq, limit: int = 5) -> list[int]:
 
 
 def cmd_trace(args) -> int:
-    from .data import make_batches
-
     params, echo = load_checkpoint(args.checkpoint)
     config = config_from_echo(echo)
     dataset = _load_for_checkpoint(args.data, params)
@@ -313,16 +323,13 @@ def cmd_trace(args) -> int:
     probs = model.skill_probs(params, trace)
     grid = np.empty((steps, len(tracked)))
     grid[0] = sigmoid(params.head_b[tracked])
-    for t in range(1, steps):
-        grid[t] = probs[t - 1, 0, tracked]
+    grid[1:] = probs[: steps - 1, 0, tracked]
     attempts = [(int(seq.skills[t]), int(seq.responses[t])) for t in range(steps)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step"] + [f"skill_{s}" for s in tracked] + ["attempt_skill", "attempt_correct"])
         for t in range(steps):
             writer.writerow([t] + [repr(float(v)) for v in grid[t]] + [attempts[t][0], attempts[t][1]])
@@ -330,9 +337,7 @@ def cmd_trace(args) -> int:
     with open(out / "trace.svg", "w", encoding="utf-8") as fh:
         fh.write(svg.mastery_heatmap(grid, labels, attempts, tracked))
     with open(out / "mastery_change.csv", "w", encoding="utf-8") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["skill", "initial", "final"])
         for i, s in enumerate(tracked):
             writer.writerow([s, repr(float(grid[0, i])), repr(float(grid[-1, i]))])

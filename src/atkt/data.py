@@ -67,13 +67,12 @@ class Batch:
     """Rectangular padded arrays for a group of sequences.
 
     The padding sentinel for skills is ``num_skills`` (one past the valid
-    range) and padded cells are excluded from embeddings, attention, loss,
-    and gradients via ``mask``.
+    range). Cell (b, t) is real iff t < seq_lens[b]; padded cells are
+    excluded from embeddings, attention, loss, and gradients.
     """
 
     skills: np.ndarray  # int64 [B, L]
     responses: np.ndarray  # int64 [B, L]
-    mask: np.ndarray  # bool [B, L], True on real steps
     seq_lens: np.ndarray  # int64 [B]
     student_ids: tuple[str, ...]
     num_skills: int
@@ -284,16 +283,13 @@ def _pad_batch(group: list[InteractionSequence], num_skills: int) -> Batch:
     b = len(group)
     skills = np.full((b, width), num_skills, dtype=np.int64)  # sentinel pad
     responses = np.zeros((b, width), dtype=np.int64)
-    mask = np.zeros((b, width), dtype=bool)
     for i, seq in enumerate(group):
         t = len(seq)
         skills[i, :t] = seq.skills
         responses[i, :t] = seq.responses
-        mask[i, :t] = True
     return Batch(
         skills=skills,
         responses=responses,
-        mask=mask,
         seq_lens=lens,
         student_ids=tuple(s.student_id for s in group),
         num_skills=num_skills,

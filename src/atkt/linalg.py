@@ -1,8 +1,8 @@
 """Float64 nonlinearities, the shape error type and the seeded RNG used everywhere else.
 
-``sigmoid`` and ``tanh`` work elementwise on arrays of any shape and
-``l2_norm`` flattens its input. Shapes are not checked here: callers that need
-fixed shapes check them and raise ``ShapeError``.
+``sigmoid`` and ``tanh`` work elementwise on arrays of any shape. Shapes are
+not checked here: callers that need fixed shapes check them and raise
+``ShapeError``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ FLOAT = np.float64
 
 class ShapeError(ValueError):
     """Raised when operands have incompatible shapes."""
-
-
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm of ``v`` flattened."""
-    return float(np.sqrt(np.sum(np.asarray(v, dtype=FLOAT) ** 2)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

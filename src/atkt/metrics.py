@@ -1,4 +1,4 @@
-"""Loss and evaluation metrics: binary cross-entropy and ROC AUC.
+"""Evaluation metrics: the prediction log and ROC AUC.
 
 AUC is computed two ways on purpose: a rank-based (Mann-Whitney) formula used
 in production, and an explicit pairwise count kept as an independent oracle.
@@ -9,7 +9,6 @@ tracing evaluation convention.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,16 +19,6 @@ PROB_CLAMP = 1e-12
 
 class DegenerateLabelsError(ValueError):
     """AUC is undefined when only one class is present; refuse to guess."""
-
-
-def bce(prob: float, label: int) -> float:
-    """Binary cross-entropy -(a*ln p + (1-a)*ln(1-p)) with clamped p."""
-    p = min(max(float(prob), PROB_CLAMP), 1.0 - PROB_CLAMP)
-    if label == 1:
-        return -math.log(p)
-    if label == 0:
-        return -math.log(1.0 - p)
-    raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
 @dataclass

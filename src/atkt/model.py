@@ -24,7 +24,8 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
 The loss is the mean over sequences of the per-sequence mean BCE over its
 T-1 targets. ``backward`` returns exact gradients for every parameter array
 and for the input embeddings (the hook adversarial training perturbs);
-everything is float64 and validated against central finite differences.
+everything is float64 and validated against central finite differences
+(the oracle is ``tests/grad_oracle.py``).
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class ForwardTrace:
     cell_tanh: np.ndarray  # [n, B, H]
     hidden: np.ndarray  # [n, B, H]
     attn_hidden: np.ndarray | None  # [n, B, attn_dim]
-    attn_logits: np.ndarray | None  # [n, B]
     # a_j = exp(l_j - row max) for j < seq_len - 2, else 0; and each target's
     # normaliser D_k. Target k's window weights are attn_exp[:k] / attn_norm[k].
     attn_exp: np.ndarray | None  # [n, B]
@@ -286,9 +286,9 @@ def forward(
         hidden[t] = h
 
     step_mask = _step_mask(batch)
-    attn_hidden = attn_logits = attn_exp = attn_norm = None
+    attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden, attn_logits, attn_exp, attn_norm, agg = _attention_forward(
+        attn_hidden, attn_exp, attn_norm, agg = _attention_forward(
             params, hidden, batch.seq_lens, attention_window
         )
     else:
@@ -320,7 +320,6 @@ def forward(
         cell_tanh=cell_tanh,
         hidden=hidden,
         attn_hidden=attn_hidden,
-        attn_logits=attn_logits,
         attn_exp=attn_exp,
         attn_norm=attn_norm,
         agg_hidden=agg,
@@ -351,13 +350,9 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
     return sigmoid(logits)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, batch: Batch) -> GradientSet:
-    """Exact gradients of the batch loss for all parameters and embeddings."""
-    if trace.batch is not batch and not (
-        np.array_equal(trace.batch.skills, batch.skills)
-        and np.array_equal(trace.batch.responses, batch.responses)
-    ):
-        raise ShapeError("forward trace was produced from a different batch")
+def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
+    """Exact gradients of the traced batch's loss for all parameters and embeddings."""
+    batch = trace.batch
     n, b, _ = trace.hidden.shape
     hd = params.hidden_dim
     grads = zero_gradients(params)
@@ -423,18 +418,18 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
 
 
 def _attention_forward(params, hidden, seq_lens, window):
-    """Returns (attn_hidden, attn_logits, attn_exp, attn_norm, agg); see forward.
+    """Returns (attn_hidden, attn_exp, attn_norm, agg); see forward.
 
     Only states some window can use (j < seq_len - 2) get a nonzero a_j.
     """
     n = hidden.shape[0]
     attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
-    attn_logits = attn_hidden @ params.attn_u  # [n, B]
+    logits = attn_hidden @ params.attn_u  # [n, B], l_j
     # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
     # row max every a_j >= exp(-2 ||attn_u||_1) stays a normal float64 (and
     # 1/D_k finite) while ||attn_u||_1 < 350.
     support = np.arange(n)[:, None] < (seq_lens[None, :] - 2)
-    attn_exp = np.where(support, np.exp(attn_logits - attn_logits.max(axis=0)), 0.0)
+    attn_exp = np.where(support, np.exp(logits - logits.max(axis=0)), 0.0)
     if window == "causal":
         attn_norm = _exclusive_cumsum(attn_exp)
     else:
@@ -442,7 +437,7 @@ def _attention_forward(params, hidden, seq_lens, window):
     numer = _exclusive_cumsum(attn_exp[:, :, None] * hidden)
     norm = attn_norm[:, :, None]
     agg = np.divide(numer, norm, out=np.zeros_like(numer), where=norm > 0)
-    return attn_hidden, attn_logits, attn_exp, attn_norm, agg
+    return attn_hidden, attn_exp, attn_norm, agg
 
 
 def _attention_backward(params, trace, dagg, dhidden, grads) -> None:

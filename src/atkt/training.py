@@ -1,4 +1,4 @@
-"""Training loop: Adam, stepped LR decay, early stopping, sweeps, grad checks.
+"""Training loop: Adam, stepped LR decay, early stopping, sweeps.
 
 Each epoch runs, per batch, a clean forward/backward (which already yields
 the embedding gradient the attack needs), then — when adversarial training
@@ -262,8 +262,9 @@ def prepare_split_sequences(
     return out
 
 
-def collect_predictions(trace: ForwardTrace, batch: Batch) -> PredictionLog:
-    """Every valid target of a batch, row by row, as a prediction log."""
+def collect_predictions(trace: ForwardTrace) -> PredictionLog:
+    """Every valid target of the traced batch, row by row, as a prediction log."""
+    batch = trace.batch
     valid = trace.step_mask.T  # [B, n]
     rows, ks = np.nonzero(valid)
     return PredictionLog(
@@ -291,7 +292,7 @@ def evaluate(
         )
         total_loss += loss * batch.size
         total_rows += batch.size
-        logs.append(collect_predictions(trace, batch))
+        logs.append(collect_predictions(trace))
     log = PredictionLog.concat(logs)
     mean_loss = total_loss / max(total_rows, 1)
     return mean_loss, auc(log), log
@@ -308,7 +309,7 @@ def train_batch(
     trace, clean_loss = model.forward(
         params, batch, attention_enabled=config.attention, attention_window=config.attention_window
     )
-    clean_grads = model.backward(params, trace, batch)
+    clean_grads = model.backward(params, trace)
     adv_params = None
     objective = clean_loss
     if run_adversarial:
@@ -323,7 +324,7 @@ def train_batch(
             attention_window=config.attention_window,
             embeddings=adv_inputs,
         )
-        adv_params = model.backward(params, adv_trace, batch).params
+        adv_params = model.backward(params, adv_trace).params
         objective = adversarial.joint_loss(clean_loss, adv_loss, config.beta)
     total = combine_gradients(clean_grads.params, adv_params, config.beta)
     if config.grad_clip is not None:
@@ -439,173 +440,30 @@ def sweep(
     epsilons=SWEEP_EPSILONS,
     betas=SWEEP_BETAS,
 ) -> SweepResult:
-    """Train every epsilon x beta combination; grid of mean validation AUC."""
+    """Train every epsilon x beta combination; grid of mean validation AUC.
+
+    Every cell's config is validated before the first run. With beta = 0
+    training never reads epsilon, so that column is trained in the first
+    row only and its score copied down.
+    """
     epsilons = tuple(float(e) for e in epsilons)
     betas = tuple(float(b) for b in betas)
+    cells = {
+        (i, j): replace(config, epsilon=eps, beta=beta)
+        for i, eps in enumerate(epsilons)
+        for j, beta in enumerate(betas)
+    }
+    for cell_cfg in cells.values():
+        cell_cfg.validate()
     grid = np.zeros((len(epsilons), len(betas)))
-    for i, eps in enumerate(epsilons):
-        for j, beta in enumerate(betas):
-            cell_cfg = replace(config, epsilon=eps, beta=beta)
-            scores = []
-            for split in folds:
-                result = train(cell_cfg, dataset, split)
-                scores.append(result.record.best_val_auc)
+    for (i, j), cell_cfg in cells.items():
+        if cell_cfg.beta == 0 and i > 0:
+            grid[i, j] = grid[0, j]
+        else:
+            scores = [train(cell_cfg, dataset, split).record.best_val_auc for split in folds]
             grid[i, j] = float(np.mean(scores))
-            logger.info("sweep cell epsilon=%g beta=%g -> mean val AUC %.5f", eps, beta, grid[i, j])
+        logger.info("sweep cell epsilon=%g beta=%g -> mean val AUC %.5f",
+                    cell_cfg.epsilon, cell_cfg.beta, grid[i, j])
     best_flat = int(np.argmax(grid))
     bi, bj = divmod(best_flat, len(betas))
     return SweepResult(epsilons=epsilons, betas=betas, grid=grid, best=(epsilons[bi], betas[bj]))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking.
-# ---------------------------------------------------------------------------
-
-GRAD_CHECK_STEP = 1e-5
-GRAD_CHECK_TOLERANCE = 1e-4
-GRAD_CHECK_FLOOR = 1e-8
-
-
-@dataclass
-class GradCheckEntry:
-    array: str
-    max_rel_error: float
-    worst_coordinate: tuple[int, ...]
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(e.max_rel_error <= self.tolerance for e in self.entries)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(e.max_rel_error for e in self.entries)
-
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if e.max_rel_error > self.tolerance]
-
-    def summary(self) -> str:
-        lines = []
-        for e in self.entries:
-            status = "ok" if e.max_rel_error <= self.tolerance else "FAIL"
-            lines.append(
-                f"{status:4s} {e.array:12s} max rel err {e.max_rel_error:.3e} at {e.worst_coordinate}"
-            )
-        return "\n".join(lines)
-
-
-def relative_errors(analytic: np.ndarray, numeric: np.ndarray, floor: float = GRAD_CHECK_FLOOR):
-    """Elementwise |a-n|/max(|a|,|n|); entries below the floor count as equal."""
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    err = np.abs(analytic - numeric)
-    return np.where(denom > floor, err / np.maximum(denom, floor), 0.0)
-
-
-def compare_gradients(
-    analytic: dict[str, np.ndarray],
-    numeric: dict[str, np.ndarray],
-    tolerance: float = GRAD_CHECK_TOLERANCE,
-) -> GradCheckReport:
-    entries = []
-    for name in analytic:
-        rel = relative_errors(analytic[name], numeric[name])
-        worst = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.size else ()
-        entries.append(GradCheckEntry(name, float(rel.max()) if rel.size else 0.0, tuple(int(i) for i in worst)))
-    return GradCheckReport(entries=entries, tolerance=tolerance)
-
-
-def numeric_gradients(
-    params: ModelParams, batch: Batch, config: TrainConfig, step: float = GRAD_CHECK_STEP
-) -> dict[str, np.ndarray]:
-    """Central finite differences of the batch loss for every parameter
-    coordinate and every input-embedding coordinate."""
-
-    def loss_now() -> float:
-        _, loss = model.forward(
-            params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-        )
-        return loss
-
-    numeric: dict[str, np.ndarray] = {}
-    for name, arr in params.named_arrays():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.shape[0]):
-            original = flat[idx]
-            flat[idx] = original + step
-            up = loss_now()
-            flat[idx] = original - step
-            down = loss_now()
-            flat[idx] = original
-            gflat[idx] = (up - down) / (2.0 * step)
-        numeric[name] = g
-
-    base = model.build_embeddings(params, batch)
-    g = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = g.reshape(-1)
-    for idx in range(flat.shape[0]):
-        original = flat[idx]
-        flat[idx] = original + step
-        _, up = model.forward(
-            params, batch, attention_enabled=config.attention,
-            attention_window=config.attention_window, embeddings=base,
-        )
-        flat[idx] = original - step
-        _, down = model.forward(
-            params, batch, attention_enabled=config.attention,
-            attention_window=config.attention_window, embeddings=base,
-        )
-        flat[idx] = original
-        gflat[idx] = (up - down) / (2.0 * step)
-    numeric["d_embed"] = g
-    return numeric
-
-
-def analytic_gradients(
-    params: ModelParams, batch: Batch, config: TrainConfig
-) -> dict[str, np.ndarray]:
-    trace, _ = model.forward(
-        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-    )
-    grads = model.backward(params, trace, batch)
-    out = dict(grads.params)
-    out["d_embed"] = grads.d_embed
-    return out
-
-
-def grad_check_batch(num_skills: int, config: TrainConfig, seed: int, seq_lens=(5, 4, 3)) -> Batch:
-    """A tiny random batch with mixed lengths (so masking is exercised)."""
-    rng = Rng(seed).split("grad-check-data")
-    seqs = []
-    for i, length in enumerate(seq_lens):
-        skills = rng.integers(0, num_skills, size=length)
-        responses = rng.integers(0, 2, size=length)
-        seqs.append(
-            InteractionSequence(
-                student_id=f"gc-{i}",
-                skills=np.asarray(skills, dtype=np.int64),
-                responses=np.asarray(responses, dtype=np.int64),
-            )
-        )
-    return make_batches(seqs, num_skills, batch_size=len(seqs), rng=None)[0]
-
-
-def grad_check(
-    config: TrainConfig, seed: int, num_skills: int = 4, seq_lens=(5, 4, 3)
-) -> GradCheckReport:
-    """Compare analytic and finite-difference gradients on a tiny model."""
-    params = model.init_params(
-        num_skills, config.skill_dim, config.resp_dim, config.hidden_dim, config.attn_dim,
-        Rng(seed).split("grad-check-init"),
-    )
-    batch = grad_check_batch(num_skills, config, seed, seq_lens)
-    analytic = analytic_gradients(params, batch, config)
-    numeric = numeric_gradients(params, batch, config)
-    return compare_gradients(analytic, numeric)

@@ -7,22 +7,50 @@ semantics the batched ``model.forward`` must agree with;
 ``plain_lstm_forward`` is a from-scratch LSTM-plus-head with no
 attention wiring at all (the ablation target); ``full_head_forward`` scores
 every skill at every step and keeps the attempted one's column, the oracle for
-the gathered head; ``softmax`` backs ``attend_history``;
-``loop_attention_forward`` and ``loop_attention_backward`` compute the batched
-history attention one prediction window at a time, O(n^2) per sequence, as
-drop-in replacements for ``model._attention_forward`` and
-``model._attention_backward``. All are deliberately kept separate from the
-batched implementation they validate.
+the gathered head; ``softmax`` backs ``attend_history`` and ``bce`` backs
+``sequence_forward``; ``loop_attention_forward`` and
+``loop_attention_backward`` compute the batched history attention one
+prediction window at a time, O(n^2) per sequence, as drop-in replacements for
+``model._attention_forward`` and ``model._attention_backward``;
+``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
+``l2_norm`` measures perturbation budgets. All are deliberately kept separate
+from the production code they validate.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from atkt import model
 from atkt.linalg import FLOAT, ShapeError, sigmoid, tanh
-from atkt.metrics import PROB_CLAMP, bce
+from atkt.metrics import PROB_CLAMP
 from atkt.model import build_embeddings
+
+
+def l2_norm(v):
+    """Euclidean norm of ``v`` flattened."""
+    return float(np.sqrt(np.sum(np.asarray(v, dtype=FLOAT) ** 2)))
+
+
+def bce(prob, label):
+    """Binary cross-entropy -(a*ln p + (1-a)*ln(1-p)) with clamped p."""
+    p = min(max(float(prob), PROB_CLAMP), 1.0 - PROB_CLAMP)
+    if label == 1:
+        return -math.log(p)
+    if label == 0:
+        return -math.log(1.0 - p)
+    raise ValueError(f"label must be 0 or 1, got {label!r}")
+
+
+def two_branch_fgsm(d_embed, epsilon, scope):
+    """The perturbation r of ``fgsm_perturbation``, one branch per scope."""
+    if scope == "per_sequence":
+        norms = np.sqrt(np.sum(d_embed**2, axis=(0, 2)))  # [B]
+        scale = np.divide(epsilon, norms, out=np.zeros_like(norms), where=norms > 0)
+        return d_embed * scale[None, :, None]
+    norm = float(np.sqrt(np.sum(d_embed**2)))
+    return d_embed * (epsilon / norm) if norm > 0 else np.zeros_like(d_embed)
 
 
 def softmax(v):
@@ -184,23 +212,24 @@ def loop_attention_forward(params, hidden, seq_lens, window):
     agg = np.zeros((n, b, hd))
     for k in range(1, n):
         agg[k] = np.einsum("jb,jbh->bh", _window_weights(attn_logits, seq_lens, window, k), hidden[:k])
-    return attn_hidden, attn_logits, None, None, agg
+    return attn_hidden, None, None, agg
 
 
 def loop_attention_backward(params, trace, dagg, dhidden, grads):
     """dagg -> (dhidden, dlogits) one window at a time, then the projection."""
     n, b, hd = trace.hidden.shape
     u = trace.attn_hidden
+    logits = u @ params.attn_u
     seq_lens = trace.batch.seq_lens
     dlogits = np.zeros((n, b))
     if trace.attention_window == "causal":
         for k in range(1, n):
-            w = _window_weights(trace.attn_logits, seq_lens, "causal", k)  # [k, B]
+            w = _window_weights(logits, seq_lens, "causal", k)  # [k, B]
             dw = np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
             dhidden[:k] += w[:, :, None] * dagg[k][None, :, :]
             dlogits[:k] += w * (dw - np.sum(w * dw, axis=0, keepdims=True))
     else:
-        w = _window_weights(trace.attn_logits, seq_lens, "sequence", n)  # [n, B]
+        w = _window_weights(logits, seq_lens, "sequence", n)  # [n, B]
         dweights = np.zeros((n, b))
         for k in range(1, n):
             dweights[:k] += np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from atkt import model
-from atkt.adversarial import Perturbation, fgsm_perturbation, joint_loss, make_adversarial
+from atkt.adversarial import FGSM_SCOPES, Perturbation, fgsm_perturbation, joint_loss, make_adversarial
 from atkt.data import generate_synthetic, make_batches
-from atkt.linalg import Rng, ShapeError, l2_norm
+from atkt.linalg import Rng, ShapeError
+
+from reference_impl import l2_norm, two_branch_fgsm
 
 
 def grad_tensor(values):
@@ -55,6 +57,22 @@ class TestFgsm:
         pert = fgsm_perturbation(g, epsilon=4.0, scope="global")
         assert l2_norm(pert.r) == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scope", FGSM_SCOPES)
+    def test_matches_two_branch_oracle(self, scope):
+        # Random shapes and magnitudes; every third case zeroes some rows,
+        # every tenth the whole gradient.
+        rng = Rng(3).split(scope)
+        for case in range(300):
+            shape = tuple(int(k) for k in rng.integers(1, 7, size=3))
+            g = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4)
+            if case % 3 == 1:
+                g[:, rng.random(size=shape[1]) < 0.5, :] = 0.0
+            if case % 10 == 9:
+                g[...] = 0.0
+            eps = float(rng.uniform(0.0, 20.0))
+            got = fgsm_perturbation(g, eps, scope=scope).r
+            assert np.array_equal(got, two_branch_fgsm(g, eps, scope)), (case, shape)
+
     def test_rejects_bad_arguments(self):
         g = np.zeros((1, 1, 1))
         with pytest.raises(ValueError):
@@ -68,17 +86,17 @@ class TestFgsm:
 class TestMakeAdversarial:
     def test_zero_perturbation_is_identity(self):
         e = grad_tensor([[[1.0, 2.0]]])
-        pert = Perturbation(r=np.zeros_like(e), epsilon=0.0, scope="per_sequence")
+        pert = Perturbation(r=np.zeros_like(e), epsilon=0.0)
         np.testing.assert_array_equal(make_adversarial(e, pert), e)
 
     def test_adds_elementwise(self):
         e = grad_tensor([[[1.0, 1.0]]])
-        pert = Perturbation(r=grad_tensor([[[0.5, -0.5]]]), epsilon=1.0, scope="per_sequence")
+        pert = Perturbation(r=grad_tensor([[[0.5, -0.5]]]), epsilon=1.0)
         np.testing.assert_array_equal(make_adversarial(e, pert), [[[1.5, 0.5]]])
 
     def test_shape_mismatch(self):
         e = grad_tensor([[[1.0, 1.0]]])
-        pert = Perturbation(r=np.zeros((2, 1, 2)), epsilon=1.0, scope="per_sequence")
+        pert = Perturbation(r=np.zeros((2, 1, 2)), epsilon=1.0)
         with pytest.raises(ShapeError):
             make_adversarial(e, pert)
 
@@ -106,7 +124,7 @@ class TestAttackQuality:
             batch = make_batches(list(ds.sequences), 4, 3, rng=None)[0]
             params = model.init_params(4, 5, 3, 4, 4, rng.split("init"))
             trace, base_loss = model.forward(params, batch)
-            grads = model.backward(params, trace, batch)
+            grads = model.backward(params, trace)
             eps = 1e-3 * l2_norm(trace.embeddings)
             adv = make_adversarial(trace.embeddings, fgsm_perturbation(grads.d_embed, eps))
             _, adv_loss = model.forward(params, batch, embeddings=adv)
@@ -124,7 +142,7 @@ class TestAttackQuality:
         batch = make_batches(list(ds.sequences), 4, 4, rng=None)[0]
         params = model.init_params(4, 5, 3, 4, 4, Rng(77).split("init"))
         trace, base_loss = model.forward(params, batch)
-        grads = model.backward(params, trace, batch)
+        grads = model.backward(params, trace)
         eps = 1e-4 * l2_norm(trace.embeddings)
         adv = make_adversarial(trace.embeddings, fgsm_perturbation(grads.d_embed, eps))
         _, adv_loss = model.forward(params, batch, embeddings=adv)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from atkt import cli, model
+from atkt import cli, model, training
 from atkt.cli import ConfigError, parse_config_text
 from atkt.data import generate_synthetic, serialize_triple_line
 from atkt.linalg import Rng
@@ -289,7 +289,37 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("data error:"), lines
 
 
+@pytest.fixture
+def train_calls(monkeypatch):
+    """(epsilon, beta) of every training run ``sweep`` starts."""
+    calls = []
+    real_train = training.train
+
+    def counting_train(config, *args, **kwargs):
+        calls.append((config.epsilon, config.beta))
+        return real_train(config, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train", counting_train)
+    return calls
+
+
 class TestSweep:
+    def test_beta_zero_column_trains_once_per_fold(self, tmp_path, data_file, config_file, train_calls):
+        out = tmp_path / "sweepdir"
+        assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", out,
+                       "--epsilons", "1,2", "--betas", "0,0.5", "--folds", "0") == 0
+        assert sorted(train_calls) == [(1.0, 0.0), (1.0, 0.5), (2.0, 0.5)]
+        grid = [line.split(",")[1:] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert grid[0][0] == grid[1][0]
+
+    def test_bad_later_epsilon_exits_1_before_training(self, tmp_path, data_file, config_file,
+                                                        capsys, train_calls):
+        assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", tmp_path / "o",
+                       "--epsilons", "1,-1", "--betas", "0", "--folds", "0") == 1
+        assert train_calls == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: epsilon"), lines
+
     def test_grid_csv_and_argmax_line(self, tmp_path, data_file, config_file, capsys):
         out = tmp_path / "sweepdir"
         assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", out,
@@ -381,6 +411,14 @@ class TestTrace:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error:"), lines
 
+    @pytest.mark.parametrize("index", [-1, -20])
+    def test_negative_index_exits_2(self, tmp_path, data_file, capsys, index):
+        ckpt = TestEval().make_chance_checkpoint(tmp_path)
+        code = run_cli("trace", "--checkpoint", ckpt, "--data", data_file,
+                       "--index", index, "--out", tmp_path / "x")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"data error: sequence index {index} out of range"]
+
     def test_unknown_student_exits_2(self, tmp_path, data_file):
         ckpt = TestEval().make_chance_checkpoint(tmp_path)
         code = run_cli("trace", "--checkpoint", ckpt, "--data", data_file,
@@ -414,6 +452,26 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:") and key in lines[0], lines
+
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    def test_unreadable_config_exits_1(self, tmp_path, data_file, capsys, what):
+        cfg = tmp_path / "missing.cfg" if what == "missing" else tmp_path
+        assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and str(cfg) in lines[0], lines
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("students", [2, 0])
+    def test_too_few_students_is_a_data_error(self, tmp_path, config_file, capsys, command, students):
+        data = tmp_path / "few.txt"
+        data.write_text(serialize_triple_line(generate_synthetic(students, 4, 6, 0.3, 0.2, 0.1, seed=3)))
+        if command == "eval":
+            args = ["eval", "--checkpoint", TestEval().make_chance_checkpoint(tmp_path), "--data", data]
+        else:
+            args = [command, "--config", config_file, "--data", data, "--out", tmp_path / "o"]
+        assert run_cli(*args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"data error: need at least 5 sequences to build folds, got {students}"]
 
     def test_non_utf8_data_exits_2(self, tmp_path, config_file, capsys):
         data = tmp_path / "data.txt"

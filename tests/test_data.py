@@ -162,8 +162,7 @@ class TestBatches:
         batches = make_batches(self.make_seqs([3, 5]), 3, batch_size=2, rng=None)
         (b,) = batches
         assert b.max_len == 5
-        np.testing.assert_array_equal(b.mask[0], [True, True, True, False, False])
-        np.testing.assert_array_equal(b.mask[1], [True] * 5)
+        np.testing.assert_array_equal(b.seq_lens, [3, 5])
         assert (b.skills[0, 3:] == 3).all()  # sentinel one past the range
 
     def test_epoch_shuffles_differ_but_reproduce(self):
@@ -222,12 +221,11 @@ class TestSynthetic:
 class TestPaddingOpacity:
     def test_padded_cells_do_not_leak(self):
         # Downstream opacity (loss/gradients) is asserted in the model tests;
-        # here: mask and seq_lens agree and sentinel ids appear only off-mask.
+        # here: every cell past a row's seq_len holds the sentinel id.
         seqs = [seq("a", [0, 1, 2], [1, 0, 1]), seq("b", [2, 0], [0, 1])]
         (batch,) = make_batches(seqs, 3, batch_size=2, rng=None)
         assert isinstance(batch, Batch)
         for i in range(batch.size):
             for j in range(batch.max_len):
-                assert batch.mask[i, j] == (j < batch.seq_lens[i])
-                if not batch.mask[i, j]:
+                if j >= batch.seq_lens[i]:
                     assert batch.skills[i, j] == 3

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from atkt.metrics import DegenerateLabelsError, PredictionLog, auc, auc_bruteforce, bce
+from atkt.metrics import DegenerateLabelsError, PredictionLog, auc, auc_bruteforce
+
+from reference_impl import bce
 
 
 def make_log(scores, labels):

@@ -15,12 +15,12 @@ from atkt.training import (
     clip_gradients,
     collect_predictions,
     combine_gradients,
-    compare_gradients,
-    grad_check,
     lr_at,
     sweep,
     train,
 )
+
+from grad_oracle import compare_gradients, grad_check
 
 
 def tiny_dataset(num_students=20, num_skills=4, seq_len=8, seed=0):
@@ -294,7 +294,7 @@ class TestCollectPredictions:
         params = model.init_params(ds.num_skills, 6, 3, 5, 5, Rng(2).split("init"))
         for batch in make_batches(list(ds.sequences), ds.num_skills, 4, rng=None):
             trace, _ = model.forward(params, batch)
-            log = collect_predictions(trace, batch)
+            log = collect_predictions(trace)
             want = [
                 (batch.student_ids[b], k + 1, int(batch.skills[b, k + 1]), float(trace.pred[k, b]),
                  int(batch.responses[b, k + 1]))
