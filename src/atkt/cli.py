@@ -18,6 +18,7 @@ import numpy as np
 
 from . import model, svg
 from .data import (
+    MIN_SEQ_LEN,
     DataFormatError,
     Dataset,
     load_dataset,
@@ -127,13 +128,17 @@ def load_config(path) -> TrainConfig:
     return parse_config_text(text)
 
 
-def config_from_echo(echo: dict) -> TrainConfig:
-    """The TrainConfig a checkpoint echoes (other keys are ignored); a bad
-    value there is a bad checkpoint."""
+def config_from_echo(echo: dict, params: model.ModelParams) -> TrainConfig:
+    """The TrainConfig a checkpoint echoes (other keys are ignored); a bad value
+    there, or a dimension the arrays contradict, is a bad checkpoint."""
     try:
-        return TrainConfig.from_dict({k: v for k, v in echo.items() if k in FIELD_TYPES})
+        config = TrainConfig.from_dict({k: v for k, v in echo.items() if k in FIELD_TYPES})
     except ValueError as exc:
         raise CheckpointError(f"checkpoint config: {exc}") from None
+    for key in ("skill_dim", "resp_dim", "hidden_dim", "attn_dim"):
+        if key in echo and echo[key] != getattr(params, key):
+            raise CheckpointError(f"checkpoint config: {key} {echo[key]} contradicts the arrays")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,8 @@ def config_from_echo(echo: dict) -> TrainConfig:
 
 
 def cmd_prepare(args) -> int:
+    if args.max_seq_len < MIN_SEQ_LEN:
+        raise UsageError(f"--max-seq-len must be >= {MIN_SEQ_LEN}, got {args.max_seq_len}")
     text = read_text(args.data)
     if not text.strip():
         raise DataFormatError(1, "empty input file")
@@ -231,7 +238,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, echo = load_checkpoint(args.checkpoint)
-    config = config_from_echo(echo)
+    config = config_from_echo(echo, params)
     dataset = _load_for_checkpoint(args.data, params)
     folds = _folds(dataset, config.seed)
     if args.all_folds:
@@ -269,6 +276,9 @@ def cmd_sweep(args) -> int:
     folds = _folds(dataset, config.seed)
     if args.folds:
         wanted = [_check_fold(int(tok), len(folds)) for tok in args.folds.split(",")]
+        repeated = [k for i, k in enumerate(wanted) if k in wanted[:i]]
+        if repeated:
+            raise UsageError(f"--folds repeats fold {repeated[0]}")
         folds = [folds[k] for k in wanted]
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
     betas = [float(tok) for tok in args.betas.split(",")]
@@ -302,7 +312,7 @@ def _default_tracked(seq, limit: int = 5) -> list[int]:
 
 def cmd_trace(args) -> int:
     params, echo = load_checkpoint(args.checkpoint)
-    config = config_from_echo(echo)
+    config = config_from_echo(echo, params)
     dataset = _load_for_checkpoint(args.data, params)
     seq = _pick_sequence(dataset, args)
     if args.skills:

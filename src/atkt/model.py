@@ -25,7 +25,8 @@ The loss is the mean over sequences of the per-sequence mean BCE over its
 T-1 targets. ``backward`` returns exact gradients for every parameter array
 and for the input embeddings (the hook adversarial training perturbs);
 everything is float64 and validated against central finite differences
-(the oracle is ``tests/grad_oracle.py``).
+(the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
+readers recompute tanh(cell), and concatenate the composite from its halves.
 """
 
 from __future__ import annotations
@@ -124,24 +125,23 @@ class GradientSet:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and ``skill_probs`` need, per batch.
+    """Everything the backward pass and ``skill_probs`` need, per batch, once.
 
     Time-major layout: axis 0 indexes the L-1 consumed steps (equivalently
-    the L-1 prediction targets), axis 1 the batch rows.
+    the L-1 prediction targets), axis 1 the batch rows. The head's composite
+    input is not stored: readers concatenate [agg_hidden | hidden].
     """
 
     embeddings: np.ndarray  # [n, B, d_in]
     gates: np.ndarray  # [n, B, 4H] post-activation, gate blocks per GATE_ORDER
     cell: np.ndarray  # [n, B, H]
-    cell_tanh: np.ndarray  # [n, B, H]
     hidden: np.ndarray  # [n, B, H]
     attn_hidden: np.ndarray | None  # [n, B, attn_dim]
     # a_j = exp(l_j - row max) for j < seq_len - 2, else 0; and each target's
     # normaliser D_k. Target k's window weights are attn_exp[:k] / attn_norm[k].
     attn_exp: np.ndarray | None  # [n, B]
     attn_norm: np.ndarray | None  # [n, B]
-    agg_hidden: np.ndarray  # [n, B, H]
-    composite: np.ndarray  # [n, B, 2H]; the aggregate half is zeros with attention off
+    agg_hidden: np.ndarray  # [n, B, H]; zeros with attention off
     pred: np.ndarray  # [n, B] probability at the attempted skill (the only one computed)
     step_mask: np.ndarray  # bool [n, B]; valid input steps == valid targets
     target_skills: np.ndarray  # int64 [n, B] (clipped to 0 where padded)
@@ -207,12 +207,10 @@ def build_embeddings(params: ModelParams, batch: Batch) -> np.ndarray:
     out = np.zeros((n, b, d_in), dtype=FLOAT)
     m1 = step_mask & (resps == 1)
     m0 = step_mask & (resps == 0)
-    if np.any(m1):
-        out[m1, :d_s] = params.skill_emb[skills[m1]]
-        out[m1, d_s:] = params.resp_emb[1]
-    if np.any(m0):
-        out[m0, :d_a] = params.resp_emb[0]
-        out[m0, d_a:] = params.skill_emb[skills[m0]]
+    out[m1, :d_s] = params.skill_emb[skills[m1]]
+    out[m1, d_s:] = params.resp_emb[1]
+    out[m0, :d_a] = params.resp_emb[0]
+    out[m0, d_a:] = params.skill_emb[skills[m0]]
     return out
 
 
@@ -261,7 +259,6 @@ def forward(
 
     gates = np.empty((n, b, 4 * hd), dtype=FLOAT)
     cell = np.empty((n, b, hd), dtype=FLOAT)
-    cell_tanh = np.empty((n, b, hd), dtype=FLOAT)
     hidden = np.empty((n, b, hd), dtype=FLOAT)
 
     # Pre-activation input contributions for all steps at once.
@@ -275,14 +272,12 @@ def forward(
         gg = tanh(z[:, 2 * hd : 3 * hd])
         go = sigmoid(z[:, 3 * hd :])
         c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
+        h = go * np.tanh(c)
         gates[t, :, 0:hd] = gi
         gates[t, :, hd : 2 * hd] = gf
         gates[t, :, 2 * hd : 3 * hd] = gg
         gates[t, :, 3 * hd :] = go
         cell[t] = c
-        cell_tanh[t] = tc
         hidden[t] = h
 
     step_mask = _step_mask(batch)
@@ -294,11 +289,11 @@ def forward(
     else:
         agg = np.zeros((n, b, hd), dtype=FLOAT)
 
-    composite = np.concatenate([agg, hidden], axis=2)
     # The loss reads one skill per target, so only its head row is applied:
     # O(n*B*2H) rather than O(n*B*S*2H) for the full head (see skill_probs).
     target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
     if attention_enabled:
+        composite = np.concatenate([agg, hidden], axis=2)
         logit = np.einsum("nbh,nbh->nb", composite, params.head_w[target_skills])
     else:
         # The aggregate half is identically zero; skipping it keeps the
@@ -317,13 +312,11 @@ def forward(
         embeddings=embeddings,
         gates=gates,
         cell=cell,
-        cell_tanh=cell_tanh,
         hidden=hidden,
         attn_hidden=attn_hidden,
         attn_exp=attn_exp,
         attn_norm=attn_norm,
         agg_hidden=agg,
-        composite=composite,
         pred=pred,
         step_mask=step_mask,
         target_skills=target_skills,
@@ -343,7 +336,8 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
     different order), not bit for bit.
     """
     if trace.attention_enabled:
-        logits = trace.composite @ params.head_w.T + params.head_b
+        composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=2)
+        logits = composite @ params.head_w.T + params.head_b
     else:
         hd = params.hidden_dim
         logits = trace.hidden @ params.head_w[:, hd:].T + params.head_b
@@ -366,9 +360,11 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     tgt_flat = trace.target_skills.ravel()[flat_mask]
     dz_flat = dz_sel.ravel()[flat_mask]
 
-    # With attention off the aggregate half of the composite is exact zeros,
-    # so the head gradients there are exact zeros too.
-    comp_flat = trace.composite.reshape(n * b, 2 * hd)[flat_mask]
+    # The composite [agg_hidden | hidden] at the valid targets. With attention
+    # off the aggregate half is exact zeros, so its head gradients are too.
+    comp_flat = np.concatenate(
+        [x.reshape(n * b, hd)[flat_mask] for x in (trace.agg_hidden, trace.hidden)], axis=1
+    )
     np.add.at(grads["head_w"], tgt_flat, dz_flat[:, None] * comp_flat)
     np.add.at(grads["head_b"], tgt_flat, dz_flat)
     dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
@@ -389,7 +385,7 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
         gf = trace.gates[t, :, hd : 2 * hd]
         gg = trace.gates[t, :, 2 * hd : 3 * hd]
         go = trace.gates[t, :, 3 * hd :]
-        tc = trace.cell_tanh[t]
+        tc = np.tanh(trace.cell[t])
         do = tc * dh_t
         dc_t = dc + go * (1.0 - tc * tc) * dh_t
         c_prev = trace.cell[t - 1] if t > 0 else zeros_bh
@@ -473,14 +469,12 @@ def _embedding_backward(params, batch, step_mask, d_embed, grads) -> None:
     resps = batch.responses[:, :n].T
     m1 = step_mask & (resps == 1)
     m0 = step_mask & (resps == 0)
-    if np.any(m1):
-        de = d_embed[m1]
-        np.add.at(grads["skill_emb"], skills[m1], de[:, :d_s])
-        grads["resp_emb"][1] += de[:, d_s:].sum(axis=0)
-    if np.any(m0):
-        de = d_embed[m0]
-        grads["resp_emb"][0] += de[:, :d_a].sum(axis=0)
-        np.add.at(grads["skill_emb"], skills[m0], de[:, d_a:])
+    de = d_embed[m1]
+    np.add.at(grads["skill_emb"], skills[m1], de[:, :d_s])
+    grads["resp_emb"][1] += de[:, d_s:].sum(axis=0)
+    de = d_embed[m0]
+    grads["resp_emb"][0] += de[:, :d_a].sum(axis=0)
+    np.add.at(grads["skill_emb"], skills[m0], de[:, d_a:])
 
 
 # ---------------------------------------------------------------------------

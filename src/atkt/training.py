@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
 
@@ -227,8 +226,6 @@ class RunRecord:
     best_epoch: int = -1  # by validation AUC
     best_val_auc: float = -np.inf
     best_val_loss: float = np.inf
-    wall_time: float = 0.0
-    config: dict = field(default_factory=dict)
 
     def write_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj, lineterminator="\n")
@@ -304,34 +301,33 @@ def train_batch(
     """One clean (and optionally adversarial) pass over a batch.
 
     Returns the clean loss, the training objective (clean + beta * adv), and
-    the gradient of that objective.
+    the gradient of that objective. A non-finite clean pass gives FGSM no
+    direction: the adversarial pass is skipped and the objective is NaN.
     """
-    trace, clean_loss = model.forward(
-        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-    )
-    clean_grads = model.backward(params, trace)
-    adv_params = None
-    objective = clean_loss
-    if run_adversarial:
+    trace, clean_loss = model.forward(params, batch, config.attention, config.attention_window)
+    clean = model.backward(params, trace)
+    grads, objective = clean.params, clean_loss
+    if run_adversarial and not (math.isfinite(clean_loss) and np.all(np.isfinite(clean.d_embed))):
+        objective = math.nan
+    elif run_adversarial:
         pert = adversarial.fgsm_perturbation(
-            clean_grads.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
+            clean.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
         )
         adv_inputs = adversarial.make_adversarial(trace.embeddings, pert)
+        del trace, clean, pert  # only the clean parameter gradients outlive the clean pass
         adv_trace, adv_loss = model.forward(
-            params,
-            batch,
-            attention_enabled=config.attention,
-            attention_window=config.attention_window,
-            embeddings=adv_inputs,
+            params, batch, config.attention, config.attention_window, embeddings=adv_inputs
         )
-        adv_params = model.backward(params, adv_trace).params
+        grads = combine_gradients(grads, model.backward(params, adv_trace).params, config.beta)
         objective = adversarial.joint_loss(clean_loss, adv_loss, config.beta)
-    total = combine_gradients(clean_grads.params, adv_params, config.beta)
     if config.grad_clip is not None:
-        clip_gradients(total, config.grad_clip)
-    return clean_loss, objective, total
+        clip_gradients(grads, config.grad_clip)
+    return clean_loss, objective, grads
 
 
+# Every non-finite objective and loss is raised as a DivergenceError below;
+# numpy's overflow warnings would only repeat it, once per operation.
+@np.errstate(all="ignore")
 def train(
     config: TrainConfig,
     dataset: Dataset,
@@ -347,7 +343,6 @@ def train(
     config.validate()
     if run_adversarial is None:
         run_adversarial = config.beta > 0
-    t0 = time.perf_counter()
     train_seqs = prepare_split_sequences(dataset, split.train, config)
     val_seqs = prepare_split_sequences(dataset, split.val, config)
     rng = Rng(config.seed)
@@ -363,7 +358,7 @@ def train(
     else:
         params = initial_params.copy()
     state = AdamState.for_params(params)
-    record = RunRecord(config=config.to_dict())
+    record = RunRecord()
     stopper = EarlyStopTracker(config.patience)
     best_params = params.copy()
     last_good: ModelParams | None = None
@@ -407,7 +402,6 @@ def train(
                         epoch, config.patience)
             break
 
-    record.wall_time = time.perf_counter() - t0
     return TrainResult(record=record, params=best_params)
 
 

@@ -13,8 +13,10 @@ the gathered head; ``softmax`` backs ``attend_history`` and ``bce`` backs
 prediction window at a time, O(n^2) per sequence, as drop-in replacements for
 ``model._attention_forward`` and ``model._attention_backward``;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
-``l2_norm`` measures perturbation budgets. All are deliberately kept separate
-from the production code they validate.
+``reference_train_batch`` is the training step that holds the clean pass's
+arrays through the adversarial pass; ``l2_norm`` measures perturbation
+budgets. All are deliberately kept separate from the production code they
+validate.
 """
 
 import math
@@ -22,10 +24,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from atkt import model
+from atkt import adversarial, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid, tanh
 from atkt.metrics import PROB_CLAMP
 from atkt.model import build_embeddings
+from atkt.training import clip_gradients, combine_gradients
 
 
 def l2_norm(v):
@@ -182,7 +185,8 @@ def full_head_forward(params, batch, attention_enabled=True, attention_window="c
     trace, _ = model.forward(params, batch, attention_enabled, attention_window)
     hd = params.hidden_dim
     if attention_enabled:
-        logits = trace.composite @ params.head_w.T + params.head_b
+        composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=2)
+        logits = composite @ params.head_w.T + params.head_b
     else:
         logits = trace.hidden @ params.head_w[:, hd:].T + params.head_b
     probs = sigmoid(logits)
@@ -255,3 +259,36 @@ def _window_weights(logits, seq_lens, window, k):
     total = expw.sum(axis=0, keepdims=True)
     w = np.divide(expw, total, out=np.zeros_like(expw), where=total > 0)
     return w[:k]
+
+
+def reference_train_batch(params, batch, config, run_adversarial):
+    """``training.train_batch`` with every reference held to the end.
+
+    The clean trace, its ``d_embed`` and the perturbation stay alive through
+    the adversarial forward and backward, as they did before the training
+    step freed them early; the outputs must not change.
+    """
+    trace, clean_loss = model.forward(
+        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
+    )
+    clean_grads = model.backward(params, trace)
+    adv_params = None
+    objective = clean_loss
+    if run_adversarial:
+        pert = adversarial.fgsm_perturbation(
+            clean_grads.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
+        )
+        adv_inputs = adversarial.make_adversarial(trace.embeddings, pert)
+        adv_trace, adv_loss = model.forward(
+            params,
+            batch,
+            attention_enabled=config.attention,
+            attention_window=config.attention_window,
+            embeddings=adv_inputs,
+        )
+        adv_params = model.backward(params, adv_trace).params
+        objective = adversarial.joint_loss(clean_loss, adv_loss, config.beta)
+    total = combine_gradients(clean_grads.params, adv_params, config.beta)
+    if config.grad_clip is not None:
+        clip_gradients(total, config.grad_clip)
+    return clean_loss, objective, total

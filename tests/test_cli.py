@@ -150,6 +150,16 @@ class TestPrepare:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("prepare", "--data", tmp_path / "nope.txt", "--out", tmp_path / "x.txt") == 2
 
+    def test_too_short_max_seq_len_exits_1_before_reading(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("3\n1,2,1\n1,0,1\n")
+        out = tmp_path / "norm.txt"
+        assert run_cli("prepare", "--data", raw, "--out", out, "--max-seq-len", 1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["--max-seq-len must be >= 2, got 1"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_artifacts_and_is_reproducible(self, tmp_path, data_file, config_file, capsys):
@@ -245,6 +255,11 @@ class TestEval:
         "echo_fold_float": ("fold", 1.5),
         "echo_fold_bool": ("fold", True),
         "echo_fold_out_of_range": ("fold", 9),
+        # The checksum covers only the arrays; the echoed dimensions must agree with them.
+        "echo_skill_dim_vs_arrays": ("skill_dim", 7),
+        "echo_resp_dim_vs_arrays": ("resp_dim", 4),
+        "echo_hidden_dim_vs_arrays": ("hidden_dim", 100000000),
+        "echo_attn_dim_vs_arrays": ("attn_dim", 1),
     }
 
     def malformed_checkpoint(self, tmp_path, case):
@@ -287,6 +302,8 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data_file) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error:"), lines
+        if case in self.ECHO_FAULTS:
+            assert self.ECHO_FAULTS[case][0] in lines[0], lines
 
 
 @pytest.fixture
@@ -319,6 +336,13 @@ class TestSweep:
         assert train_calls == []
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: epsilon"), lines
+
+    def test_repeated_fold_exits_1_before_training(self, tmp_path, data_file, config_file, capsys,
+                                                   train_calls):
+        assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", tmp_path / "o",
+                       "--epsilons", "1", "--betas", "0", "--folds", "1,0,1") == 1
+        assert train_calls == []
+        assert capsys.readouterr().err.splitlines() == ["--folds repeats fold 1"]
 
     def test_grid_csv_and_argmax_line(self, tmp_path, data_file, config_file, capsys):
         out = tmp_path / "sweepdir"
@@ -404,7 +428,9 @@ class TestTrace:
                        "--skills", "77", "--out", tmp_path / "x")
         assert code == 2
 
-    @pytest.mark.parametrize("case", ["echo_batch_size_str", "echo_max_seq_len_float", "nan_head_b"])
+    @pytest.mark.parametrize(
+        "case", ["echo_batch_size_str", "echo_max_seq_len_float", "echo_hidden_dim_vs_arrays", "nan_head_b"]
+    )
     def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
         ckpt = TestEval().malformed_checkpoint(tmp_path, case)
         assert run_cli("trace", "--checkpoint", ckpt, "--data", data_file, "--out", tmp_path / "x") == 2
@@ -479,6 +505,18 @@ class TestExitCodes:
         assert run_cli("train", "--config", config_file, "--data", data, "--out", tmp_path / "o") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error: line 2:"), lines
+
+    @pytest.mark.parametrize("beta", ["0", "0.5"])
+    def test_diverging_run_is_a_numerical_failure(self, tmp_path, capsys, beta):
+        # With beta > 0 the non-finite clean pass must stop training before
+        # FGSM rejects its gradient, and numpy must not warn on the way.
+        data = tmp_path / "data.txt"
+        data.write_text(serialize_triple_line(generate_synthetic(30, 4, 8, 0.3, 0.25, 0.1, seed=7)))
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_CONFIG + f"lr = 1e200\nbeta = {beta}\nepsilon = 1\n")
+        assert run_cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "o") == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["numerical failure: non-finite training objective at epoch 0"], lines
 
     def test_out_of_range_fold_exits_1(self, tmp_path, data_file, config_file):
         assert run_cli("train", "--config", config_file, "--data", data_file,

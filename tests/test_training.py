@@ -1,10 +1,18 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from atkt import model
-from atkt.data import FoldSplit, generate_synthetic, make_batches, make_folds, segment_dataset
+from atkt.data import (
+    FoldSplit,
+    InteractionSequence,
+    generate_synthetic,
+    make_batches,
+    make_folds,
+    segment_dataset,
+)
 from atkt.linalg import Rng
 from atkt.training import (
     AdamState,
@@ -18,9 +26,11 @@ from atkt.training import (
     lr_at,
     sweep,
     train,
+    train_batch,
 )
 
 from grad_oracle import compare_gradients, grad_check
+from reference_impl import reference_train_batch
 
 
 def tiny_dataset(num_students=20, num_skills=4, seq_len=8, seed=0):
@@ -331,3 +341,65 @@ class TestValSplitUsage:
         split = FoldSplit(fold_index=0, train=idx, val=idx, test=idx)
         result = train(tiny_config(max_epochs=2), ds, split)
         assert len(result.record.epochs) == 2
+
+
+class TestTrainBatch:
+    """The step that frees the clean pass early against the one that holds it."""
+
+    def batch(self, responses):
+        ds = tiny_dataset(num_students=6, seq_len=12, seed=15)
+        seqs = []
+        for s, n in zip(ds.sequences, (12, 2, 7, 12, 5, 9)):  # lengths that mix in padding
+            resp = s.responses[:n] if responses == "mixed" else np.full(n, int(responses == "all_correct"))
+            seqs.append(InteractionSequence(s.student_id, s.skills[:n], resp))
+        return make_batches(seqs, ds.num_skills, batch_size=len(seqs), rng=None)[0]
+
+    @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
+    @pytest.mark.parametrize("grad_clip", [None, 0.05])
+    @pytest.mark.parametrize("scope", ["per_sequence", "global"])
+    @pytest.mark.parametrize("window", ["causal", "sequence"])
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("run_adversarial", [True, False])
+    def test_bit_identical_to_reference(self, run_adversarial, attention, window, scope, grad_clip,
+                                        responses):
+        batch = self.batch(responses)
+        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, attention_window=window,
+                          fgsm_scope=scope, grad_clip=grad_clip)
+        params = model.init_params(
+            batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
+            Rng(3).split("init"),
+        )
+        got = train_batch(params, batch, cfg, run_adversarial)
+        want = reference_train_batch(params, batch, cfg, run_adversarial)
+        assert got[:2] == want[:2]
+        assert got[2].keys() == want[2].keys()
+        for name in model.PARAM_NAMES:
+            np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+
+    def test_adversarial_step_peaks_no_higher_than_clean(self):
+        # The clean trace, its d_embed and the perturbation are freed before
+        # the adversarial pass, so that pass reuses the clean pass's memory.
+        ds = generate_synthetic(24, 50, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=16)
+        batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
+        cfg = TrainConfig(skill_dim=32, resp_dim=16, hidden_dim=24, attn_dim=24, beta=0.5, epsilon=1.0)
+        params = model.init_params(ds.num_skills, 32, 16, 24, 24, Rng(4).split("init"))
+
+        def peak(run_adversarial):
+            tracemalloc.start()
+            try:
+                train_batch(params, batch, cfg, run_adversarial)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        clean, adv = peak(False), peak(True)
+        assert adv <= 1.1 * clean, (adv, clean)
+
+    def test_non_finite_clean_pass_gives_nan_objective_without_fgsm(self):
+        # fgsm_perturbation would raise on the NaN embedding gradient.
+        batch = self.batch("mixed")
+        cfg = tiny_config(beta=0.5, epsilon=1.0)
+        params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
+        params.head_b[:] = np.nan
+        _, objective, _ = train_batch(params, batch, cfg, run_adversarial=True)
+        assert np.isnan(objective)
