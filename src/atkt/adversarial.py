@@ -5,7 +5,11 @@ rescaled to a fixed L2 budget epsilon. By default each sequence gets its own
 epsilon-ball over the concatenation of its per-step gradients; a "global"
 scope (one ball per batch) is available behind a flag. Parameters are frozen
 while the perturbation is built: the gradient is simply taken at the current
-parameter values and treated as a constant afterwards.
+parameter values and treated as a constant afterwards. The budget holds at
+any finite gradient magnitude: each ball's gradient is first scaled by a
+power of two, which is exact, so that its norm neither overflows nor
+underflows. The training objective that weighs the adversarial loss by beta
+is written in ``training.train_batch``.
 """
 
 from __future__ import annotations
@@ -43,9 +47,19 @@ def fgsm_perturbation(
         raise ValueError("embedding gradient contains non-finite entries")
     # One ball per batch row (norms over step and coordinate), or one for all.
     axes = (0, 2) if scope == "per_sequence" else None
-    norms = np.sqrt(np.sum(d_embed**2, axis=axes, keepdims=True))
+    # 2**-k puts each ball's largest entry in [0.5, 1): squares of entries
+    # near 1e200 would overflow, and of entries near 1e-170 underflow. The
+    # scaled gradient is built twice so that only one [n, B, d] temporary at
+    # a time lives beside d_embed, as before the scaling.
+    _, k = np.frexp(np.max(np.abs(d_embed), axis=axes, keepdims=True))
+    squares = np.ldexp(d_embed, -k)
+    np.square(squares, out=squares)
+    norms = np.sqrt(np.sum(squares, axis=axes, keepdims=True))
+    del squares
     scale = np.divide(epsilon, norms, out=np.zeros_like(norms), where=norms > 0)
-    return Perturbation(r=d_embed * scale, epsilon=float(epsilon))
+    r = np.ldexp(d_embed, -k)
+    r *= scale
+    return Perturbation(r=r, epsilon=float(epsilon))
 
 
 def make_adversarial(embeddings: np.ndarray, perturbation: Perturbation) -> np.ndarray:
@@ -56,9 +70,3 @@ def make_adversarial(embeddings: np.ndarray, perturbation: Perturbation) -> np.n
         )
     return embeddings + perturbation.r
 
-
-def joint_loss(clean_loss: float, adv_loss: float, beta: float) -> float:
-    """Training objective: clean loss plus beta times the adversarial loss."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return float(clean_loss) + float(beta) * float(adv_loss)

@@ -3,7 +3,8 @@
 Config files are flat ``key = value`` text with ``#`` comments. Unknown keys
 are hard errors (a typo in a hyperparameter name must not silently run with
 defaults). Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numerical failure.
+3 numerical failure (a diverging run, or a checkpoint whose predictions are
+not finite).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +113,10 @@ def parse_config_text(text: str) -> TrainConfig:
             values[key] = _parse_value(key, raw_value)
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
-    config = TrainConfig(**values)
     try:
-        config.validate()
+        return TrainConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config
 
 
 def load_config(path) -> TrainConfig:
@@ -125,6 +125,8 @@ def load_config(path) -> TrainConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     return parse_config_text(text)
 
 
@@ -168,6 +170,14 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
+def _flag_list(flag: str, text: str, kind: type) -> list:
+    """A comma list of ints or floats from the command line."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} takes a comma list of {kind.__name__}s, got {text!r}") from None
+
+
 def _check_fold(fold: int, num_folds: int) -> int:
     if not 0 <= fold < num_folds:
         raise UsageError(f"fold must be in [0, {num_folds}), got {fold}")
@@ -184,10 +194,9 @@ def _folds(dataset: Dataset, seed: int):
 
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     if getattr(args, "no_attention", False):
-        config.attention = False
-    config.validate()
+        config = replace(config, attention=False)
     return config
 
 
@@ -258,7 +267,9 @@ def cmd_eval(args) -> int:
         split = folds[k]
         indices = getattr(split, args.split)
         seqs = prepare_split_sequences(dataset, indices, config)
-        _, fold_auc, log = evaluate(params, seqs, config, dataset.num_skills)
+        loss, fold_auc, log = evaluate(params, seqs, config, dataset.num_skills)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite predictions on fold {k}")
         scores.append(fold_auc)
         logs.append(log)
         print(f"fold {k} {args.split} AUC {fold_auc:.6f}")
@@ -275,13 +286,13 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(args.data)
     folds = _folds(dataset, config.seed)
     if args.folds:
-        wanted = [_check_fold(int(tok), len(folds)) for tok in args.folds.split(",")]
+        wanted = [_check_fold(k, len(folds)) for k in _flag_list("--folds", args.folds, int)]
         repeated = [k for i, k in enumerate(wanted) if k in wanted[:i]]
         if repeated:
             raise UsageError(f"--folds repeats fold {repeated[0]}")
         folds = [folds[k] for k in wanted]
-    epsilons = [float(tok) for tok in args.epsilons.split(",")]
-    betas = [float(tok) for tok in args.betas.split(",")]
+    epsilons = _flag_list("--epsilons", args.epsilons, float)
+    betas = _flag_list("--betas", args.betas, float)
     result = sweep(config, dataset, folds, epsilons=epsilons, betas=betas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,24 +327,27 @@ def cmd_trace(args) -> int:
     dataset = _load_for_checkpoint(args.data, params)
     seq = _pick_sequence(dataset, args)
     if args.skills:
-        tracked = [int(tok) for tok in args.skills.split(",")]
+        tracked = _flag_list("--skills", args.skills, int)
         for s in tracked:
             if not 0 <= s < params.num_skills:
                 raise DataError(f"unknown skill id {s}")
     else:
         tracked = _default_tracked(seq)
     batch = make_batches([seq], dataset.num_skills, batch_size=1, rng=None)[0]
-    trace, _ = model.forward(
-        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-    )
+    with np.errstate(all="ignore"):  # overflow is reported below, once
+        trace, _ = model.forward(
+            params, batch, attention_enabled=config.attention, attention_window=config.attention_window
+        )
+        probs = model.skill_probs(params, trace)
     steps = len(seq)
     # Row 0 is the untouched initial state (a zero composite leaves only
     # head_b); row t the state after the first t interactions, i.e. what the
     # model believes just before seeing the outcome of exercise t+1.
-    probs = model.skill_probs(params, trace)
     grid = np.empty((steps, len(tracked)))
     grid[0] = sigmoid(params.head_b[tracked])
     grid[1:] = probs[: steps - 1, 0, tracked]
+    if not np.all(np.isfinite(grid)):
+        raise FloatingPointError(f"non-finite mastery probabilities for {seq.student_id}")
     attempts = [(int(seq.skills[t]), int(seq.responses[t])) for t in range(steps)]
 
     out = Path(args.out)
@@ -429,10 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DegenerateLabelsError as exc:
+    except (DivergenceError, DegenerateLabelsError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DataFormatError, CheckpointError, ShapeError, DataError) as exc:

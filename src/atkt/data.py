@@ -185,8 +185,8 @@ def read_text(path) -> str:
         raise DataFormatError(raw.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}") from None
 
 
-def load_dataset(path, num_skills: int | None = None) -> Dataset:
-    return parse_triple_line(read_text(path), num_skills=num_skills)
+def load_dataset(path) -> Dataset:
+    return parse_triple_line(read_text(path))
 
 
 def make_folds(dataset: Dataset, seed: int) -> list[FoldSplit]:

@@ -1,8 +1,7 @@
-"""Float64 nonlinearities, the shape error type and the seeded RNG used everywhere else.
+"""The float64 sigmoid, the shape error type and the seeded RNG used everywhere else.
 
-``sigmoid`` and ``tanh`` work elementwise on arrays of any shape. Shapes are
-not checked here: callers that need fixed shapes check them and raise
-``ShapeError``.
+``sigmoid`` works elementwise on arrays of any shape. Shapes are not checked
+here: callers that need fixed shapes check them and raise ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -33,45 +32,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=FLOAT))
-
-
-class Rng:
+class Rng(np.random.Generator):
     """Deterministic random stream, splittable by label.
 
-    Backed by numpy's PCG64 bit generator (pinned; do not change across
-    releases, reruns depend on it). A child stream derived with
+    A numpy ``Generator`` on the PCG64 bit generator (pinned; do not change
+    across releases, reruns depend on it). A child stream derived with
     ``split(label)`` is statistically independent of its parent and of
     siblings with different labels, and depends only on the root seed and the
     sequence of labels used to reach it.
     """
 
-    ALGORITHM = "pcg64-v1"
-
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._path = _path
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=_path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        super().__init__(np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=_path)))
 
     def split(self, label: str) -> "Rng":
         """Derive an independent child stream named by ``label``."""
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         key = int.from_bytes(digest[:8], "big")
         return Rng(self.seed, self._path + (key,))
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=size)
-
-    def random(self, size=None):
-        return self._gen.random(size=size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size=size)

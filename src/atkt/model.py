@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Batch
-from .linalg import FLOAT, Rng, ShapeError, sigmoid, tanh
+from .linalg import FLOAT, Rng, ShapeError, sigmoid
 from .metrics import PROB_CLAMP
 
 PARAM_NAMES = (
@@ -269,7 +269,7 @@ def forward(
         z = in_part[t] + h @ params.lstm_u.T
         gi = sigmoid(z[:, 0:hd])
         gf = sigmoid(z[:, hd : 2 * hd])
-        gg = tanh(z[:, 2 * hd : 3 * hd])
+        gg = np.tanh(z[:, 2 * hd : 3 * hd])
         go = sigmoid(z[:, 3 * hd :])
         c = gf * c + gi * gg
         h = go * np.tanh(c)

@@ -1,11 +1,17 @@
 """Training loop: Adam, stepped LR decay, early stopping, sweeps.
 
+A ``TrainConfig`` is checked when it is built and cannot change afterwards,
+so every config the loop sees is valid; derive variants with
+``dataclasses.replace``, which checks them again.
+
 Each epoch runs, per batch, a clean forward/backward (which already yields
 the embedding gradient the attack needs), then — when adversarial training
 is enabled — builds the perturbed embeddings and runs a second
-forward/backward on them. One Adam update is applied to the combined
-gradient of ``clean_loss + beta * adv_loss``. Early stopping watches the
-validation loss; the checkpoint that is kept maximizes validation AUC.
+forward/backward on them. One Adam update is applied to the gradient of
+``clean_loss + beta * adv_loss``; ``train_batch`` writes that objective and
+its gradient sum. Early stopping watches the validation loss, whose running
+minimum is ``RunRecord.best_val_loss``; the checkpoint that is kept
+maximizes validation AUC.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ class DivergenceError(RuntimeError):
         self.last_good = last_good
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Every hyperparameter, with the reference defaults."""
+    """Every hyperparameter, with the reference defaults; checked on construction."""
 
     skill_dim: int = 256
     resp_dim: int = 96
@@ -63,7 +69,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, (kind, optional) in FIELD_TYPES.items():
             value = getattr(self, name)
             if not ((value is None and optional) or _type_ok(kind, value)):
@@ -107,9 +113,7 @@ class TrainConfig:
         unknown = set(d) - set(FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 # The config schema: every reader (config files, checkpoint echoes, code)
@@ -152,9 +156,9 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float,
+    beta2: float,
+    eps: float,
 ) -> None:
     """Bias-corrected Adam update, applied in place."""
     state.step += 1
@@ -173,40 +177,12 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def combine_gradients(
-    clean: dict[str, np.ndarray], adv: dict[str, np.ndarray] | None, beta: float
-) -> dict[str, np.ndarray]:
-    if adv is None:
-        return clean
-    return {name: clean[name] + beta * adv[name] for name in clean}
-
-
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
     total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
-
-
-class EarlyStopTracker:
-    """Stop once the watched value has not improved for ``patience`` checks."""
-
-    def __init__(self, patience: int | None):
-        self.patience = patience
-        self.best = np.inf
-        self.best_index = -1
-        self.count = 0
-
-    def update(self, value: float) -> bool:
-        """Record one check; returns True when training should stop now."""
-        self.count += 1
-        if value < self.best:
-            self.best = value
-            self.best_index = self.count - 1
-        if self.patience is None:
-            return False
-        return (self.count - 1) - self.best_index >= self.patience
 
 
 @dataclass
@@ -273,6 +249,9 @@ def collect_predictions(trace: ForwardTrace) -> PredictionLog:
     )
 
 
+# Overflow in a forward pass shows up as a non-finite loss, which every caller
+# checks; numpy's warnings would only repeat it.
+@np.errstate(all="ignore")
 def evaluate(
     params: ModelParams,
     sequences: list[InteractionSequence],
@@ -318,8 +297,9 @@ def train_batch(
         adv_trace, adv_loss = model.forward(
             params, batch, config.attention, config.attention_window, embeddings=adv_inputs
         )
-        grads = combine_gradients(grads, model.backward(params, adv_trace).params, config.beta)
-        objective = adversarial.joint_loss(clean_loss, adv_loss, config.beta)
+        adv = model.backward(params, adv_trace).params
+        grads = {name: g + config.beta * adv[name] for name, g in grads.items()}
+        objective = clean_loss + config.beta * adv_loss
     if config.grad_clip is not None:
         clip_gradients(grads, config.grad_clip)
     return clean_loss, objective, grads
@@ -340,7 +320,6 @@ def train(
     ``run_adversarial`` defaults to ``beta > 0``; forcing it on with beta 0
     exercises the adversarial passes without letting them affect updates.
     """
-    config.validate()
     if run_adversarial is None:
         run_adversarial = config.beta > 0
     train_seqs = prepare_split_sequences(dataset, split.train, config)
@@ -359,7 +338,7 @@ def train(
         params = initial_params.copy()
     state = AdamState.for_params(params)
     record = RunRecord()
-    stopper = EarlyStopTracker(config.patience)
+    best_loss_epoch = -1
     best_params = params.copy()
     last_good: ModelParams | None = None
 
@@ -392,12 +371,14 @@ def train(
             record.best_val_auc = val_auc
             record.best_epoch = epoch
             best_params = params.copy()
-        record.best_val_loss = min(record.best_val_loss, val_loss)
+        if val_loss < record.best_val_loss:
+            record.best_val_loss = val_loss
+            best_loss_epoch = epoch
         logger.info(
             "epoch %d: train_loss=%.5f val_loss=%.5f val_auc=%.5f lr=%.2e",
             epoch, train_loss, val_loss, val_auc, lr,
         )
-        if stopper.update(val_loss):
+        if config.patience is not None and epoch - best_loss_epoch >= config.patience:
             logger.info("early stop at epoch %d (no val-loss improvement for %s epochs)",
                         epoch, config.patience)
             break
@@ -436,7 +417,7 @@ def sweep(
 ) -> SweepResult:
     """Train every epsilon x beta combination; grid of mean validation AUC.
 
-    Every cell's config is validated before the first run. With beta = 0
+    Every cell's config is built, and so checked, before the first run. With beta = 0
     training never reads epsilon, so that column is trained in the first
     row only and its score copied down.
     """
@@ -447,8 +428,6 @@ def sweep(
         for i, eps in enumerate(epsilons)
         for j, beta in enumerate(betas)
     }
-    for cell_cfg in cells.values():
-        cell_cfg.validate()
     grid = np.zeros((len(epsilons), len(betas)))
     for (i, j), cell_cfg in cells.items():
         if cell_cfg.beta == 0 and i > 0:

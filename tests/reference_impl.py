@@ -25,10 +25,10 @@ from dataclasses import replace
 import numpy as np
 
 from atkt import adversarial, model
-from atkt.linalg import FLOAT, ShapeError, sigmoid, tanh
+from atkt.linalg import FLOAT, ShapeError, sigmoid
 from atkt.metrics import PROB_CLAMP
 from atkt.model import build_embeddings
-from atkt.training import clip_gradients, combine_gradients
+from atkt.training import clip_gradients
 
 
 def l2_norm(v):
@@ -82,10 +82,10 @@ def lstm_step(params, e, h_prev, c_prev):
     z = params.lstm_w @ e + params.lstm_u @ h_prev + params.lstm_b
     gi = sigmoid(z[0:h])
     gf = sigmoid(z[h : 2 * h])
-    gg = tanh(z[2 * h : 3 * h])
+    gg = np.tanh(z[2 * h : 3 * h])
     go = sigmoid(z[3 * h : 4 * h])
     c = gf * c_prev + gi * gg
-    return go * tanh(c), c
+    return go * np.tanh(c), c
 
 
 def attend_history(params, hiddens):
@@ -97,7 +97,7 @@ def attend_history(params, hiddens):
     if not hiddens:
         return np.zeros(params.hidden_dim, dtype=FLOAT)
     stack = np.stack(hiddens)  # [k, H]
-    u = tanh(stack @ params.attn_w.T + params.attn_b)
+    u = np.tanh(stack @ params.attn_w.T + params.attn_b)
     weights = softmax(u @ params.attn_u)
     return weights @ stack
 
@@ -272,7 +272,7 @@ def reference_train_batch(params, batch, config, run_adversarial):
         params, batch, attention_enabled=config.attention, attention_window=config.attention_window
     )
     clean_grads = model.backward(params, trace)
-    adv_params = None
+    total = clean_grads.params
     objective = clean_loss
     if run_adversarial:
         pert = adversarial.fgsm_perturbation(
@@ -287,8 +287,8 @@ def reference_train_batch(params, batch, config, run_adversarial):
             embeddings=adv_inputs,
         )
         adv_params = model.backward(params, adv_trace).params
-        objective = adversarial.joint_loss(clean_loss, adv_loss, config.beta)
-    total = combine_gradients(clean_grads.params, adv_params, config.beta)
+        objective = float(clean_loss) + float(config.beta) * float(adv_loss)
+        total = {name: total[name] + config.beta * adv_params[name] for name in total}
     if config.grad_clip is not None:
         clip_gradients(total, config.grad_clip)
     return clean_loss, objective, total

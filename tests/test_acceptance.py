@@ -2,13 +2,17 @@
 tolerance, printing one PASS/FAIL line per criterion.
 
 The long-running regularization comparison (criterion 6) trains ten models
-and took 550-603 s on a 2-core machine; everything else finishes in seconds.
-Run with ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
+in a process pool, one worker per core; on a 2-core machine it took 329 s
+(631 s serially). Everything else finishes in seconds. Run with
+``pytest tests/test_acceptance.py -s`` to watch the lines appear.
 """
 
 import functools
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -48,6 +52,24 @@ def criterion(number, title):
         return run
 
     return wrap
+
+
+def best_val_loss(config, data, split):
+    return train(config, data, split).record.best_val_loss
+
+
+def pooled_best_val_losses(jobs, monkeypatch):
+    """``best_val_loss(*job)`` for every job, in order, one worker process per core.
+
+    Runs are deterministic, so the pool changes no value. Workers are spawned
+    (no fork of a process that may hold BLAS threads) with one BLAS thread
+    each, so that they do not oversubscribe the cores.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    workers = min(len(jobs), 10, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(best_val_loss, *zip(*jobs), timeout=3600))
 
 
 @criterion(1, "analytic gradients match central finite differences (20 seeds, <=1e-4)")
@@ -165,7 +187,7 @@ def test_c5_ablation():
 
 
 @criterion(6, "adversarial training lowers best val loss in >=4/5 paired seeds")
-def test_c6_regularization_effect():
+def test_c6_regularization_effect(monkeypatch):
     # Desk-scale stand-in for the full benchmark runs. The perturbation
     # budget is shared across the batch ("global" scope): at sequence
     # length 50 a per-sequence ball of radius 10 would exceed the whole
@@ -186,13 +208,12 @@ def test_c6_regularization_effect():
         f"  per-sequence input norm at init ~{np.mean(per_seq):.1f}; "
         f"epsilon 10 shared across the batch"
     )
+    runs = [(seed, beta) for seed in range(1, 6) for beta in (0.0, 1.0)]
+    jobs = [(TrainConfig(seed=seed, beta=beta, **base), data, split) for seed, beta in runs]
+    losses = dict(zip(runs, pooled_best_val_losses(jobs, monkeypatch)))
     wins = 0
     for seed in range(1, 6):
-        best = {}
-        for beta in (0.0, 1.0):
-            config = TrainConfig(seed=seed, beta=beta, **base)
-            result = train(config, data, split)
-            best[beta] = result.record.best_val_loss
+        best = {beta: losses[seed, beta] for beta in (0.0, 1.0)}
         won = best[1.0] <= best[0.0]
         wins += won
         print(
@@ -252,6 +273,17 @@ def test_c8_determinism(tmp_path):
         assert code == 0
     for artifact in ("trace.csv", "trace.svg", "mastery_change.csv"):
         assert (tmp_path / "ta" / artifact).read_bytes() == (tmp_path / "tb" / artifact).read_bytes()
+
+
+def test_pooled_runs_equal_serial_runs(monkeypatch):
+    """Not a numbered criterion: criterion 6's pool returns what serial runs do."""
+    data = generate_synthetic(40, 4, 12, learn_rate=0.3, guess=0.2, slip=0.1, seed=100)
+    split = make_folds(data, seed=100)[0]
+    base = dict(skill_dim=8, resp_dim=4, hidden_dim=6, attn_dim=6, batch_size=8, max_epochs=3,
+                patience=None, epsilon=10.0, fgsm_scope="global")
+    jobs = [(TrainConfig(seed=seed, beta=beta, **base), data, split)
+            for seed in (1, 2) for beta in (0.0, 1.0)]
+    assert pooled_best_val_losses(jobs, monkeypatch) == [best_val_loss(*job) for job in jobs]
 
 
 def test_chance_level_loss_context():

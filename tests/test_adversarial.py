@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atkt import model
-from atkt.adversarial import FGSM_SCOPES, Perturbation, fgsm_perturbation, joint_loss, make_adversarial
+from atkt.adversarial import FGSM_SCOPES, Perturbation, fgsm_perturbation, make_adversarial
 from atkt.data import generate_synthetic, make_batches
 from atkt.linalg import Rng, ShapeError
 
@@ -73,6 +73,21 @@ class TestFgsm:
             got = fgsm_perturbation(g, eps, scope=scope).r
             assert np.array_equal(got, two_branch_fgsm(g, eps, scope)), (case, shape)
 
+    @pytest.mark.parametrize("scope", FGSM_SCOPES)
+    def test_budget_holds_at_any_finite_scale(self, scope):
+        # Squaring entries of 1e200 overflows and of 1e-170 underflows; the
+        # mixed case puts both, and subnormal and near-max entries, in one batch.
+        rng = Rng(4).split(scope)
+        base = rng.normal(size=(6, 4, 5))
+        mixed = base * np.array([1e200, 1e-170, 1e-310, 1e307])[None, :, None]
+        for g in (base * 1e200, base * 1e-170, mixed):
+            pert = fgsm_perturbation(g, epsilon=3.0, scope=scope)
+            rows = [pert.r] if scope == "global" else [pert.r[:, b, :] for b in range(g.shape[1])]
+            for r in rows:
+                assert abs(l2_norm(r) - 3.0) <= 1e-9
+            if scope == "per_sequence" or g is not mixed:  # in one global ball tiny rows round to 0
+                np.testing.assert_array_equal(np.sign(pert.r), np.sign(g))
+
     def test_rejects_bad_arguments(self):
         g = np.zeros((1, 1, 1))
         with pytest.raises(ValueError):
@@ -99,19 +114,6 @@ class TestMakeAdversarial:
         pert = Perturbation(r=np.zeros((2, 1, 2)), epsilon=1.0)
         with pytest.raises(ShapeError):
             make_adversarial(e, pert)
-
-
-class TestJointLoss:
-    def test_beta_zero_is_clean_loss(self):
-        assert joint_loss(0.41, 99.0, beta=0.0) == 0.41
-
-    def test_weighted_sum(self):
-        assert joint_loss(0.5, 0.7, beta=1.0) == pytest.approx(1.2, abs=1e-15)
-        assert joint_loss(0.5, 0.7, beta=2.0) == pytest.approx(1.9, abs=1e-15)
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            joint_loss(0.1, 0.1, beta=-0.5)
 
 
 class TestAttackQuality:

@@ -244,6 +244,20 @@ class TestEval:
         assert "skills" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_non_finite_predictions_exit_3(self, tmp_path, data_file, capsys, command):
+        # Finite LSTM weights of +-1e308 overflow the recurrence to inf - inf = NaN.
+        cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
+        params = model.init_params(4, 6, 3, 5, 5, Rng(0).split("init"))
+        signs = np.random.default_rng(0)
+        for arr in (params.lstm_w, params.lstm_u):
+            arr[...] = signs.choice([1e308, -1e308], size=arr.shape)
+        ckpt = tmp_path / "overflow.json"
+        model.save_checkpoint(ckpt, params, dict(cfg.to_dict(), fold=0), timestamp=False)
+        assert run_cli(command, "--checkpoint", ckpt, "--data", data_file, "--out", tmp_path / "o") == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite"), lines
+
     # A checkpoint whose config echo holds a bad value is a bad checkpoint.
     ECHO_FAULTS = {
         "echo_seed_str": ("seed", "x"),
@@ -428,6 +442,12 @@ class TestTrace:
                        "--skills", "77", "--out", tmp_path / "x")
         assert code == 2
 
+    def test_malformed_skills_list_exits_1(self, tmp_path, data_file, capsys):
+        ckpt = TestEval().make_chance_checkpoint(tmp_path)
+        assert run_cli("trace", "--checkpoint", ckpt, "--data", data_file,
+                       "--skills", "1,x", "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err.splitlines() == ["--skills takes a comma list of ints, got '1,x'"]
+
     @pytest.mark.parametrize(
         "case", ["echo_batch_size_str", "echo_max_seq_len_float", "echo_hidden_dim_vs_arrays", "nan_head_b"]
     )
@@ -517,6 +537,22 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "o") == 3
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["numerical failure: non-finite training objective at epoch 0"], lines
+
+    @pytest.mark.parametrize("flag, value", [("--epsilons", "1,x"), ("--betas", "0.5,"), ("--folds", "0,x")])
+    def test_malformed_sweep_list_names_the_flag(self, tmp_path, data_file, config_file, capsys,
+                                                 flag, value):
+        assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", tmp_path / "o",
+                       flag, value) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"{flag} takes a comma list of {'int' if flag == '--folds' else 'float'}s, "
+                         f"got {value!r}"], lines
+
+    def test_non_utf8_config_exits_1_naming_the_file(self, tmp_path, data_file, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(TINY_CONFIG.encode() + b"lr = 0.\xff1\n")
+        assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: {cfg}: not UTF-8 text at byte {len(TINY_CONFIG) + 7}"], lines
 
     def test_out_of_range_fold_exits_1(self, tmp_path, data_file, config_file):
         assert run_cli("train", "--config", config_file, "--data", data_file,

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from atkt.linalg import Rng, ShapeError, sigmoid, tanh
+from atkt.linalg import Rng, ShapeError, sigmoid
 
 from reference_impl import l2_norm, softmax
 
@@ -55,9 +56,6 @@ class TestL2Norm:
 
 
 class TestElementwise:
-    def test_tanh_zero(self):
-        np.testing.assert_array_equal(tanh(vec([0])), [0])
-
     def test_sigmoid_half(self):
         np.testing.assert_array_equal(sigmoid(vec([0])), [0.5])
 
@@ -69,10 +67,6 @@ class TestElementwise:
     def test_sigmoid_extreme_positive(self):
         out = sigmoid(vec([710]))
         assert out[0] == 1.0 or 1.0 - out[0] < 1e-300
-
-    def test_matches_numpy_tanh(self):
-        v = np.linspace(-4, 4, 17)
-        np.testing.assert_array_equal(tanh(v), np.tanh(v))
 
 
 class TestRng:
@@ -94,6 +88,24 @@ class TestRng:
         c = Rng(7).split("y").split("x").random(size=5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_streams_are_pcg64_on_the_label_path(self):
+        # Reruns depend on this derivation: the seed, and one sha256-derived
+        # spawn key per split label, feed a PCG64 generator.
+        def key(label):
+            return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+
+        for seed, labels in ((0, ()), (7, ("init",)), (123, ("x", "y", "shuffle-epoch-3"))):
+            rng = Rng(seed)
+            for label in labels:
+                rng = rng.split(label)
+            ss = np.random.SeedSequence(seed, spawn_key=tuple(key(label) for label in labels))
+            want = np.random.Generator(np.random.PCG64(ss))
+            np.testing.assert_array_equal(rng.uniform(-1, 1, size=50), want.uniform(-1, 1, size=50))
+            np.testing.assert_array_equal(rng.integers(0, 9, size=20), want.integers(0, 9, size=20))
+            np.testing.assert_array_equal(rng.permutation(30), want.permutation(30))
+            np.testing.assert_array_equal(rng.normal(size=10), want.normal(size=10))
+            np.testing.assert_array_equal(rng.random(size=10), want.random(size=10))
 
     def test_permutation_covers_range(self):
         p = Rng(0).permutation(10)

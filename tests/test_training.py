@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from atkt import model
+from atkt import model, training
 from atkt.data import (
     FoldSplit,
     InteractionSequence,
@@ -17,12 +18,10 @@ from atkt.linalg import Rng
 from atkt.training import (
     AdamState,
     DivergenceError,
-    EarlyStopTracker,
     TrainConfig,
     adam_step,
     clip_gradients,
     collect_predictions,
-    combine_gradients,
     lr_at,
     sweep,
     train,
@@ -65,8 +64,16 @@ class TestConfig:
 
     def test_beta_requires_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
-            TrainConfig(beta=0.5).validate()
-        TrainConfig(beta=0.5, epsilon=1.0).validate()
+            TrainConfig(beta=0.5)
+        TrainConfig(beta=0.5, epsilon=1.0)
+
+    def test_frozen_and_replace_checks_again(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = -1
+        with pytest.raises(ValueError, match="seed"):
+            dataclasses.replace(cfg, seed=-1)
+        assert dataclasses.replace(cfg, seed=3).seed == 3 and cfg.seed == 0
 
     def test_round_trip_dict(self):
         cfg = tiny_config(beta=0.2, epsilon=2.0)
@@ -79,14 +86,14 @@ class TestConfig:
          ("beta", float("nan")), ("beta", None), ("grad_clip", float("nan")), ("attention", 1),
          ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0),
          ("seed", -1), ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
-         ("adam_eps", 0.0), ("adam_eps", -1e-8)],
+         ("adam_eps", 0.0), ("adam_eps", -1e-8), ("beta", -0.5)],
     )
     def test_validate_rejects_bad_type_or_range(self, key, value):
         with pytest.raises(ValueError, match=key):
-            TrainConfig(**{key: value}).validate()
+            TrainConfig(**{key: value})
 
     def test_int_is_a_valid_float(self):
-        TrainConfig(lr=1, beta=1, epsilon=10, grad_clip=5).validate()
+        TrainConfig(lr=1, beta=1, epsilon=10, grad_clip=5)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -98,7 +105,7 @@ class TestAdam:
         p = model.init_params(3, 4, 2, 3, 3, Rng(0).split("init"))
         before = params_bytes(p)
         grads = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
-        adam_step(p, grads, AdamState.for_params(p), lr=0.001)
+        adam_step(p, grads, AdamState.for_params(p), lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
         assert params_bytes(p) == before
 
     def test_first_step_moves_by_lr(self):
@@ -108,7 +115,7 @@ class TestAdam:
         theta0 = float(p.head_b[0])
         grads = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
         grads["head_b"][0] = 1.0
-        adam_step(p, grads, AdamState.for_params(p), lr=0.001)
+        adam_step(p, grads, AdamState.for_params(p), lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
         assert p.head_b[0] == pytest.approx(theta0 - 0.001, abs=1e-10)
 
     def test_moment_shapes_mirror_params(self):
@@ -129,37 +136,32 @@ class TestSchedule:
 
 
 class TestEarlyStop:
-    def test_fires_exactly_at_patience_exhaustion(self):
-        stop = EarlyStopTracker(patience=3)
-        values = [1.0, 0.9, 0.95, 0.96, 0.97, 0.98]  # best at index 1
-        fired_at = None
-        for i, v in enumerate(values):
-            if stop.update(v):
-                fired_at = i
-                break
-        assert fired_at == 4  # best + patience
-        assert stop.best_index == 1
+    """``train`` against scripted validation losses (AUC held constant)."""
 
-    def test_never_fires_when_improving(self):
-        stop = EarlyStopTracker(patience=2)
-        assert not any(stop.update(1.0 / (i + 1)) for i in range(50))
+    def run(self, monkeypatch, val_losses, patience, max_epochs):
+        losses = iter(val_losses)
+        monkeypatch.setattr(training, "evaluate", lambda *args: (next(losses), 0.5, None))
+        ds = tiny_dataset(seed=17)
+        return train(tiny_config(max_epochs=max_epochs, patience=patience), ds, make_folds(ds, seed=17)[0])
 
-    def test_disabled_patience(self):
-        stop = EarlyStopTracker(patience=None)
-        assert not any(stop.update(float(i)) for i in range(10))
+    def test_fires_exactly_at_patience_exhaustion(self, monkeypatch):
+        # 0.9 at epoch 2 ties the best, which is no improvement.
+        record = self.run(monkeypatch, [1.0, 0.9, 0.9, 0.95, 0.96, 0.5, 0.4], patience=3, max_epochs=7).record
+        assert len(record.epochs) == 5  # stopped at epoch 4 = best 1 + patience 3
+        assert record.best_val_loss == 0.9
+
+    def test_never_fires_when_improving(self, monkeypatch):
+        record = self.run(monkeypatch, [1.0 / (i + 1) for i in range(8)], patience=1, max_epochs=8).record
+        assert len(record.epochs) == 8
+        assert record.best_val_loss == 1.0 / 8
+
+    def test_disabled_patience(self, monkeypatch):
+        record = self.run(monkeypatch, [float(i) for i in range(6)], patience=None, max_epochs=6).record
+        assert len(record.epochs) == 6
+        assert record.best_val_loss == 0.0
 
 
 class TestGradientHelpers:
-    def test_combine_without_adversarial(self):
-        clean = {"a": np.array([1.0])}
-        assert combine_gradients(clean, None, beta=5.0) is clean
-
-    def test_combine_weighted(self):
-        clean = {"a": np.array([1.0, 2.0])}
-        adv = {"a": np.array([10.0, -10.0])}
-        out = combine_gradients(clean, adv, beta=0.5)
-        np.testing.assert_array_equal(out["a"], [6.0, -3.0])
-
     def test_clip_rescales_to_max_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         clip_gradients(grads, max_norm=1.0)
