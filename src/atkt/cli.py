@@ -192,9 +192,17 @@ def _folds(dataset: Dataset, seed: int):
         raise DataError(str(exc)) from None
 
 
+def _with_flag(config: TrainConfig, flag: str, **changes) -> TrainConfig:
+    """``config`` with a command-line value applied; a bad value names its flag."""
+    try:
+        return replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (from {flag})") from None
+
+
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = _with_flag(config, "--seed", seed=args.seed)
     if getattr(args, "no_attention", False):
         config = replace(config, attention=False)
     return config
@@ -293,6 +301,12 @@ def cmd_sweep(args) -> int:
         folds = [folds[k] for k in wanted]
     epsilons = _flag_list("--epsilons", args.epsilons, float)
     betas = _flag_list("--betas", args.betas, float)
+    # A cell's config is valid iff its epsilon and its beta are, so each list
+    # is checked on its own and a bad value names its flag.
+    for eps in epsilons:
+        _with_flag(config, "--epsilons", epsilon=eps)
+    for beta in betas:
+        _with_flag(config, "--betas", epsilon=epsilons[0], beta=beta)
     result = sweep(config, dataset, folds, epsilons=epsilons, betas=betas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -437,6 +451,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # only -h/--help exits; parse errors raise UsageError
+        return EXIT_OK
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -452,9 +468,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,16 +20,12 @@ class ShapeError(ValueError):
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
-    Uses the branch form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0 so
-    the exponential argument is never positive.
+    With e = exp(-|x|), the exponential argument is never positive:
+    1/(1+e) for x >= 0 and e/(1+e) for x < 0, selected without branching.
     """
     x = np.asarray(x, dtype=FLOAT)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Rng(np.random.Generator):

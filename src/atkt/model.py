@@ -27,6 +27,12 @@ and for the input embeddings (the hook adversarial training perturbs);
 everything is float64 and validated against central finite differences
 (the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
 readers recompute tanh(cell), and concatenate the composite from its halves.
+
+The backward time loop runs only the recurrence and keeps every step's gate
+gradient dz. After it, each LSTM weight gradient is one GEMM over all steps;
+the head rows and the embedding tables are sorted segment sums, per target
+skill and per (response, skill) of the consumed interactions; and the input
+gradient, dz @ lstm_w, is built only when ``GradientSet.d_embed`` is read.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ PARAM_NAMES = (
 GATE_ORDER = ("input", "forget", "candidate", "output")
 
 ATTENTION_WINDOWS = ("causal", "sequence")
+
+# Work over all n*B steps that can be split runs this many rows at a time: a
+# GEMM packs all its rows into BLAS's buffer, whose pages then stay resident,
+# and a gather copies all its rows at once.
+_ROW_BLOCK = 2048
 
 
 class CheckpointError(ValueError):
@@ -115,12 +126,34 @@ class ModelParams:
         return ModelParams(**{name: arr.copy() for name, arr in self.named_arrays()})
 
 
-@dataclass
 class GradientSet:
-    """Array-for-array mirror of ModelParams plus input-embedding gradients."""
+    """Array-for-array mirror of ModelParams plus input-embedding gradients.
 
-    params: dict[str, np.ndarray]
-    d_embed: np.ndarray  # [L-1, B, input_dim]; exact zeros at padded steps
+    ``d_embed`` is built on first read from the kept gate gradients, as
+    dz @ lstm_w, and the gate gradients are released then. It uses
+    ``lstm_w`` as it is at that read, so read it before the parameters are
+    updated; training reads it only in the clean pass of an adversarial
+    step, where FGSM needs it.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], gate_grads: np.ndarray, lstm_w: np.ndarray):
+        self.params = params
+        self._gate_grads = gate_grads  # [n, B, 4H]; exact zeros at padded steps
+        self._lstm_w = lstm_w
+        self._d_embed: np.ndarray | None = None
+
+    @property
+    def d_embed(self) -> np.ndarray:
+        """[L-1, B, input_dim]; exact zeros at padded steps."""
+        if self._d_embed is None:
+            n, b, four_h = self._gate_grads.shape
+            dz = self._gate_grads.reshape(n * b, four_h)
+            self._d_embed = np.empty((n, b, self._lstm_w.shape[1]), dtype=FLOAT)
+            out = self._d_embed.reshape(n * b, -1)
+            for lo in range(0, n * b, _ROW_BLOCK):
+                np.matmul(dz[lo : lo + _ROW_BLOCK], self._lstm_w, out=out[lo : lo + _ROW_BLOCK])
+            self._gate_grads = self._lstm_w = None
+        return self._d_embed
 
 
 @dataclass
@@ -261,22 +294,21 @@ def forward(
     cell = np.empty((n, b, hd), dtype=FLOAT)
     hidden = np.empty((n, b, hd), dtype=FLOAT)
 
-    # Pre-activation input contributions for all steps at once.
-    in_part = embeddings @ params.lstm_w.T + params.lstm_b
+    # The input contributions of all steps go straight into the gate buffer;
+    # each step adds its recurrent term and activates its block in place.
+    np.matmul(embeddings, params.lstm_w.T, out=gates)
+    gates += params.lstm_b
     h = np.zeros((b, hd), dtype=FLOAT)
     c = np.zeros((b, hd), dtype=FLOAT)
     for t in range(n):
-        z = in_part[t] + h @ params.lstm_u.T
-        gi = sigmoid(z[:, 0:hd])
-        gf = sigmoid(z[:, hd : 2 * hd])
+        z = gates[t]
+        z += h @ params.lstm_u.T
         gg = np.tanh(z[:, 2 * hd : 3 * hd])
-        go = sigmoid(z[:, 3 * hd :])
+        z[...] = sigmoid(z)
+        z[:, 2 * hd : 3 * hd] = gg
+        gi, gf, go = z[:, :hd], z[:, hd : 2 * hd], z[:, 3 * hd :]
         c = gf * c + gi * gg
         h = go * np.tanh(c)
-        gates[t, :, 0:hd] = gi
-        gates[t, :, hd : 2 * hd] = gf
-        gates[t, :, 2 * hd : 3 * hd] = gg
-        gates[t, :, 3 * hd :] = go
         cell[t] = c
         hidden[t] = h
 
@@ -356,54 +388,82 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     weight = 1.0 / (b * (batch.seq_lens - 1).astype(FLOAT))  # [B]
     dz_sel = np.where(trace.step_mask, (trace.pred - labels) * weight[None, :], 0.0)
 
-    flat_mask = trace.step_mask.ravel()
-    tgt_flat = trace.target_skills.ravel()[flat_mask]
-    dz_flat = dz_sel.ravel()[flat_mask]
+    valid = np.flatnonzero(trace.step_mask)
+    tgt_flat = trace.target_skills.ravel()[valid]
+    dz_flat = dz_sel.ravel()[valid]
 
-    # The composite [agg_hidden | hidden] at the valid targets. With attention
-    # off the aggregate half is exact zeros, so its head gradients are too.
-    comp_flat = np.concatenate(
-        [x.reshape(n * b, hd)[flat_mask] for x in (trace.agg_hidden, trace.hidden)], axis=1
-    )
-    np.add.at(grads["head_w"], tgt_flat, dz_flat[:, None] * comp_flat)
-    np.add.at(grads["head_b"], tgt_flat, dz_flat)
+    # The head reads [agg_hidden | hidden | 1] (the 1 for head_b) at each
+    # target. With attention off the aggregate half is exact zeros, so its
+    # head gradients are too.
+    head_in = np.concatenate(
+        [trace.agg_hidden, trace.hidden, np.ones((n, b, 1), dtype=FLOAT)], axis=2
+    ).reshape(n * b, 2 * hd + 1)
+    head_in *= dz_sel.reshape(n * b, 1)
+    rows, sums = _segment_sum(tgt_flat, head_in, valid)
+    del head_in
+    grads["head_w"][rows] = sums[:, :-1]
+    grads["head_b"][rows] = sums[:, -1]
     dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
-    dcomp[flat_mask] = dz_flat[:, None] * params.head_w[tgt_flat]
+    dcomp[valid] = dz_flat[:, None] * params.head_w[tgt_flat]
     dcomp = dcomp.reshape(n, b, 2 * hd)
     dhidden = dcomp[:, :, hd:]
     if trace.attention_enabled:
         _attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
 
-    # LSTM backward through time.
-    d_embed = np.empty((n, b, params.input_dim), dtype=FLOAT)
+    # LSTM backward through time: the loop runs only the recurrence and keeps
+    # every step's gate gradient; the weights' gradients are one GEMM each.
+    dz = np.empty((n, b, 4 * hd), dtype=FLOAT)
     dh = np.zeros((b, hd), dtype=FLOAT)
     dc = np.zeros((b, hd), dtype=FLOAT)
     zeros_bh = np.zeros((b, hd), dtype=FLOAT)
     for t in range(n - 1, -1, -1):
         dh_t = dhidden[t] + dh
-        gi = trace.gates[t, :, 0:hd]
-        gf = trace.gates[t, :, hd : 2 * hd]
-        gg = trace.gates[t, :, 2 * hd : 3 * hd]
-        go = trace.gates[t, :, 3 * hd :]
+        gi, gf, gg, go = (trace.gates[t, :, k * hd : (k + 1) * hd] for k in range(4))
         tc = np.tanh(trace.cell[t])
-        do = tc * dh_t
         dc_t = dc + go * (1.0 - tc * tc) * dh_t
         c_prev = trace.cell[t - 1] if t > 0 else zeros_bh
-        h_prev = trace.hidden[t - 1] if t > 0 else zeros_bh
-        dzi = gi * (1.0 - gi) * (gg * dc_t)
-        dzf = gf * (1.0 - gf) * (c_prev * dc_t)
-        dzg = (1.0 - gg * gg) * (gi * dc_t)
-        dzo = go * (1.0 - go) * do
-        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)  # [B, 4H]
-        grads["lstm_w"] += dz.T @ trace.embeddings[t]
-        grads["lstm_u"] += dz.T @ h_prev
-        grads["lstm_b"] += dz.sum(axis=0)
-        d_embed[t] = dz @ params.lstm_w
-        dh = dz @ params.lstm_u
+        dz_t = dz[t]
+        dz_t[:, :hd] = gi * (1.0 - gi) * (gg * dc_t)
+        dz_t[:, hd : 2 * hd] = gf * (1.0 - gf) * (c_prev * dc_t)
+        dz_t[:, 2 * hd : 3 * hd] = (1.0 - gg * gg) * (gi * dc_t)
+        dz_t[:, 3 * hd :] = go * (1.0 - go) * (tc * dh_t)
+        dh = dz_t @ params.lstm_u
         dc = gf * dc_t
+    del dcomp, dhidden
 
-    _embedding_backward(params, batch, trace.step_mask, d_embed, grads)
-    return GradientSet(params=grads, d_embed=d_embed)
+    dz_rows = dz.reshape(n * b, 4 * hd)
+    np.matmul(dz_rows.T, trace.embeddings.reshape(n * b, params.input_dim), out=grads["lstm_w"])
+    # Step t's previous hidden state is hidden[t - 1]; h_0 = 0.
+    np.matmul(dz[1:].reshape(-1, 4 * hd).T, trace.hidden[:-1].reshape(-1, hd), out=grads["lstm_u"])
+    np.sum(dz_rows, axis=0, out=grads["lstm_b"])
+    _embedding_backward(params, batch, valid, dz_rows, grads)
+    return GradientSet(grads, dz, params.lstm_w)
+
+
+def _segment_sum(keys: np.ndarray, values: np.ndarray, rows: np.ndarray):
+    """Sums of ``values[rows]`` per key: (ascending distinct keys, sums).
+
+    ``rows`` selects the rows of ``values`` that take part, one per key. The
+    rows are gathered in stable key order, at most ``_ROW_BLOCK`` at a time,
+    and each run of equal keys is summed with ``np.add.reduceat``; no copy
+    of all the selected rows is made at once.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    segment = np.cumsum(first) - 1
+    sums = np.zeros((int(first.sum()),) + values.shape[1:], dtype=FLOAT)
+    for lo in range(0, len(keys), _ROW_BLOCK):
+        seg = segment[lo : lo + _ROW_BLOCK]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        # A block's segments are consecutive; its first may have begun in the
+        # block before, so that part is added back after the block's sums.
+        carry = sums[seg[0]].copy()
+        block = sums[seg[0] : seg[0] + len(starts)]
+        np.add.reduceat(values[rows[lo : lo + _ROW_BLOCK]], starts, axis=0, out=block)
+        block[0] += carry
+    return keys[first], sums
 
 
 def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
@@ -444,6 +504,7 @@ def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)  # [n, B]
     dnumer_after = _exclusive_cumsum(dnumer[::-1])[::-1]
+    del dnumer
     if trace.attention_window == "causal":
         dnorm_sum = _exclusive_cumsum(dnorm[::-1])[::-1]
     else:
@@ -452,29 +513,37 @@ def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
     dhidden += a[:, :, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
     u = trace.attn_hidden
-    du = dlogits[:, :, None] * params.attn_u[None, None, :]
-    grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
-    dpre = (1.0 - u * u) * du
-    grads["attn_w"] += np.einsum("kbw,kbh->wh", dpre, trace.hidden)
+    a_dim = params.attn_dim
+    grads["attn_u"] += dlogits.reshape(-1) @ u.reshape(-1, a_dim)
+    dpre = dlogits[:, :, None] * params.attn_u[None, None, :]
+    dpre *= 1.0 - u * u
+    grads["attn_w"] += dpre.reshape(-1, a_dim).T @ trace.hidden.reshape(-1, params.hidden_dim)
     grads["attn_b"] += dpre.sum(axis=(0, 1))
     dhidden += dpre @ params.attn_w
 
 
-def _embedding_backward(params, batch, step_mask, d_embed, grads) -> None:
-    """Route embedding gradients into the two lookup tables."""
-    n = step_mask.shape[0]
+def _embedding_backward(params, batch, valid, dz_rows, grads) -> None:
+    """Route the input gradient into the two lookup tables without building it.
+
+    Every step with response a and skill s read the same table rows, so
+    their input gradient is (sum of their gate gradients) @ lstm_w, and each
+    table row takes its slice of that. Only valid steps are keyed.
+    """
+    n = batch.max_len - 1
+    s = params.num_skills
     d_s = params.skill_dim
     d_a = params.resp_dim
-    skills = batch.skills[:, :n].T
-    resps = batch.responses[:, :n].T
-    m1 = step_mask & (resps == 1)
-    m0 = step_mask & (resps == 0)
-    de = d_embed[m1]
-    np.add.at(grads["skill_emb"], skills[m1], de[:, :d_s])
-    grads["resp_emb"][1] += de[:, d_s:].sum(axis=0)
-    de = d_embed[m0]
-    grads["resp_emb"][0] += de[:, :d_a].sum(axis=0)
-    np.add.at(grads["skill_emb"], skills[m0], de[:, d_a:])
+    resps = batch.responses[:, :n].T.ravel()[valid]
+    skills = batch.skills[:, :n].T.ravel()[valid]
+    keys, sums = _segment_sum(resps * s + skills, dz_rows, valid)
+    split = np.searchsorted(keys, s)  # wrong answers' keys (= skill) sort first
+    wrong, right = sums[:split], sums[split:]
+    w = params.lstm_w
+    # Wrong answers embed as [resp_0 | skill], correct ones as [skill | resp_1].
+    grads["skill_emb"][keys[:split]] += wrong @ w[:, d_a:]
+    grads["skill_emb"][keys[split:] - s] += right @ w[:, :d_s]
+    grads["resp_emb"][0] += wrong.sum(axis=0) @ w[:, :d_a]
+    grads["resp_emb"][1] += right.sum(axis=0) @ w[:, d_s:]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ A ``TrainConfig`` is checked when it is built and cannot change afterwards,
 so every config the loop sees is valid; derive variants with
 ``dataclasses.replace``, which checks them again.
 
-Each epoch runs, per batch, a clean forward/backward (which already yields
-the embedding gradient the attack needs), then — when adversarial training
-is enabled — builds the perturbed embeddings and runs a second
+Each epoch runs, per batch, a clean forward/backward, then — when
+adversarial training is enabled — reads the clean pass's embedding gradient
+(built only then), builds the perturbed embeddings and runs a second
 forward/backward on them. One Adam update is applied to the gradient of
 ``clean_loss + beta * adv_loss``; ``train_batch`` writes that objective and
 its gradient sum. Early stopping watches the validation loss, whose running

@@ -15,7 +15,11 @@ prediction window at a time, O(n^2) per sequence, as drop-in replacements for
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
 ``reference_train_batch`` is the training step that holds the clean pass's
 arrays through the adversarial pass; ``l2_norm`` measures perturbation
-budgets. All are deliberately kept separate from the production code they
+budgets. ``two_branch_sigmoid`` is the logistic function with one masked
+branch per sign, and ``stepwise_backward`` the backward pass with per-step
+weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
+``model.backward`` computed them before its gradients were hoisted out of the
+time loop. All are deliberately kept separate from the production code they
 validate.
 """
 
@@ -54,6 +58,17 @@ def two_branch_fgsm(d_embed, epsilon, scope):
         return d_embed * scale[None, :, None]
     norm = float(np.sqrt(np.sum(d_embed**2)))
     return d_embed * (epsilon / norm) if norm > 0 else np.zeros_like(d_embed)
+
+
+def two_branch_sigmoid(x):
+    """1/(1+e^-x) on x >= 0 and e^x/(1+e^x) on x < 0, one masked branch each."""
+    x = np.asarray(x, dtype=FLOAT)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def softmax(v):
@@ -239,6 +254,102 @@ def loop_attention_backward(params, trace, dagg, dhidden, grads):
             dweights[:k] += np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
             dhidden[:k] += w[:k, :, None] * dagg[k][None, :, :]
         dlogits = w * (dweights - np.sum(w * dweights, axis=0, keepdims=True))
+    du = dlogits[:, :, None] * params.attn_u[None, None, :]
+    grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
+    dpre = (1.0 - u * u) * du
+    grads["attn_w"] += np.einsum("kbw,kbh->wh", dpre, trace.hidden)
+    grads["attn_b"] += dpre.sum(axis=(0, 1))
+    dhidden += dpre @ params.attn_w
+
+
+def stepwise_backward(params, trace):
+    """Gradients of the traced loss: (dict of the ten parameter gradients, d_embed).
+
+    Every step of the time loop adds its own weight-gradient GEMMs and writes
+    its row of ``d_embed``; the head and the tables are scattered with
+    ``np.add.at``, and attention's weight gradients are ``einsum`` calls.
+    """
+    batch = trace.batch
+    n, b, _ = trace.hidden.shape
+    hd = params.hidden_dim
+    grads = model.zero_gradients(params)
+
+    # d(loss)/d(selected logit) = (p - a) / (B * (T_b - 1)) at valid targets.
+    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    weight = 1.0 / (b * (batch.seq_lens - 1).astype(FLOAT))  # [B]
+    dz_sel = np.where(trace.step_mask, (trace.pred - labels) * weight[None, :], 0.0)
+
+    flat_mask = trace.step_mask.ravel()
+    tgt_flat = trace.target_skills.ravel()[flat_mask]
+    dz_flat = dz_sel.ravel()[flat_mask]
+
+    comp_flat = np.concatenate(
+        [x.reshape(n * b, hd)[flat_mask] for x in (trace.agg_hidden, trace.hidden)], axis=1
+    )
+    np.add.at(grads["head_w"], tgt_flat, dz_flat[:, None] * comp_flat)
+    np.add.at(grads["head_b"], tgt_flat, dz_flat)
+    dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
+    dcomp[flat_mask] = dz_flat[:, None] * params.head_w[tgt_flat]
+    dcomp = dcomp.reshape(n, b, 2 * hd)
+    dhidden = dcomp[:, :, hd:]
+    if trace.attention_enabled:
+        _einsum_attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
+
+    d_embed = np.empty((n, b, params.input_dim), dtype=FLOAT)
+    dh = np.zeros((b, hd), dtype=FLOAT)
+    dc = np.zeros((b, hd), dtype=FLOAT)
+    zeros_bh = np.zeros((b, hd), dtype=FLOAT)
+    for t in range(n - 1, -1, -1):
+        dh_t = dhidden[t] + dh
+        gi = trace.gates[t, :, 0:hd]
+        gf = trace.gates[t, :, hd : 2 * hd]
+        gg = trace.gates[t, :, 2 * hd : 3 * hd]
+        go = trace.gates[t, :, 3 * hd :]
+        tc = np.tanh(trace.cell[t])
+        do = tc * dh_t
+        dc_t = dc + go * (1.0 - tc * tc) * dh_t
+        c_prev = trace.cell[t - 1] if t > 0 else zeros_bh
+        h_prev = trace.hidden[t - 1] if t > 0 else zeros_bh
+        dzi = gi * (1.0 - gi) * (gg * dc_t)
+        dzf = gf * (1.0 - gf) * (c_prev * dc_t)
+        dzg = (1.0 - gg * gg) * (gi * dc_t)
+        dzo = go * (1.0 - go) * do
+        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)  # [B, 4H]
+        grads["lstm_w"] += dz.T @ trace.embeddings[t]
+        grads["lstm_u"] += dz.T @ h_prev
+        grads["lstm_b"] += dz.sum(axis=0)
+        d_embed[t] = dz @ params.lstm_w
+        dh = dz @ params.lstm_u
+        dc = gf * dc_t
+
+    skills = batch.skills[:, :n].T
+    resps = batch.responses[:, :n].T
+    m1 = trace.step_mask & (resps == 1)
+    m0 = trace.step_mask & (resps == 0)
+    d_s, d_a = params.skill_dim, params.resp_dim
+    de = d_embed[m1]
+    np.add.at(grads["skill_emb"], skills[m1], de[:, :d_s])
+    grads["resp_emb"][1] += de[:, d_s:].sum(axis=0)
+    de = d_embed[m0]
+    grads["resp_emb"][0] += de[:, :d_a].sum(axis=0)
+    np.add.at(grads["skill_emb"], skills[m0], de[:, d_a:])
+    return grads, d_embed
+
+
+def _einsum_attention_backward(params, trace, dagg, dhidden, grads):
+    """The prefix-sum attention backward with ``einsum`` weight gradients."""
+    norm = trace.attn_norm[:, :, None]
+    dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
+    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)
+    dnumer_after = model._exclusive_cumsum(dnumer[::-1])[::-1]
+    if trace.attention_window == "causal":
+        dnorm_sum = model._exclusive_cumsum(dnorm[::-1])[::-1]
+    else:
+        dnorm_sum = dnorm.sum(axis=0)
+    a = trace.attn_exp
+    dhidden += a[:, :, None] * dnumer_after
+    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
+    u = trace.attn_hidden
     du = dlogits[:, :, None] * params.attn_u[None, None, :]
     grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
     dpre = (1.0 - u * u) * du

@@ -547,6 +547,27 @@ class TestExitCodes:
         assert lines == [f"{flag} takes a comma list of {'int' if flag == '--folds' else 'float'}s, "
                          f"got {value!r}"], lines
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["train", "-h"], ["sweep", "--help"],
+                                      ["eval", "--data", "x", "-h"]])
+    def test_help_returns_0(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: atkt") and err == ""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--seed", "-1"), ("sweep", "--seed", "-1"), ("sweep", "--epsilons", "1,-1"),
+        ("sweep", "--epsilons", "nan"), ("sweep", "--betas", "0,-0.5"), ("sweep", "--betas", "inf"),
+    ])
+    def test_bad_override_value_names_the_flag(self, tmp_path, data_file, config_file, capsys,
+                                               command, flag, value):
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", config_file, "--data", data_file, "--out", out,
+                       flag, value) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert lines[0].endswith(f" (from {flag})"), lines
+        assert not out.exists()  # rejected before any training
+
     def test_non_utf8_config_exits_1_naming_the_file(self, tmp_path, data_file, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(TINY_CONFIG.encode() + b"lr = 0.\xff1\n")

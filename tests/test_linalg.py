@@ -6,7 +6,7 @@ import pytest
 
 from atkt.linalg import Rng, ShapeError, sigmoid
 
-from reference_impl import l2_norm, softmax
+from reference_impl import l2_norm, softmax, two_branch_sigmoid
 
 
 def vec(values):
@@ -67,6 +67,14 @@ class TestElementwise:
     def test_sigmoid_extreme_positive(self):
         out = sigmoid(vec([710]))
         assert out[0] == 1.0 or 1.0 - out[0] < 1e-300
+
+    def test_sigmoid_bit_identical_to_two_branch_form(self):
+        x = np.random.default_rng(3).normal(0.0, 30.0, size=100_000)
+        specials = vec([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 800.0, -800.0])
+        x = np.concatenate([x, specials]).reshape(-1, 7)
+        got, want = sigmoid(x), two_branch_sigmoid(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, want)  # NaN matches NaN
 
 
 class TestRng:

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from atkt import model
+from atkt import model, training
 from atkt.data import InteractionSequence, generate_synthetic, make_batches
 from atkt.linalg import Rng, ShapeError
 from atkt.model import (
@@ -35,6 +36,7 @@ from reference_impl import (
     plain_lstm_forward,
     predict_step,
     sequence_forward,
+    stepwise_backward,
 )
 
 
@@ -468,6 +470,109 @@ class TestGatheredHead:
             value = getattr(trace, f.name)
             if isinstance(value, np.ndarray):
                 assert 11 not in value.shape, f.name
+
+
+def poison_padding(batch, skill=10**6, response=1):
+    """The batch with every padded cell set to a sentinel skill and response."""
+    padded = np.arange(batch.max_len)[None, :] >= batch.seq_lens[:, None]
+    skills = batch.skills.copy()
+    responses = batch.responses.copy()
+    skills[padded] = skill
+    responses[padded] = response
+    return dataclasses.replace(batch, skills=skills, responses=responses)
+
+
+class TestStepwiseBackward:
+    """The hoisted backward pass against the per-step oracle it replaced."""
+
+    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+
+    @pytest.mark.parametrize("row_block", [None, 5])
+    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("attention", ATTENTION)
+    def test_matches_stepwise_oracle(self, monkeypatch, attention, embeddings, row_block):
+        if row_block:  # segments and d_embed's GEMM then span several blocks
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+        # Few skills, so (response, skill) buckets and head rows repeat.
+        _, batch = random_batch(40, lengths=(23, 2, 9, 2, 15, 4, 17))
+        batch = poison_padding(batch)
+        p = tiny_params(seed=40)
+        enabled, window = self.ATTENTION[attention]
+        override = None
+        if embeddings == "overridden":
+            shape = (batch.max_len - 1, batch.size, p.input_dim)
+            override = Rng(40).split("override").normal(size=shape)  # padded rows too
+        trace, _ = model.forward(p, batch, enabled, window, embeddings=override)
+        grads = model.backward(p, trace)
+        want, want_d_embed = stepwise_backward(p, trace)
+        pairs = [(name, grads.params[name], want[name]) for name in model.PARAM_NAMES]
+        pairs.append(("d_embed", grads.d_embed, want_d_embed))
+        for name, got, ref in pairs:
+            assert got.shape == ref.shape, name
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_d_embed_is_built_only_when_read(self):
+        _, batch = random_batch(41)
+        p = tiny_params(seed=41)
+        trace, _ = model.forward(p, batch)
+        grads = model.backward(p, trace)
+        shape = trace.embeddings.shape
+        assert not holds_array_of_shape(grads, shape)
+        d_embed = grads.d_embed
+        assert d_embed.shape == shape
+        assert grads.d_embed is d_embed  # built once
+
+    @pytest.mark.parametrize("run_adversarial", [False, True])
+    def test_train_batch_builds_d_embed_only_for_fgsm(self, monkeypatch, run_adversarial):
+        _, batch = random_batch(42)
+        p = tiny_params(seed=42)
+        cfg = tiny_config(beta=0.5 if run_adversarial else 0.0, epsilon=1.0)
+        made = []
+
+        def recording_backward(params, trace):
+            made.append((model_backward(params, trace), trace.embeddings.shape))
+            return made[-1][0]
+
+        model_backward = model.backward
+        monkeypatch.setattr(model, "backward", recording_backward)
+        training.train_batch(p, batch, cfg, run_adversarial)
+        built = [holds_array_of_shape(grads, shape) for grads, shape in made]
+        # FGSM reads the clean pass's embedding gradient; nothing else does.
+        assert built == ([True, False] if run_adversarial else [False])
+
+
+def holds_array_of_shape(obj, shape):
+    return any(isinstance(v, np.ndarray) and v.shape == shape for v in vars(obj).values())
+
+
+class TestMemory:
+    """tracemalloc peaks of one pass at 24 x 200 with the reference dimensions.
+
+    The bounds are the figures of the per-step backward with its separate
+    input-projection buffer (forward 59.77 MB, backward 39.20 MB above the
+    trace); the pass with the gate gradients kept and ``d_embed`` built on
+    demand peaks at 48.0 and 19.4 MB.
+    """
+
+    FORWARD_PEAK_MB = 59.77
+    BACKWARD_PEAK_MB = 39.20
+
+    def test_forward_and_backward_peaks(self):
+        ds = generate_synthetic(24, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)
+        batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
+        p = init_params(ds.num_skills, 256, 96, 80, 80, Rng(17).split("init"))
+        tracemalloc.start()
+        try:
+            trace, _ = model.forward(p, batch)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.backward(p, trace)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= self.FORWARD_PEAK_MB * 2**20, forward_peak / 2**20
+        assert backward_peak <= self.BACKWARD_PEAK_MB * 2**20, backward_peak / 2**20
 
 
 class TestCheckpoint:
