@@ -2,9 +2,9 @@
 
 Config files are flat ``key = value`` text with ``#`` comments. Unknown keys
 are hard errors (a typo in a hyperparameter name must not silently run with
-defaults). Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numerical failure (a diverging run, or a checkpoint whose predictions are
-not finite).
+defaults). Exit codes: 0 success, 1 usage/config error or out of memory,
+2 data error, 3 numerical failure (a diverging run, or a checkpoint whose
+predictions are not finite).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import model, svg
 from .data import (
+    DEFAULT_MAX_SEQ_LEN,
     MIN_SEQ_LEN,
     DataFormatError,
     Dataset,
@@ -52,6 +53,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# How many skills `trace` follows when --skills is not given.
+DEFAULT_TRACKED = 5
 
 
 class ConfigError(ValueError):
@@ -178,6 +182,14 @@ def _flag_list(flag: str, text: str, kind: type) -> list:
         raise UsageError(f"{flag} takes a comma list of {kind.__name__}s, got {text!r}") from None
 
 
+def _distinct(flag: str, values: list, noun: str) -> list:
+    """``values``, unchanged; a value listed twice is a usage error naming the flag."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"{flag} repeats {noun} {repeated[0]:g}")
+    return values
+
+
 def _check_fold(fold: int, num_folds: int) -> int:
     if not 0 <= fold < num_folds:
         raise UsageError(f"fold must be in [0, {num_folds}), got {fold}")
@@ -225,16 +237,15 @@ def cmd_train(args) -> int:
     split = folds[_check_fold(args.fold, len(folds))]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    echo = dict(config.to_dict(), fold=args.fold)
     try:
         result = train(config, dataset, split)
     except DivergenceError as exc:
         if exc.last_good is not None:
             dump = out / "diverged_last_good.json"
-            save_checkpoint(dump, exc.last_good, dict(config.to_dict(), fold=args.fold),
-                            timestamp=not args.no_timestamp)
+            save_checkpoint(dump, exc.last_good, echo, timestamp=not args.no_timestamp)
             logger.error("training diverged at epoch %d; last good state in %s", exc.epoch, dump)
         raise
-    echo = dict(config.to_dict(), fold=args.fold)
     save_checkpoint(out / "checkpoint.json", result.params, echo, timestamp=not args.no_timestamp)
     with open(out / "run.csv", "w", encoding="utf-8") as fh:
         result.record.write_csv(fh)
@@ -295,12 +306,9 @@ def cmd_sweep(args) -> int:
     folds = _folds(dataset, config.seed)
     if args.folds:
         wanted = [_check_fold(k, len(folds)) for k in _flag_list("--folds", args.folds, int)]
-        repeated = [k for i, k in enumerate(wanted) if k in wanted[:i]]
-        if repeated:
-            raise UsageError(f"--folds repeats fold {repeated[0]}")
-        folds = [folds[k] for k in wanted]
-    epsilons = _flag_list("--epsilons", args.epsilons, float)
-    betas = _flag_list("--betas", args.betas, float)
+        folds = [folds[k] for k in _distinct("--folds", wanted, "fold")]
+    epsilons = _distinct("--epsilons", _flag_list("--epsilons", args.epsilons, float), "epsilon")
+    betas = _distinct("--betas", _flag_list("--betas", args.betas, float), "beta")
     # A cell's config is valid iff its epsilon and its beta are, so each list
     # is checked on its own and a bad value names its flag.
     for eps in epsilons:
@@ -313,8 +321,7 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         result.write_csv(fh)
     best_eps, best_beta = result.best
-    best_value = result.grid[result.epsilons.index(best_eps), result.betas.index(best_beta)]
-    print(f"best: epsilon={best_eps:g} beta={best_beta:g} mean_val_auc={best_value:.6f}")
+    print(f"best: epsilon={best_eps:g} beta={best_beta:g} mean_val_auc={result.grid.max():.6f}")
     return EXIT_OK
 
 
@@ -324,15 +331,16 @@ def _pick_sequence(dataset: Dataset, args):
             if seq.student_id == args.student:
                 return seq
         raise DataError(f"student {args.student!r} not found")
-    if not 0 <= args.index < len(dataset.sequences):
-        raise DataError(f"sequence index {args.index} out of range")
-    return dataset.sequences[args.index]
+    index = args.index or 0
+    if not 0 <= index < len(dataset.sequences):
+        raise DataError(f"sequence index {index} out of range")
+    return dataset.sequences[index]
 
 
-def _default_tracked(seq, limit: int = 5) -> list[int]:
+def _default_tracked(seq) -> list[int]:
     values, counts = np.unique(seq.skills, return_counts=True)
     order = np.lexsort((values, -counts))
-    return [int(values[i]) for i in order[:limit]]
+    return [int(values[i]) for i in order[:DEFAULT_TRACKED]]
 
 
 def cmd_trace(args) -> int:
@@ -341,7 +349,7 @@ def cmd_trace(args) -> int:
     dataset = _load_for_checkpoint(args.data, params)
     seq = _pick_sequence(dataset, args)
     if args.skills:
-        tracked = _flag_list("--skills", args.skills, int)
+        tracked = _distinct("--skills", _flag_list("--skills", args.skills, int), "skill")
         for s in tracked:
             if not 0 <= s < params.num_skills:
                 raise DataError(f"unknown skill id {s}")
@@ -399,7 +407,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="validate, filter and normalize a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-seq-len", type=int, default=500)
+    p.add_argument("--max-seq-len", type=int, default=DEFAULT_MAX_SEQ_LEN)
     p.add_argument("--strict-truncate", action="store_true")
     p.set_defaults(fn=cmd_prepare)
 
@@ -416,8 +424,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--fold", type=int, default=None)
-    p.add_argument("--all-folds", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--fold", type=int, default=None)
+    which.add_argument("--all-folds", action="store_true")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--out", default=None, help="write the prediction log CSV here")
     p.set_defaults(fn=cmd_eval)
@@ -436,8 +445,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("trace", help="export a mastery trace as CSV + SVG")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--student", default=None)
-    p.add_argument("--index", type=int, default=0)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--student", default=None)
+    # None, not 0: argparse counts a flag whose value is its default as absent.
+    which.add_argument("--index", type=int, default=None)
     p.add_argument("--skills", default=None, help="comma list of skill ids to track")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_trace)
@@ -468,6 +479,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

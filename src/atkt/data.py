@@ -3,7 +3,8 @@
 The on-disk format is the community-standard "triple line" layout: for each
 student, a line with the interaction count, a comma-separated line of skill
 ids, and a comma-separated line of 0/1 responses. Sequences shorter than 2
-carry no prediction target and are dropped at parse time.
+carry no prediction target and are dropped at parse time. Skill ids must lie
+in [0, MAX_SKILLS).
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_SEQ_LEN = 500
 MIN_SEQ_LEN = 2
 NUM_FOLDS = 5
+# Skill ids index dense tables (embeddings, head rows, Adam moments), so the
+# parser rejects ids at or above this cap instead of sizing them all by it.
+MAX_SKILLS = 100_000
 
 
 class DataFormatError(ValueError):
@@ -148,7 +152,10 @@ def parse_triple_line(text: str, num_skills: int | None = None) -> Dataset:
             if a not in (0, 1):
                 raise DataFormatError(i + 3, f"response must be 0 or 1, got {a}")
         if skills:
-            max_skill = max(max_skill, max(skills))
+            line_max = max(skills)
+            if line_max >= MAX_SKILLS:
+                raise DataFormatError(i + 2, f"skill id {line_max} is not below the cap of {MAX_SKILLS:,}")
+            max_skill = max(max_skill, line_max)
         if count >= MIN_SEQ_LEN:
             sequences.append(_sequence(f"student-{group}", skills, responses))
         else:

@@ -51,19 +51,6 @@ from .data import Batch
 from .linalg import FLOAT, Rng, ShapeError, sigmoid
 from .metrics import PROB_CLAMP
 
-PARAM_NAMES = (
-    "skill_emb",
-    "resp_emb",
-    "lstm_w",
-    "lstm_u",
-    "lstm_b",
-    "attn_w",
-    "attn_b",
-    "attn_u",
-    "head_w",
-    "head_b",
-)
-
 # lstm_w/lstm_u/lstm_b stack the four gates in blocks: input, forget,
 # candidate, output.
 GATE_ORDER = ("input", "forget", "candidate", "output")
@@ -124,6 +111,10 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: arr.copy() for name, arr in self.named_arrays()})
+
+
+# The checkpoint's array names, in ModelParams' field order.
+PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
 class GradientSet:
@@ -648,13 +639,13 @@ def _check_shapes(params: ModelParams) -> None:
     if any(getattr(params, name).ndim != 2 for name in ("skill_emb", "resp_emb", "lstm_u", "attn_w")):
         raise CheckpointError("checkpoint arrays skill_emb, resp_emb, lstm_u and attn_w must be matrices")
     s, h, a = params.num_skills, params.hidden_dim, params.attn_dim
-    # In PARAM_NAMES order, as documented on ModelParams.
-    want = [(s, params.skill_dim), (2, params.resp_dim), (4 * h, params.input_dim), (4 * h, h),
-            (4 * h,), (a, h), (a,), (a,), (s, 2 * h), (s,)]
+    want = dict(skill_emb=(s, params.skill_dim), resp_emb=(2, params.resp_dim),
+                lstm_w=(4 * h, params.input_dim), lstm_u=(4 * h, h), lstm_b=(4 * h,),
+                attn_w=(a, h), attn_b=(a,), attn_u=(a,), head_w=(s, 2 * h), head_b=(s,))
     bad = [
-        f"{name} is {list(arr.shape)}, expected {list(shape)}"
-        for (name, arr), shape in zip(params.named_arrays(), want)
-        if arr.shape != shape
+        f"{name} is {list(arr.shape)}, expected {list(want[name])}"
+        for name, arr in params.named_arrays()
+        if arr.shape != want[name]
     ]
     if bad:
         raise CheckpointError("inconsistent checkpoint shapes: " + "; ".join(bad))

@@ -13,6 +13,11 @@ import numpy as np
 # Probability 0 renders white, probability 1 renders this dark blue.
 _DARK = (21, 65, 122)
 
+# Side of one heatmap cell, and the loss chart's size, in pixels.
+_CELL = 18
+_CHART_WIDTH = 560
+_CHART_HEIGHT = 360
+
 # Distinguishable marker colors for attempted skills (cycled).
 PALETTE = (
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231",
@@ -43,7 +48,6 @@ def mastery_heatmap(
     skill_labels: list[str],
     attempts: list[tuple[int, int]],
     tracked_skills: list[int],
-    cell: int = 18,
 ) -> str:
     """Heatmap of per-step mastery (rows = tracked skills, columns = steps).
 
@@ -58,36 +62,36 @@ def mastery_heatmap(
     if len(skill_labels) != num_tracked:
         raise ValueError(f"{num_tracked} grid columns but {len(skill_labels)} labels")
     label_w = 12 + 7 * max((len(s) for s in skill_labels), default=0)
-    top = cell + 10
-    width = label_w + steps * cell + 10
-    height = top + num_tracked * cell + 24
+    top = _CELL + 10
+    width = label_w + steps * _CELL + 10
+    height = top + num_tracked * _CELL + 24
     color_of = {s: PALETTE[i % len(PALETTE)] for i, s in enumerate(tracked_skills)}
     body = ['<g shape-rendering="crispEdges">']
     for t in range(steps):
-        x = label_w + t * cell
+        x = label_w + t * _CELL
         for k in range(num_tracked):
-            y = top + k * cell
+            y = top + k * _CELL
             body.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{_mastery_color(grid[t, k])}"/>'
             )
     body.append("</g>")
     body.append("<g>")
     for t, (skill, correct) in enumerate(attempts):
-        cx = label_w + t * cell + cell / 2
-        cy = top - cell / 2
+        cx = label_w + t * _CELL + _CELL / 2
+        cy = top - _CELL / 2
         color = color_of.get(skill, "#999999")
         if correct:
-            body.append(f'<circle cx="{cx:g}" cy="{cy:g}" r="{cell / 2 - 2:g}" fill="{color}"/>')
+            body.append(f'<circle cx="{cx:g}" cy="{cy:g}" r="{_CELL / 2 - 2:g}" fill="{color}"/>')
         else:
             body.append(
-                f'<circle cx="{cx:g}" cy="{cy:g}" r="{cell / 2 - 2:g}" fill="none" '
+                f'<circle cx="{cx:g}" cy="{cy:g}" r="{_CELL / 2 - 2:g}" fill="none" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
     body.append("</g>")
     body.append('<g font-family="monospace" font-size="10" fill="#000000">')
     for k, label in enumerate(skill_labels):
-        y = top + k * cell + cell / 2 + 3
+        y = top + k * _CELL + _CELL / 2 + 3
         body.append(f'<text x="4" y="{y:g}">{escape(label)}</text>')
     body.append(
         f'<text x="{label_w}" y="{height - 8}">steps 1..{steps} '
@@ -97,17 +101,11 @@ def mastery_heatmap(
     return _document(width, height, body)
 
 
-def line_chart(
-    series: dict[str, list[float]],
-    title: str,
-    x_label: str = "epoch",
-    width: int = 560,
-    height: int = 360,
-) -> str:
-    """Simple multi-series line chart (used for train/val loss curves)."""
+def line_chart(series: dict[str, list[float]], title: str) -> str:
+    """Simple multi-series line chart over epochs (used for train/val loss curves)."""
     margin = 46
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = _CHART_WIDTH - 2 * margin
+    plot_h = _CHART_HEIGHT - 2 * margin
     all_values = [v for vs in series.values() for v in vs]
     if not all_values:
         raise ValueError("line_chart needs at least one point")
@@ -143,8 +141,8 @@ def line_chart(
         f"{escape(title)}</text>"
     )
     body.append(
-        f'<text x="{width / 2:g}" y="{height - 8}" font-family="monospace" font-size="11">'
-        f"{escape(x_label)} (0..{span})</text>"
+        f'<text x="{_CHART_WIDTH / 2:g}" y="{_CHART_HEIGHT - 8}" font-family="monospace" '
+        f'font-size="11">epoch (0..{span})</text>'
     )
     body.append(
         f'<text x="4" y="{margin + 4}" font-family="monospace" font-size="10">{hi:.4g}</text>'
@@ -152,7 +150,7 @@ def line_chart(
     body.append(
         f'<text x="4" y="{margin + plot_h}" font-family="monospace" font-size="10">{lo:.4g}</text>'
     )
-    return _document(width, height, body)
+    return _document(_CHART_WIDTH, _CHART_HEIGHT, body)
 
 
 def bar_pairs(

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import adversarial, model
-from .data import Batch, Dataset, FoldSplit, InteractionSequence, make_batches, segment_long
+from .data import DEFAULT_MAX_SEQ_LEN, Batch, Dataset, FoldSplit, InteractionSequence, make_batches, segment_long
 from .linalg import Rng
 from .metrics import PredictionLog, auc
 from .model import ForwardTrace, ModelParams
@@ -56,7 +56,7 @@ class TrainConfig:
     lr_decay_every: int = 50
     max_epochs: int = 150
     patience: int | None = 20
-    max_seq_len: int = 500
+    max_seq_len: int = DEFAULT_MAX_SEQ_LEN
     epsilon: float | None = None
     beta: float = 0.0
     attention: bool = True

@@ -2,8 +2,9 @@
 tolerance, printing one PASS/FAIL line per criterion.
 
 The long-running regularization comparison (criterion 6) trains ten models
-in a process pool, one worker per core; on a 2-core machine it took 329 s
-(631 s serially). Everything else finishes in seconds. Run with
+in a process pool, one worker per core; on a 2-core machine it took 256 s
+(631 s when the runs were serial, with the per-step backward pass).
+Everything else finishes in seconds. Run with
 ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
 """
 

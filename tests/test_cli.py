@@ -1,15 +1,17 @@
 import base64
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from atkt import cli, model, training
 from atkt.cli import ConfigError, parse_config_text
-from atkt.data import generate_synthetic, serialize_triple_line
+from atkt.data import MAX_SKILLS, generate_synthetic, serialize_triple_line
 from atkt.linalg import Rng
-from atkt.training import TrainConfig
+from atkt.training import FIELD_TYPES, TrainConfig
 
 TINY_CONFIG = """\
 # tiny run for tests
@@ -100,14 +102,17 @@ class TestConfigParsing:
             parse_config_text("just some words\n")
 
     def test_shipped_reference_config_parses(self):
-        from pathlib import Path
-
         path = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
         cfg = parse_config_text(path.read_text())
         assert cfg.skill_dim == 256 and cfg.resp_dim == 96
         assert cfg.hidden_dim == 80 and cfg.attn_dim == 80
         assert cfg.batch_size == 24 and cfg.max_seq_len == 500
         assert cfg.epsilon == 10.0 and cfg.beta == 0.2
+
+    def test_readme_config_table_has_one_row_per_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+        assert re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE) == list(FIELD_TYPES)
 
 
 class TestPrepare:
@@ -351,12 +356,18 @@ class TestSweep:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: epsilon"), lines
 
-    def test_repeated_fold_exits_1_before_training(self, tmp_path, data_file, config_file, capsys,
-                                                   train_calls):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1,0,1", "--folds repeats fold 1"),
+        ("--epsilons", "1,1", "--epsilons repeats epsilon 1"),
+        ("--betas", "0.5,0.5", "--betas repeats beta 0.5"),
+    ])
+    def test_repeated_value_exits_1_before_training(self, tmp_path, data_file, config_file, capsys,
+                                                    train_calls, flag, value, message):
+        lists = dict({"--epsilons": "1", "--betas": "0", "--folds": "0"}, **{flag: value})
         assert run_cli("sweep", "--config", config_file, "--data", data_file, "--out", tmp_path / "o",
-                       "--epsilons", "1", "--betas", "0", "--folds", "1,0,1") == 1
+                       *(token for pair in lists.items() for token in pair)) == 1
         assert train_calls == []
-        assert capsys.readouterr().err.splitlines() == ["--folds repeats fold 1"]
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_grid_csv_and_argmax_line(self, tmp_path, data_file, config_file, capsys):
         out = tmp_path / "sweepdir"
@@ -442,11 +453,16 @@ class TestTrace:
                        "--skills", "77", "--out", tmp_path / "x")
         assert code == 2
 
-    def test_malformed_skills_list_exits_1(self, tmp_path, data_file, capsys):
+    @pytest.mark.parametrize("skills, message", [
+        ("1,x", "--skills takes a comma list of ints, got '1,x'"),
+        ("2,0,2", "--skills repeats skill 2"),
+    ])
+    def test_malformed_skills_list_exits_1(self, tmp_path, data_file, capsys, skills, message):
         ckpt = TestEval().make_chance_checkpoint(tmp_path)
         assert run_cli("trace", "--checkpoint", ckpt, "--data", data_file,
-                       "--skills", "1,x", "--out", tmp_path / "x") == 1
-        assert capsys.readouterr().err.splitlines() == ["--skills takes a comma list of ints, got '1,x'"]
+                       "--skills", skills, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "case", ["echo_batch_size_str", "echo_max_seq_len_float", "echo_hidden_dim_vs_arrays", "nan_head_b"]
@@ -574,6 +590,53 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"config error: {cfg}: not UTF-8 text at byte {len(TINY_CONFIG) + 7}"], lines
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "eval"])
+    @pytest.mark.parametrize("skill", [MAX_SKILLS, 10**30])
+    def test_skill_id_at_the_cap_is_a_data_error(self, tmp_path, data_file, config_file, capsys,
+                                                 command, skill):
+        data = tmp_path / "big_id.txt"
+        data.write_text(data_file.read_text() + f"2\n0,{skill}\n1,0\n")
+        line = len(data_file.read_text().splitlines()) + 2
+        out = tmp_path / "o"
+        if command == "eval":
+            args = ["eval", "--checkpoint", TestEval().make_chance_checkpoint(tmp_path), "--data", data]
+        elif command == "train":
+            args = ["train", "--config", config_file, "--data", data, "--out", out]
+        else:
+            args = ["prepare", "--data", data, "--out", out]
+        assert run_cli(*args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"data error: line {line}: skill id {skill} is not below the cap of 100,000"]
+        assert not out.exists()
+
+    def test_allocation_failure_exits_1_with_one_line(self, tmp_path, data_file, capsys):
+        # 5 EiB for the first weight matrix: more than any 64-bit address space
+        # can map, so the allocator refuses it before touching a page.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY_CONFIG.replace("skill_dim = 6", f"skill_dim = {2**57}"))
+        assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("out of memory: Unable to allocate"), lines
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval", ["--fold", "2", "--all-folds"], "argument --all-folds: not allowed with argument --fold"),
+        ("eval", ["--all-folds", "--fold", "0"], "argument --fold: not allowed with argument --all-folds"),
+        ("trace", ["--student", "student-3", "--index", "1"],
+         "argument --index: not allowed with argument --student"),
+        ("trace", ["--student", "student-3", "--index", "0"],
+         "argument --index: not allowed with argument --student"),
+        ("trace", ["--index", "0", "--student", "student-3"],
+         "argument --student: not allowed with argument --index"),
+    ])
+    def test_contradictory_flags_exit_1(self, tmp_path, data_file, capsys, command, flags, message):
+        ckpt = TestEval().make_chance_checkpoint(tmp_path)
+        out = tmp_path / "o"
+        argv = [command, "--checkpoint", ckpt, "--data", data_file, *flags]
+        assert run_cli(*argv, *(["--out", out] if command == "trace" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"atkt {command}: {message}"]
+        assert not out.exists()
 
     def test_out_of_range_fold_exits_1(self, tmp_path, data_file, config_file):
         assert run_cli("train", "--config", config_file, "--data", data_file,

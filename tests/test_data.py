@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atkt.data import (
+    MAX_SKILLS,
     Batch,
     DataFormatError,
     Dataset,
@@ -61,6 +62,14 @@ class TestParse:
             parse_triple_line("2\n1,2")
         with pytest.raises(DataFormatError, match="line 3"):
             parse_triple_line("2\n1,2\n")
+
+    def test_skill_id_below_the_cap_parses(self):
+        assert parse_triple_line(f"2\n0,{MAX_SKILLS - 1}\n1,0\n").num_skills == MAX_SKILLS
+
+    @pytest.mark.parametrize("skill", [MAX_SKILLS, 2**63, 10**30])
+    def test_skill_id_at_or_above_the_cap_names_the_line(self, skill):
+        with pytest.raises(DataFormatError, match=f"^line 5: skill id {skill} is not below the cap"):
+            parse_triple_line(f"2\n0,1\n1,0\n2\n1,{skill}\n0,1\n")
 
     def test_explicit_num_skills(self):
         ds = parse_triple_line("2\n1,2\n1,0\n", num_skills=50)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from atkt import cli, model
-from atkt.data import generate_synthetic, serialize_triple_line
+from atkt.data import MAX_SKILLS, generate_synthetic, serialize_triple_line
 from atkt.linalg import Rng
 from atkt.training import FIELD_TYPES, TrainConfig
 
@@ -123,8 +123,8 @@ def mutate_data(rng: random.Random, text: str) -> str:
         count, skills, responses = groups[g]
         op = rng.randrange(7)
         if op == 0:
-            skills = ",".join(str(rng.choice([0, 1, 3, 5, 12, -1])) if rng.random() < 0.3 else tok
-                              for tok in skills.split(","))
+            skills = ",".join(str(rng.choice([0, 1, 3, 5, 12, -1, MAX_SKILLS, 2**63, 10**30]))
+                              if rng.random() < 0.3 else tok for tok in skills.split(","))
         elif op == 1:
             responses = ",".join(str(rng.choice([0, 1, 1, 2])) for _ in responses.split(","))
         elif op == 2:
