@@ -28,11 +28,24 @@ everything is float64 and validated against central finite differences
 (the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
 readers recompute tanh(cell), and concatenate the composite from its halves.
 
-The backward time loop runs only the recurrence and keeps every step's gate
-gradient dz. After it, each LSTM weight gradient is one GEMM over all steps;
-the head rows and the embedding tables are sorted segment sums, per target
-skill and per (response, skill) of the consumed interactions; and the input
-gradient, dz @ lstm_w, is built only when ``GradientSet.d_embed`` is read.
+Batches are padded to their longest row, but the LSTM works only on real
+steps. ``forward`` takes a batch's valid cells (step t of row b, for
+t < seq_len - 1) in packed order: step by step, and within a step longest
+row first, as ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows
+alive at step t + 1 are then a prefix of those alive at step t, so each step
+of the recurrence reads and writes contiguous slices, and the trace keeps
+the gates and cell states of valid cells only. The input projection, the
+LSTM weight gradients and the input gradient are products over the valid
+cells, a block of rows at a time. Everything after the recurrence
+(attention, head, loss) reads [n, B, ...] arrays in batch order, with zeros
+at padded steps.
+
+The backward time loop runs only the recurrence and keeps every valid
+cell's gate gradient dz. After it, each LSTM weight gradient is one pass of
+block GEMMs; the head rows and the embedding tables are sorted segment sums,
+per target skill and per (response, skill) of the consumed interactions; and
+the input gradient, dz @ lstm_w, is built only when ``GradientSet.d_embed``
+is read.
 """
 
 from __future__ import annotations
@@ -57,9 +70,9 @@ GATE_ORDER = ("input", "forget", "candidate", "output")
 
 ATTENTION_WINDOWS = ("causal", "sequence")
 
-# Work over all n*B steps that can be split runs this many rows at a time: a
-# GEMM packs all its rows into BLAS's buffer, whose pages then stay resident,
-# and a gather copies all its rows at once.
+# Work over all valid cells that can be split runs this many rows at a time:
+# a GEMM packs all its rows into BLAS's buffer, whose pages then stay
+# resident, and a gather copies all its rows at once.
 _ROW_BLOCK = 2048
 
 
@@ -120,30 +133,32 @@ PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 class GradientSet:
     """Array-for-array mirror of ModelParams plus input-embedding gradients.
 
-    ``d_embed`` is built on first read from the kept gate gradients, as
-    dz @ lstm_w, and the gate gradients are released then. It uses
-    ``lstm_w`` as it is at that read, so read it before the parameters are
-    updated; training reads it only in the clean pass of an adversarial
-    step, where FGSM needs it.
+    ``d_embed`` is built on first read from the kept gate gradients of the
+    valid cells, as dz @ lstm_w, and the gate gradients are released then.
+    It uses ``lstm_w`` as it is at that read, so read it before the
+    parameters are updated; training reads it only in the clean pass of an
+    adversarial step, where FGSM needs it.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], gate_grads: np.ndarray, lstm_w: np.ndarray):
+    def __init__(self, params: dict[str, np.ndarray], gate_grads: np.ndarray, lstm_w: np.ndarray,
+                 cells: np.ndarray, grid: tuple[int, int]):
         self.params = params
-        self._gate_grads = gate_grads  # [n, B, 4H]; exact zeros at padded steps
+        self._gate_grads = gate_grads  # [N, 4H], packed like ForwardTrace.gates
         self._lstm_w = lstm_w
+        self._cells = cells
+        self._grid = grid  # (n, B)
         self._d_embed: np.ndarray | None = None
 
     @property
     def d_embed(self) -> np.ndarray:
         """[L-1, B, input_dim]; exact zeros at padded steps."""
         if self._d_embed is None:
-            n, b, four_h = self._gate_grads.shape
-            dz = self._gate_grads.reshape(n * b, four_h)
-            self._d_embed = np.empty((n, b, self._lstm_w.shape[1]), dtype=FLOAT)
-            out = self._d_embed.reshape(n * b, -1)
-            for lo in range(0, n * b, _ROW_BLOCK):
-                np.matmul(dz[lo : lo + _ROW_BLOCK], self._lstm_w, out=out[lo : lo + _ROW_BLOCK])
-            self._gate_grads = self._lstm_w = None
+            dz, cells = self._gate_grads, self._cells
+            self._d_embed = np.zeros(self._grid + (self._lstm_w.shape[1],), dtype=FLOAT)
+            out = self._d_embed.reshape(-1, self._lstm_w.shape[1])
+            for lo in range(0, len(cells), _ROW_BLOCK):
+                out[cells[lo : lo + _ROW_BLOCK]] = dz[lo : lo + _ROW_BLOCK] @ self._lstm_w
+            self._gate_grads = self._lstm_w = self._cells = None
         return self._d_embed
 
 
@@ -152,14 +167,19 @@ class ForwardTrace:
     """Everything the backward pass and ``skill_probs`` need, per batch, once.
 
     Time-major layout: axis 0 indexes the L-1 consumed steps (equivalently
-    the L-1 prediction targets), axis 1 the batch rows. The head's composite
-    input is not stored: readers concatenate [agg_hidden | hidden].
+    the L-1 prediction targets), axis 1 the batch rows. ``gates`` and
+    ``cell`` hold the N valid cells only, in packed order: row r is the cell
+    with flat index ``cells[r]`` = t * B + b, and step t's rows are
+    ``starts[t]:starts[t + 1]``, longest batch row first. The head's
+    composite input is not stored: readers concatenate [agg_hidden | hidden].
     """
 
     embeddings: np.ndarray  # [n, B, d_in]
-    gates: np.ndarray  # [n, B, 4H] post-activation, gate blocks per GATE_ORDER
-    cell: np.ndarray  # [n, B, H]
-    hidden: np.ndarray  # [n, B, H]
+    gates: np.ndarray  # [N, 4H] post-activation, gate blocks per GATE_ORDER
+    cell: np.ndarray  # [N, H]
+    cells: np.ndarray  # int64 [N]
+    starts: np.ndarray  # int64 [n + 1]
+    hidden: np.ndarray  # [n, B, H]; zeros at padded steps
     attn_hidden: np.ndarray | None  # [n, B, attn_dim]
     # a_j = exp(l_j - row max) for j < seq_len - 2, else 0; and each target's
     # normaliser D_k. Target k's window weights are attn_exp[:k] / attn_norm[k].
@@ -244,6 +264,21 @@ def _step_mask(batch: Batch) -> np.ndarray:
     return (np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)).astype(bool)
 
 
+def _pack(step_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The valid cells in packed order: (flat indices t * B + b, step starts).
+
+    Rows are taken longest first (ties in batch order), so the rows alive at
+    step t + 1 are the first ones of those alive at step t.
+    """
+    n, b = step_mask.shape
+    order = np.argsort(-np.count_nonzero(step_mask, axis=0), kind="stable")
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(step_mask, axis=1), out=starts[1:])
+    steps = np.repeat(np.arange(n), np.diff(starts))
+    cells = steps * b + order[np.arange(starts[-1]) - starts[steps]]
+    return cells, starts
+
+
 def forward(
     params: ModelParams,
     batch: Batch,
@@ -281,29 +316,36 @@ def forward(
             f"expected {(n, b, params.input_dim)}"
         )
 
-    gates = np.empty((n, b, 4 * hd), dtype=FLOAT)
-    cell = np.empty((n, b, hd), dtype=FLOAT)
-    hidden = np.empty((n, b, hd), dtype=FLOAT)
+    step_mask = _step_mask(batch)
+    cells, starts = _pack(step_mask)
+    gates = np.empty((len(cells), 4 * hd), dtype=FLOAT)
+    cell = np.empty((len(cells), hd), dtype=FLOAT)
+    hidden_rows = np.empty((len(cells), hd), dtype=FLOAT)
 
-    # The input contributions of all steps go straight into the gate buffer;
-    # each step adds its recurrent term and activates its block in place.
-    np.matmul(embeddings, params.lstm_w.T, out=gates)
+    # The input contributions of all valid cells go straight into the gate
+    # buffer; each step adds its recurrent term and activates its rows in
+    # place. The rows alive at a step are the first ones of the step before,
+    # so its previous h and c are prefixes of that step's.
+    emb_rows = embeddings.reshape(n * b, params.input_dim)
+    for lo in range(0, len(cells), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
     gates += params.lstm_b
-    h = np.zeros((b, hd), dtype=FLOAT)
-    c = np.zeros((b, hd), dtype=FLOAT)
+    h = c = np.zeros((b, hd), dtype=FLOAT)
     for t in range(n):
-        z = gates[t]
-        z += h @ params.lstm_u.T
+        lo, hi = starts[t], starts[t + 1]
+        z = gates[lo:hi]
+        z += h[: hi - lo] @ params.lstm_u.T
         gg = np.tanh(z[:, 2 * hd : 3 * hd])
         z[...] = sigmoid(z)
         z[:, 2 * hd : 3 * hd] = gg
         gi, gf, go = z[:, :hd], z[:, hd : 2 * hd], z[:, 3 * hd :]
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-        cell[t] = c
-        hidden[t] = h
+        c = np.add(gf * c[: hi - lo], gi * gg, out=cell[lo:hi])
+        h = np.multiply(go, np.tanh(c), out=hidden_rows[lo:hi])
+    hidden = np.zeros((n, b, hd), dtype=FLOAT)
+    hidden.reshape(n * b, hd)[cells] = hidden_rows
+    del hidden_rows, h  # h is a view of the last step's rows
 
-    step_mask = _step_mask(batch)
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
         attn_hidden, attn_exp, attn_norm, agg = _attention_forward(
@@ -335,6 +377,8 @@ def forward(
         embeddings=embeddings,
         gates=gates,
         cell=cell,
+        cells=cells,
+        starts=starts,
         hidden=hidden,
         attn_hidden=attn_hidden,
         attn_exp=attn_exp,
@@ -401,34 +445,49 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     if trace.attention_enabled:
         _attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
 
-    # LSTM backward through time: the loop runs only the recurrence and keeps
-    # every step's gate gradient; the weights' gradients are one GEMM each.
-    dz = np.empty((n, b, 4 * hd), dtype=FLOAT)
-    dh = np.zeros((b, hd), dtype=FLOAT)
-    dc = np.zeros((b, hd), dtype=FLOAT)
-    zeros_bh = np.zeros((b, hd), dtype=FLOAT)
+    # LSTM backward through time over the packed cells: the loop runs only
+    # the recurrence and keeps every cell's gate gradient; the weights'
+    # gradients are block GEMMs after it. The rows alive at t + 1 are the
+    # first len(dh) rows at t; the others end at t, with dh = dc = 0.
+    cells, starts, gates, cell = trace.cells, trace.starts, trace.gates, trace.cell
+    dh_rows = dcomp.reshape(n * b, 2 * hd)[cells, hd:]
+    del dcomp, dhidden
+    dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
+    dh = dc = np.zeros((0, hd), dtype=FLOAT)
     for t in range(n - 1, -1, -1):
-        dh_t = dhidden[t] + dh
-        gi, gf, gg, go = (trace.gates[t, :, k * hd : (k + 1) * hd] for k in range(4))
-        tc = np.tanh(trace.cell[t])
-        dc_t = dc + go * (1.0 - tc * tc) * dh_t
-        c_prev = trace.cell[t - 1] if t > 0 else zeros_bh
-        dz_t = dz[t]
+        lo, hi = starts[t], starts[t + 1]
+        dh_t = dh_rows[lo:hi]
+        dh_t[: len(dh)] += dh
+        gi, gf, gg, go = (gates[lo:hi, k * hd : (k + 1) * hd] for k in range(4))
+        tc = np.tanh(cell[lo:hi])
+        dc_t = go * (1.0 - tc * tc) * dh_t
+        dc_t[: len(dc)] += dc
+        c_prev = cell[starts[t - 1] : starts[t - 1] + hi - lo] if t > 0 else np.zeros_like(tc)
+        dz_t = dz[lo:hi]
         dz_t[:, :hd] = gi * (1.0 - gi) * (gg * dc_t)
         dz_t[:, hd : 2 * hd] = gf * (1.0 - gf) * (c_prev * dc_t)
         dz_t[:, 2 * hd : 3 * hd] = (1.0 - gg * gg) * (gi * dc_t)
         dz_t[:, 3 * hd :] = go * (1.0 - go) * (tc * dh_t)
         dh = dz_t @ params.lstm_u
         dc = gf * dc_t
-    del dcomp, dhidden
+    del dh_rows, dh_t  # dh_t is a view of step 0's rows
 
-    dz_rows = dz.reshape(n * b, 4 * hd)
-    np.matmul(dz_rows.T, trace.embeddings.reshape(n * b, params.input_dim), out=grads["lstm_w"])
-    # Step t's previous hidden state is hidden[t - 1]; h_0 = 0.
-    np.matmul(dz[1:].reshape(-1, 4 * hd).T, trace.hidden[:-1].reshape(-1, hd), out=grads["lstm_u"])
-    np.sum(dz_rows, axis=0, out=grads["lstm_b"])
-    _embedding_backward(params, batch, valid, dz_rows, grads)
-    return GradientSet(grads, dz, params.lstm_w)
+    _gathered_outer(dz, trace.embeddings.reshape(n * b, params.input_dim), cells, grads["lstm_w"])
+    # A cell's previous hidden state sits one step (B flat cells) earlier;
+    # step 0's is h_0 = 0.
+    first = starts[1]
+    _gathered_outer(dz[first:], trace.hidden.reshape(n * b, hd), cells[first:] - b, grads["lstm_u"])
+    np.sum(dz, axis=0, out=grads["lstm_b"])
+    _embedding_backward(params, batch, cells, dz, grads)
+    return GradientSet(grads, dz, params.lstm_w, cells, (n, b))
+
+
+def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """out = left.T @ right[rows], gathering at most ``_ROW_BLOCK`` rows at a time."""
+    out[...] = 0.0
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        out += left[block].T @ right[rows[block]]
 
 
 def _segment_sum(keys: np.ndarray, values: np.ndarray, rows: np.ndarray):
@@ -513,20 +572,21 @@ def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
     dhidden += dpre @ params.attn_w
 
 
-def _embedding_backward(params, batch, valid, dz_rows, grads) -> None:
+def _embedding_backward(params, batch, cells, dz, grads) -> None:
     """Route the input gradient into the two lookup tables without building it.
 
     Every step with response a and skill s read the same table rows, so
     their input gradient is (sum of their gate gradients) @ lstm_w, and each
-    table row takes its slice of that. Only valid steps are keyed.
+    table row takes its slice of that. ``dz`` holds the valid cells
+    ``cells`` only.
     """
     n = batch.max_len - 1
     s = params.num_skills
     d_s = params.skill_dim
     d_a = params.resp_dim
-    resps = batch.responses[:, :n].T.ravel()[valid]
-    skills = batch.skills[:, :n].T.ravel()[valid]
-    keys, sums = _segment_sum(resps * s + skills, dz_rows, valid)
+    resps = batch.responses[:, :n].T.ravel()[cells]
+    skills = batch.skills[:, :n].T.ravel()[cells]
+    keys, sums = _segment_sum(resps * s + skills, dz, np.arange(len(cells)))
     split = np.searchsorted(keys, s)  # wrong answers' keys (= skill) sort first
     wrong, right = sums[:split], sums[split:]
     w = params.lstm_w

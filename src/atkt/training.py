@@ -25,7 +25,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import adversarial, model
-from .data import DEFAULT_MAX_SEQ_LEN, Batch, Dataset, FoldSplit, InteractionSequence, make_batches, segment_long
+from .data import (
+    DEFAULT_MAX_SEQ_LEN,
+    MIN_SEQ_LEN,
+    Batch,
+    Dataset,
+    FoldSplit,
+    InteractionSequence,
+    make_batches,
+    segment_long,
+)
 from .linalg import Rng
 from .metrics import PredictionLog, auc
 from .model import ForwardTrace, ModelParams
@@ -90,8 +99,8 @@ class TrainConfig:
                      "max_epochs", "lr_decay_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.max_seq_len < 2:
-            raise ValueError("max_seq_len must be >= 2")
+        if self.max_seq_len < MIN_SEQ_LEN:
+            raise ValueError(f"max_seq_len must be >= {MIN_SEQ_LEN}, got {self.max_seq_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -137,10 +146,15 @@ def _type_ok(kind: type, value) -> bool:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates mirroring the parameter arrays."""
+    """First/second moment estimates mirroring the parameter arrays.
+
+    ``work`` holds two scratch rows as long as the largest array, so that an
+    update allocates nothing.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    work: np.ndarray  # [2, largest array size]
     step: int = 0
 
     @classmethod
@@ -148,6 +162,7 @@ class AdamState:
         return cls(
             m={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
             v={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
+            work=np.empty((2, max(arr.size for _, arr in params.named_arrays()))),
         )
 
 
@@ -160,16 +175,30 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> None:
-    """Bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam update, applied in place to the parameters and moments.
+
+    Per array: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and
+    the parameter moves by lr m_hat / (sqrt(v_hat) + eps), each product and
+    sum rounded in that order.
+    """
     state.step += 1
     t = state.step
     for name, arr in params.named_arrays():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        a, b = (row[: arr.size].reshape(arr.shape) for row in state.work)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - beta1**t, out=a)
+        a *= lr
+        np.divide(v, 1.0 - beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        arr -= a
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -178,9 +207,19 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
+    """Scale all gradients by max_norm / their global L2 norm when it exceeds max_norm.
+
+    The norm is taken of the gradients times 2**-k, which puts the largest
+    entry in [0.5, 1): squares of entries near 1e200 would overflow. The
+    power of two is exact, so wherever the unscaled squares neither overflow
+    nor underflow, the result is bit for bit the unscaled formula's.
+    """
+    _, k = math.frexp(max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values()))
+    norm = math.sqrt(sum(float(np.sum(np.ldexp(g, -k) ** 2)) for g in grads.values()))
+    with np.errstate(over="ignore"):  # a bound beyond the float range clips nothing
+        bound = np.ldexp(max_norm, -k)
+    if norm > bound:
+        scale = math.ldexp(max_norm / norm, -k)
         for g in grads.values():
             g *= scale
 

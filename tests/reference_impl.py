@@ -19,8 +19,14 @@ budgets. ``two_branch_sigmoid`` is the logistic function with one masked
 branch per sign, and ``stepwise_backward`` the backward pass with per-step
 weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
 ``model.backward`` computed them before its gradients were hoisted out of the
-time loop. All are deliberately kept separate from the production code they
-validate.
+time loop. ``padded_forward`` and ``padded_backward`` run the LSTM over every
+cell of the padded batch, as ``model.forward`` and ``model.backward`` did
+before they packed the valid cells; their trace keeps ``gates`` and ``cell``
+as [n, B, ...] arrays, which is the layout ``stepwise_backward`` reads.
+``adam_step`` is the Adam update that allocates new moment arrays at every
+step, and ``unscaled_clip_gradients`` the global-norm clip that squares unscaled
+gradients (its norm overflows to inf above ~1e154). All are deliberately
+kept separate from the production code they validate.
 """
 
 import math
@@ -160,27 +166,38 @@ def plain_lstm_forward(params, batch):
     """Batched LSTM + affine head over the current hidden state only.
 
     Mirrors the exact expression order of the production forward pass so the
-    no-attention configuration can be compared bit for bit.
+    no-attention configuration can be compared bit for bit: each step runs
+    on the rows still alive, longest first, and the input projection is one
+    product per ``model._ROW_BLOCK`` of those cells taken step by step.
+    Hidden states of padded steps are zeros.
     """
     hd = params.hidden_dim
-    n = batch.max_len - 1
+    n, b = batch.max_len - 1, batch.size
     emb = build_embeddings(params, batch)
-    in_part = emb @ params.lstm_w.T + params.lstm_b
-    h = np.zeros((batch.size, hd))
-    c = np.zeros((batch.size, hd))
-    hiddens = []
+    step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
+    order = sorted(range(b), key=lambda r: -batch.seq_lens[r])
+    alive = [[r for r in order if step_mask[t, r]] for t in range(n)]
+    inputs = np.stack([emb[t, r] for t in range(n) for r in alive[t]])
+    in_part = np.concatenate(
+        [inputs[lo : lo + model._ROW_BLOCK] @ params.lstm_w.T for lo in range(0, len(inputs), model._ROW_BLOCK)]
+    )
+    in_part += params.lstm_b
+    h = np.zeros((b, hd))
+    c = np.zeros((b, hd))
+    stack = np.zeros((n, b, hd))
+    lo = 0
     for t in range(n):
-        z = in_part[t] + h @ params.lstm_u.T
+        rows = alive[t]
+        z = in_part[lo : lo + len(rows)] + h[: len(rows)] @ params.lstm_u.T
+        lo += len(rows)
         gi = sigmoid(z[:, 0:hd])
         gf = sigmoid(z[:, hd : 2 * hd])
         gg = np.tanh(z[:, 2 * hd : 3 * hd])
         go = sigmoid(z[:, 3 * hd :])
-        c = gf * c + gi * gg
+        c = gf * c[: len(rows)] + gi * gg
         h = go * np.tanh(c)
-        hiddens.append(h)
-    stack = np.stack(hiddens)
+        stack[t, rows] = h
     probs = sigmoid(stack @ params.head_w[:, hd:].T + params.head_b)
-    step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
     targets = np.where(step_mask, batch.skills[:, 1:].T, 0)
     logit = np.einsum("nbh,nbh->nb", stack, params.head_w[targets, hd:])
     pred = sigmoid(logit + params.head_b[targets])
@@ -403,3 +420,152 @@ def reference_train_batch(params, batch, config, run_adversarial):
     if config.grad_clip is not None:
         clip_gradients(total, config.grad_clip)
     return clean_loss, objective, total
+
+
+def padded_forward(params, batch, attention_enabled=True, attention_window="causal", embeddings=None):
+    """``model.forward`` with the LSTM run over every cell of the padded batch.
+
+    Returns (trace, loss); the trace's ``gates`` and ``cell`` are [n, B, ...]
+    arrays and its ``cells`` and ``starts`` are None. Each step's input
+    projection is part of one 3-D matmul over all cells.
+    """
+    n = batch.max_len - 1
+    b = batch.size
+    hd = params.hidden_dim
+    if embeddings is None:
+        embeddings = build_embeddings(params, batch)
+    gates = np.empty((n, b, 4 * hd), dtype=FLOAT)
+    cell = np.empty((n, b, hd), dtype=FLOAT)
+    hidden = np.empty((n, b, hd), dtype=FLOAT)
+    np.matmul(embeddings, params.lstm_w.T, out=gates)
+    gates += params.lstm_b
+    h = np.zeros((b, hd), dtype=FLOAT)
+    c = np.zeros((b, hd), dtype=FLOAT)
+    for t in range(n):
+        z = gates[t]
+        z += h @ params.lstm_u.T
+        gg = np.tanh(z[:, 2 * hd : 3 * hd])
+        z[...] = sigmoid(z)
+        z[:, 2 * hd : 3 * hd] = gg
+        gi, gf, go = z[:, :hd], z[:, hd : 2 * hd], z[:, 3 * hd :]
+        c = gf * c + gi * gg
+        h = go * np.tanh(c)
+        cell[t] = c
+        hidden[t] = h
+
+    step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
+    attn_hidden = attn_exp = attn_norm = None
+    if attention_enabled:
+        attn_hidden, attn_exp, attn_norm, agg = model._attention_forward(
+            params, hidden, batch.seq_lens, attention_window
+        )
+    else:
+        agg = np.zeros((n, b, hd), dtype=FLOAT)
+    target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
+    if attention_enabled:
+        composite = np.concatenate([agg, hidden], axis=2)
+        logit = np.einsum("nbh,nbh->nb", composite, params.head_w[target_skills])
+    else:
+        logit = np.einsum("nbh,nbh->nb", hidden, params.head_w[target_skills, hd:])
+    pred = sigmoid(logit + params.head_b[target_skills])
+    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    nll = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
+    trace = model.ForwardTrace(
+        embeddings=embeddings, gates=gates, cell=cell, cells=None, starts=None, hidden=hidden,
+        attn_hidden=attn_hidden, attn_exp=attn_exp, attn_norm=attn_norm, agg_hidden=agg,
+        pred=pred, step_mask=step_mask, target_skills=target_skills,
+        attention_enabled=attention_enabled, attention_window=attention_window, batch=batch,
+    )
+    return trace, float(per_seq.mean())
+
+
+def padded_backward(params, trace):
+    """``model.backward`` over a ``padded_forward`` trace: (gradients, d_embed).
+
+    The time loop runs over every cell of the padded batch and keeps every
+    gate gradient (exact zeros at padded steps); the LSTM weight gradients and
+    ``d_embed`` are single products over all n * B cells.
+    """
+    batch = trace.batch
+    n, b, _ = trace.hidden.shape
+    hd = params.hidden_dim
+    grads = model.zero_gradients(params)
+    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    weight = 1.0 / (b * (batch.seq_lens - 1).astype(FLOAT))
+    dz_sel = np.where(trace.step_mask, (trace.pred - labels) * weight[None, :], 0.0)
+    valid = np.flatnonzero(trace.step_mask)
+    tgt_flat = trace.target_skills.ravel()[valid]
+    dz_flat = dz_sel.ravel()[valid]
+    head_in = np.concatenate(
+        [trace.agg_hidden, trace.hidden, np.ones((n, b, 1), dtype=FLOAT)], axis=2
+    ).reshape(n * b, 2 * hd + 1)
+    head_in *= dz_sel.reshape(n * b, 1)
+    rows, sums = model._segment_sum(tgt_flat, head_in, valid)
+    grads["head_w"][rows] = sums[:, :-1]
+    grads["head_b"][rows] = sums[:, -1]
+    dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
+    dcomp[valid] = dz_flat[:, None] * params.head_w[tgt_flat]
+    dcomp = dcomp.reshape(n, b, 2 * hd)
+    dhidden = dcomp[:, :, hd:]
+    if trace.attention_enabled:
+        model._attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
+
+    dz = np.empty((n, b, 4 * hd), dtype=FLOAT)
+    dh = np.zeros((b, hd), dtype=FLOAT)
+    dc = np.zeros((b, hd), dtype=FLOAT)
+    zeros_bh = np.zeros((b, hd), dtype=FLOAT)
+    for t in range(n - 1, -1, -1):
+        dh_t = dhidden[t] + dh
+        gi, gf, gg, go = (trace.gates[t, :, k * hd : (k + 1) * hd] for k in range(4))
+        tc = np.tanh(trace.cell[t])
+        dc_t = dc + go * (1.0 - tc * tc) * dh_t
+        c_prev = trace.cell[t - 1] if t > 0 else zeros_bh
+        dz_t = dz[t]
+        dz_t[:, :hd] = gi * (1.0 - gi) * (gg * dc_t)
+        dz_t[:, hd : 2 * hd] = gf * (1.0 - gf) * (c_prev * dc_t)
+        dz_t[:, 2 * hd : 3 * hd] = (1.0 - gg * gg) * (gi * dc_t)
+        dz_t[:, 3 * hd :] = go * (1.0 - go) * (tc * dh_t)
+        dh = dz_t @ params.lstm_u
+        dc = gf * dc_t
+
+    dz_rows = dz.reshape(n * b, 4 * hd)
+    np.matmul(dz_rows.T, trace.embeddings.reshape(n * b, params.input_dim), out=grads["lstm_w"])
+    np.matmul(dz[1:].reshape(-1, 4 * hd).T, trace.hidden[:-1].reshape(-1, hd), out=grads["lstm_u"])
+    np.sum(dz_rows, axis=0, out=grads["lstm_b"])
+    s, d_s, d_a = params.num_skills, params.skill_dim, params.resp_dim
+    resps = batch.responses[:, :n].T.ravel()[valid]
+    skills = batch.skills[:, :n].T.ravel()[valid]
+    keys, sums = model._segment_sum(resps * s + skills, dz_rows, valid)
+    split = np.searchsorted(keys, s)
+    wrong, right = sums[:split], sums[split:]
+    w = params.lstm_w
+    grads["skill_emb"][keys[:split]] += wrong @ w[:, d_a:]
+    grads["skill_emb"][keys[split:] - s] += right @ w[:, :d_s]
+    grads["resp_emb"][0] += wrong.sum(axis=0) @ w[:, :d_a]
+    grads["resp_emb"][1] += right.sum(axis=0) @ w[:, d_s:]
+    d_embed = (dz_rows @ params.lstm_w).reshape(n, b, params.input_dim)
+    return grads, d_embed
+
+
+def adam_step(params, grads, state, lr, beta1, beta2, eps):
+    """Bias-corrected Adam update, building new moment arrays at every step."""
+    state.step += 1
+    t = state.step
+    for name, arr in params.named_arrays():
+        g = grads[name]
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m_hat = state.m[name] / (1.0 - beta1**t)
+        v_hat = state.v[name] / (1.0 - beta2**t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def unscaled_clip_gradients(grads, max_norm):
+    """Global-norm clip with the norm of the unscaled squares."""
+    total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+    if total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale

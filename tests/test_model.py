@@ -33,6 +33,8 @@ from reference_impl import (
     loop_attention_backward,
     loop_attention_forward,
     lstm_step,
+    padded_backward,
+    padded_forward,
     plain_lstm_forward,
     predict_step,
     sequence_forward,
@@ -504,7 +506,8 @@ class TestStepwiseBackward:
             override = Rng(40).split("override").normal(size=shape)  # padded rows too
         trace, _ = model.forward(p, batch, enabled, window, embeddings=override)
         grads = model.backward(p, trace)
-        want, want_d_embed = stepwise_backward(p, trace)
+        padded_trace, _ = padded_forward(p, batch, enabled, window, embeddings=override)
+        want, want_d_embed = stepwise_backward(p, padded_trace)
         pairs = [(name, grads.params[name], want[name]) for name in model.PARAM_NAMES]
         pairs.append(("d_embed", grads.d_embed, want_d_embed))
         for name, got, ref in pairs:
@@ -539,6 +542,65 @@ class TestStepwiseBackward:
         built = [holds_array_of_shape(grads, shape) for grads, shape in made]
         # FGSM reads the clean pass's embedding gradient; nothing else does.
         assert built == ([True, False] if run_adversarial else [False])
+
+
+class TestPacking:
+    """The packed forward and backward against the padded oracle they replaced."""
+
+    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+    LENGTHS = {
+        "all_equal": (9, 9, 9, 9),
+        # After step 0 only the long row is alive.
+        "one_long": (31,) + (2,) * 11,
+        "single_row": (17,),
+        # Unsorted, with ties, so packed order is not batch order.
+        "mixed": (23, 2, 9, 2, 15, 4, 17, 9),
+    }
+
+    @pytest.mark.parametrize("row_block", [None, 5])
+    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("attention", ATTENTION)
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_matches_padded_oracle(self, monkeypatch, lengths, attention, embeddings, row_block):
+        if row_block:  # the projection and the weight GEMMs then span several blocks
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+        _, batch = random_batch(50, lengths=self.LENGTHS[lengths])
+        batch = poison_padding(batch)
+        p = tiny_params(seed=50)
+        enabled, window = self.ATTENTION[attention]
+        override = None
+        if embeddings == "overridden":
+            shape = (batch.max_len - 1, batch.size, p.input_dim)
+            override = Rng(50).split("override").normal(size=shape)  # padded rows too
+        trace, loss = model.forward(p, batch, enabled, window, embeddings=override)
+        grads = model.backward(p, trace)
+        ref_trace, ref_loss = padded_forward(p, batch, enabled, window, embeddings=override)
+        ref_grads, ref_d_embed = padded_backward(p, ref_trace)
+
+        valid = ref_trace.step_mask
+        pairs = [
+            ("loss", np.array(loss), np.array(ref_loss)),
+            ("pred", trace.pred[valid], ref_trace.pred[valid]),
+            ("hidden", trace.hidden[valid], ref_trace.hidden[valid]),
+            ("d_embed", grads.d_embed, ref_d_embed),
+        ]
+        pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
+        for name, got, want in pairs:
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        np.testing.assert_array_equal(trace.hidden[~valid], 0.0)
+        np.testing.assert_array_equal(grads.d_embed[~valid], 0.0)
+
+    def test_trace_keeps_only_valid_cells(self):
+        _, batch = random_batch(51, lengths=(7, 2, 4))
+        p = tiny_params(seed=51)
+        trace, _ = model.forward(p, batch)
+        n_valid = int(trace.step_mask.sum())
+        assert trace.gates.shape == (n_valid, 4 * p.hidden_dim)
+        assert trace.cell.shape == (n_valid, p.hidden_dim)
+        # Step by step, longest row first: rows 0, 2, 1 at step 0, then 0 and 2.
+        np.testing.assert_array_equal(trace.cells, [0, 2, 1, 3, 5, 6, 8, 9, 12, 15])
+        np.testing.assert_array_equal(trace.starts, [0, 3, 5, 7, 8, 9, 10])
 
 
 def holds_array_of_shape(obj, shape):

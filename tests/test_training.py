@@ -30,6 +30,8 @@ from atkt.training import (
 
 from grad_oracle import compare_gradients, grad_check
 from reference_impl import reference_train_batch
+from reference_impl import adam_step as reference_adam_step
+from reference_impl import unscaled_clip_gradients
 
 
 def tiny_dataset(num_students=20, num_skills=4, seq_len=8, seed=0):
@@ -92,6 +94,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
 
+    def test_max_seq_len_message_names_the_value(self):
+        with pytest.raises(ValueError, match=r"^max_seq_len must be >= 2, got 1$"):
+            TrainConfig(max_seq_len=1)
+
     def test_int_is_a_valid_float(self):
         TrainConfig(lr=1, beta=1, epsilon=10, grad_clip=5)
 
@@ -117,6 +123,24 @@ class TestAdam:
         grads["head_b"][0] = 1.0
         adam_step(p, grads, AdamState.for_params(p), lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
         assert p.head_b[0] == pytest.approx(theta0 - 0.001, abs=1e-10)
+
+    def test_in_place_update_equals_allocating_oracle(self):
+        # 1223 skills at the reference dimensions: head_w and skill_emb are the
+        # wide tables. Gradient scales span several orders of magnitude.
+        p = model.init_params(1223, 256, 96, 80, 80, Rng(3).split("init"))
+        want = p.copy()
+        state, ref_state = AdamState.for_params(p), AdamState.for_params(want)
+        rng = Rng(3).split("grads")
+        for step in range(5):
+            grads = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, arr in p.named_arrays()}
+            adam_step(p, grads, state, lr=0.001 * (step + 1), beta1=0.9, beta2=0.999, eps=1e-8)
+            reference_adam_step(want, grads, ref_state, lr=0.001 * (step + 1), beta1=0.9, beta2=0.999, eps=1e-8)
+        assert state.step == ref_state.step == 5
+        for name, arr in p.named_arrays():
+            assert np.array_equal(arr, getattr(want, name)), name
+            assert np.array_equal(state.m[name], ref_state.m[name]), name
+            assert np.array_equal(state.v[name], ref_state.v[name]), name
 
     def test_moment_shapes_mirror_params(self):
         p = model.init_params(3, 4, 2, 3, 3, Rng(0).split("init"))
@@ -172,6 +196,25 @@ class TestGradientHelpers:
         grads = {"a": np.array([0.1])}
         clip_gradients(grads, max_norm=1.0)
         np.testing.assert_array_equal(grads["a"], [0.1])
+
+    def test_clip_survives_an_overflowing_norm(self):
+        # The squared norm is 1e400: the unscaled formula clips everything to 0.
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([2.0])}
+        clip_gradients(grads, max_norm=5.0)
+        assert grads["a"][0] == pytest.approx(5.0, rel=1e-15)
+        assert grads["a"][1] == pytest.approx(5e-200, rel=1e-15)
+        assert grads["b"][0] == pytest.approx(1e-199, rel=1e-15)
+
+    @pytest.mark.parametrize("exponent", [-150, -8, 0, 3, 140])
+    def test_clip_equals_unscaled_formula_where_finite(self, exponent):
+        rng = Rng(exponent + 200).split("grads")
+        grads = {name: rng.normal(size=(7, 5)) * 10.0**exponent for name in "abc"}
+        want = {name: g.copy() for name, g in grads.items()}
+        for max_norm in (1e-160, 1e-3, 1.0, 1e150):
+            clip_gradients(grads, max_norm)
+            unscaled_clip_gradients(want, max_norm)
+            for name in grads:
+                assert np.array_equal(grads[name], want[name]), (name, max_norm)
 
 
 class TestTrain:
