@@ -13,9 +13,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] before any log.
-PROB_CLAMP = 1e-12
-
 
 class DegenerateLabelsError(ValueError):
     """AUC is undefined when only one class is present; refuse to guess."""

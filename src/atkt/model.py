@@ -22,8 +22,9 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
     which is what ``atkt trace`` plots.
 
 The loss is the mean over sequences of the per-sequence mean BCE over its
-T-1 targets. ``backward`` returns exact gradients for every parameter array
-and for the input embeddings (the hook adversarial training perturbs);
+T-1 targets, taken from each target's logit z as softplus(z) - a z, which is
+exact at any logit. ``backward`` returns exact gradients for every parameter
+array and for the input embeddings (the hook adversarial training perturbs);
 everything is float64 and validated against central finite differences
 (the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
 readers recompute tanh(cell), and concatenate the composite from its halves.
@@ -34,16 +35,23 @@ t < seq_len - 1) in packed order: step by step, and within a step longest
 row first, as ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows
 alive at step t + 1 are then a prefix of those alive at step t, so each step
 of the recurrence reads and writes contiguous slices, and the trace keeps
-the gates and cell states of valid cells only. The input projection, the
-LSTM weight gradients and the input gradient are products over the valid
-cells, a block of rows at a time. Everything after the recurrence
-(attention, head, loss) reads [n, B, ...] arrays in batch order, with zeros
-at padded steps.
+the gates and cell states of valid cells only. Everything after the
+recurrence (attention, head, loss) reads [n, B, ...] arrays in batch order,
+with zeros at padded steps.
+
+A looked-up input embedding depends only on its (response, skill) pair, of
+which there are at most 2S, and a batch holds far fewer pairs than cells.
+Clean and evaluation passes therefore project each pair present once and
+gather one row of the projection per cell; no [n, B, d_in] embedding is
+built, and lstm_w's gradient is (dz summed per pair)^T @ the pair
+embeddings. Only an ``embeddings=`` override (the adversarial pass's e + r,
+which is dense) is kept in the trace; it is projected, and enters lstm_w's
+gradient, as products over the valid cells, a block of rows at a time.
 
 The backward time loop runs only the recurrence and keeps every valid
-cell's gate gradient dz. After it, each LSTM weight gradient is one pass of
-block GEMMs; the head rows and the embedding tables are sorted segment sums,
-per target skill and per (response, skill) of the consumed interactions; and
+cell's gate gradient dz. After it, lstm_u's gradient is one pass of block
+GEMMs; the head rows and the embedding tables are sorted segment sums, per
+target skill and per (response, skill) of the consumed interactions; and
 the input gradient, dz @ lstm_w, is built only when ``GradientSet.d_embed``
 is read.
 """
@@ -62,7 +70,6 @@ import numpy as np
 
 from .data import Batch
 from .linalg import FLOAT, Rng, ShapeError, sigmoid
-from .metrics import PROB_CLAMP
 
 # lstm_w/lstm_u/lstm_b stack the four gates in blocks: input, forget,
 # candidate, output.
@@ -174,7 +181,7 @@ class ForwardTrace:
     composite input is not stored: readers concatenate [agg_hidden | hidden].
     """
 
-    embeddings: np.ndarray  # [n, B, d_in]
+    embeddings: np.ndarray | None  # [n, B, d_in], the override if one was given
     gates: np.ndarray  # [N, 4H] post-activation, gate blocks per GATE_ORDER
     cell: np.ndarray  # [N, H]
     cells: np.ndarray  # int64 [N]
@@ -239,22 +246,38 @@ def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def build_embeddings(params: ModelParams, batch: Batch) -> np.ndarray:
-    """Embed the consumed interactions of a batch; padded steps are zero."""
+    """Embed the consumed interactions of a batch, [n, B, d_in]; padded steps are zero.
+
+    ``forward`` never builds this array; the adversarial step does, to add
+    its perturbation to it.
+    """
     n = batch.max_len - 1
-    b = batch.size
-    d_in = params.input_dim
-    d_s = params.skill_dim
-    d_a = params.resp_dim
-    skills = batch.skills[:, :n].T  # [n, B]
-    resps = batch.responses[:, :n].T
-    step_mask = _step_mask(batch)
-    out = np.zeros((n, b, d_in), dtype=FLOAT)
-    m1 = step_mask & (resps == 1)
-    m0 = step_mask & (resps == 0)
-    out[m1, :d_s] = params.skill_emb[skills[m1]]
-    out[m1, d_s:] = params.resp_emb[1]
-    out[m0, :d_a] = params.resp_emb[0]
-    out[m0, d_a:] = params.skill_emb[skills[m0]]
+    out = np.zeros((n, batch.size, params.input_dim), dtype=FLOAT)
+    valid = np.flatnonzero(_step_mask(batch))
+    out.reshape(n * batch.size, params.input_dim)[valid] = _pair_embeddings(
+        params, _cell_keys(batch, valid)
+    )
+    return out
+
+
+def _cell_keys(batch: Batch, cells: np.ndarray) -> np.ndarray:
+    """Key response * S + skill of the interaction each cell t * B + b consumes."""
+    t, b = np.divmod(cells, batch.size)
+    return batch.responses[b, t] * batch.num_skills + batch.skills[b, t]
+
+
+def _pair_embeddings(params: ModelParams, keys: np.ndarray) -> np.ndarray:
+    """The input embedding of each key response * S + skill, [len(keys), d_in].
+
+    A wrong answer embeds as [resp_0 | skill], a correct one as [skill | resp_1].
+    """
+    s, d_s, d_a = params.num_skills, params.skill_dim, params.resp_dim
+    wrong = keys < s
+    out = np.empty((len(keys), params.input_dim), dtype=FLOAT)
+    out[wrong, :d_a] = params.resp_emb[0]
+    out[wrong, d_a:] = params.skill_emb[keys[wrong]]
+    out[~wrong, :d_s] = params.skill_emb[keys[~wrong] - s]
+    out[~wrong, d_s:] = params.resp_emb[1]
     return out
 
 
@@ -288,9 +311,10 @@ def forward(
 ) -> tuple[ForwardTrace, float]:
     """Run the full network over a batch; returns the trace and the loss.
 
-    ``embeddings`` overrides the table lookup (used for adversarial inputs);
-    gradients w.r.t. the embedding tables still flow through the lookup
-    indices on the backward pass.
+    ``embeddings`` overrides the table lookup (used for adversarial inputs)
+    and is kept in the trace; gradients w.r.t. the embedding tables still
+    flow through the lookup indices on the backward pass. Without it, each
+    (response, skill) pair of the batch is projected once.
 
     ``attention_window`` picks how attention weights are normalized:
     "causal" renormalizes over each prediction's own window; "sequence"
@@ -308,9 +332,7 @@ def forward(
     n = batch.max_len - 1
     b = batch.size
     hd = params.hidden_dim
-    if embeddings is None:
-        embeddings = build_embeddings(params, batch)
-    elif embeddings.shape != (n, b, params.input_dim):
+    if embeddings is not None and embeddings.shape != (n, b, params.input_dim):
         raise ShapeError(
             f"embedding override has shape {embeddings.shape}, "
             f"expected {(n, b, params.input_dim)}"
@@ -326,11 +348,22 @@ def forward(
     # buffer; each step adds its recurrent term and activates its rows in
     # place. The rows alive at a step are the first ones of the step before,
     # so its previous h and c are prefixes of that step's.
-    emb_rows = embeddings.reshape(n * b, params.input_dim)
-    for lo in range(0, len(cells), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
-    gates += params.lstm_b
+    if embeddings is None:
+        # A looked-up embedding depends only on its (response, skill) key, so
+        # each key present is projected once and its row gathered per cell.
+        keys = _cell_keys(batch, cells)
+        present = np.zeros(2 * params.num_skills, dtype=bool)
+        present[keys] = True
+        slot = np.cumsum(present) - 1  # a present key's row in the projection
+        proj = _pair_embeddings(params, np.flatnonzero(present)) @ params.lstm_w.T
+        proj += params.lstm_b
+        np.take(proj, slot[keys], axis=0, out=gates, mode="clip")  # "clip" writes unbuffered
+    else:
+        emb_rows = embeddings.reshape(n * b, params.input_dim)
+        for lo in range(0, len(cells), _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
+            np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
+        gates += params.lstm_b
     h = c = np.zeros((b, hd), dtype=FLOAT)
     for t in range(n):
         lo, hi = starts[t], starts[t + 1]
@@ -365,11 +398,15 @@ def forward(
         # ablated model bit-identical to a plain LSTM with the right-half
         # head columns.
         logit = np.einsum("nbh,nbh->nb", hidden, params.head_w[target_skills, hd:])
-    pred = sigmoid(logit + params.head_b[target_skills])
+    logit += params.head_b[target_skills]
+    pred = sigmoid(logit)
 
+    # BCE from the logit z: -log p = softplus(-z) and -log(1 - p) = softplus(z),
+    # so a target's loss is softplus(z) - a z, exact at any z, and its
+    # derivative is exactly the p - a that backward uses. (np.logaddexp would
+    # warn on a NaN logit, which the callers report as a non-finite loss.)
     labels = batch.responses[:, 1:].T.astype(FLOAT)
-    clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    nll = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    nll = np.maximum(logit, 0.0) + np.log1p(np.exp(-np.abs(logit))) - labels * logit
     per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
     loss = float(per_seq.mean())
 
@@ -472,13 +509,20 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
         dc = gf * dc_t
     del dh_rows, dh_t  # dh_t is a view of step 0's rows
 
-    _gathered_outer(dz, trace.embeddings.reshape(n * b, params.input_dim), cells, grads["lstm_w"])
+    # Cells that consumed the same (response, skill) read the same table rows,
+    # so their gate gradients are summed once per pair; a looked-up input's
+    # share of lstm_w's gradient is then one product over the pairs.
+    keys, pair_dz = _segment_sum(_cell_keys(batch, cells), dz, np.arange(len(cells)))
+    if trace.embeddings is None:
+        np.matmul(pair_dz.T, _pair_embeddings(params, keys), out=grads["lstm_w"])
+    else:
+        _gathered_outer(dz, trace.embeddings.reshape(n * b, params.input_dim), cells, grads["lstm_w"])
     # A cell's previous hidden state sits one step (B flat cells) earlier;
     # step 0's is h_0 = 0.
     first = starts[1]
     _gathered_outer(dz[first:], trace.hidden.reshape(n * b, hd), cells[first:] - b, grads["lstm_u"])
     np.sum(dz, axis=0, out=grads["lstm_b"])
-    _embedding_backward(params, batch, cells, dz, grads)
+    _embedding_backward(params, keys, pair_dz, grads)
     return GradientSet(grads, dz, params.lstm_w, cells, (n, b))
 
 
@@ -572,23 +616,18 @@ def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
     dhidden += dpre @ params.attn_w
 
 
-def _embedding_backward(params, batch, cells, dz, grads) -> None:
+def _embedding_backward(params, keys, pair_dz, grads) -> None:
     """Route the input gradient into the two lookup tables without building it.
 
-    Every step with response a and skill s read the same table rows, so
-    their input gradient is (sum of their gate gradients) @ lstm_w, and each
-    table row takes its slice of that. ``dz`` holds the valid cells
-    ``cells`` only.
+    ``pair_dz`` holds the gate gradients summed per ascending key
+    response * S + skill; that pair's input gradient is the sum @ lstm_w,
+    and each table row takes its slice of it.
     """
-    n = batch.max_len - 1
     s = params.num_skills
     d_s = params.skill_dim
     d_a = params.resp_dim
-    resps = batch.responses[:, :n].T.ravel()[cells]
-    skills = batch.skills[:, :n].T.ravel()[cells]
-    keys, sums = _segment_sum(resps * s + skills, dz, np.arange(len(cells)))
     split = np.searchsorted(keys, s)  # wrong answers' keys (= skill) sort first
-    wrong, right = sums[:split], sums[split:]
+    wrong, right = pair_dz[:split], pair_dz[split:]
     w = params.lstm_w
     # Wrong answers embed as [resp_0 | skill], correct ones as [skill | resp_1].
     grads["skill_emb"][keys[:split]] += wrong @ w[:, d_a:]

@@ -331,8 +331,9 @@ def train_batch(
         pert = adversarial.fgsm_perturbation(
             clean.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
         )
-        adv_inputs = adversarial.make_adversarial(trace.embeddings, pert)
-        del trace, clean, pert  # only the clean parameter gradients outlive the clean pass
+        del trace, clean  # only the clean parameter gradients outlive the clean pass
+        adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
+        del pert
         adv_trace, adv_loss = model.forward(
             params, batch, config.attention, config.attention_window, embeddings=adv_inputs
         )

@@ -36,9 +36,12 @@ import numpy as np
 
 from atkt import adversarial, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid
-from atkt.metrics import PROB_CLAMP
 from atkt.model import build_embeddings
 from atkt.training import clip_gradients
+
+# The oracles' losses clamp probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
+# before any log, as ``model.forward`` did before it took the BCE from the logit.
+PROB_CLAMP = 1e-12
 
 
 def l2_norm(v):
@@ -168,20 +171,20 @@ def plain_lstm_forward(params, batch):
     Mirrors the exact expression order of the production forward pass so the
     no-attention configuration can be compared bit for bit: each step runs
     on the rows still alive, longest first, and the input projection is one
-    product per ``model._ROW_BLOCK`` of those cells taken step by step.
-    Hidden states of padded steps are zeros.
+    product over the distinct (response, skill) pairs, in ascending order of
+    response * S + skill, whose rows the cells then read. Hidden states of
+    padded steps are zeros.
     """
     hd = params.hidden_dim
-    n, b = batch.max_len - 1, batch.size
-    emb = build_embeddings(params, batch)
+    n, b, s = batch.max_len - 1, batch.size, params.num_skills
     step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
     order = sorted(range(b), key=lambda r: -batch.seq_lens[r])
     alive = [[r for r in order if step_mask[t, r]] for t in range(n)]
-    inputs = np.stack([emb[t, r] for t in range(n) for r in alive[t]])
-    in_part = np.concatenate(
-        [inputs[lo : lo + model._ROW_BLOCK] @ params.lstm_w.T for lo in range(0, len(inputs), model._ROW_BLOCK)]
-    )
-    in_part += params.lstm_b
+    keys = [int(batch.responses[r, t]) * s + int(batch.skills[r, t]) for t in range(n) for r in alive[t]]
+    pairs = sorted(set(keys))
+    table = np.stack([embed_interaction(params, k % s, k // s) for k in pairs]) @ params.lstm_w.T
+    table += params.lstm_b
+    in_part = table[[pairs.index(k) for k in keys]]
     h = np.zeros((b, hd))
     c = np.zeros((b, hd))
     stack = np.zeros((n, b, hd))
@@ -406,7 +409,7 @@ def reference_train_batch(params, batch, config, run_adversarial):
         pert = adversarial.fgsm_perturbation(
             clean_grads.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
         )
-        adv_inputs = adversarial.make_adversarial(trace.embeddings, pert)
+        adv_inputs = adversarial.make_adversarial(build_embeddings(params, batch), pert)
         adv_trace, adv_loss = model.forward(
             params,
             batch,

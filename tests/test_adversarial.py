@@ -127,14 +127,15 @@ class TestAttackQuality:
             params = model.init_params(4, 5, 3, 4, 4, rng.split("init"))
             trace, base_loss = model.forward(params, batch)
             grads = model.backward(params, trace)
-            eps = 1e-3 * l2_norm(trace.embeddings)
-            adv = make_adversarial(trace.embeddings, fgsm_perturbation(grads.d_embed, eps))
+            emb = model.build_embeddings(params, batch)
+            eps = 1e-3 * l2_norm(emb)
+            adv = make_adversarial(emb, fgsm_perturbation(grads.d_embed, eps))
             _, adv_loss = model.forward(params, batch, embeddings=adv)
 
             rho = rng.split("rho").normal(size=grads.d_embed.shape)
             for b in range(batch.size):
                 rho[:, b, :] *= eps / l2_norm(rho[:, b, :])
-            _, rand_loss = model.forward(params, batch, embeddings=trace.embeddings + rho)
+            _, rand_loss = model.forward(params, batch, embeddings=emb + rho)
             if adv_loss - base_loss >= rand_loss - base_loss:
                 wins += 1
         assert wins >= trials - 2
@@ -145,7 +146,8 @@ class TestAttackQuality:
         params = model.init_params(4, 5, 3, 4, 4, Rng(77).split("init"))
         trace, base_loss = model.forward(params, batch)
         grads = model.backward(params, trace)
-        eps = 1e-4 * l2_norm(trace.embeddings)
-        adv = make_adversarial(trace.embeddings, fgsm_perturbation(grads.d_embed, eps))
+        emb = model.build_embeddings(params, batch)
+        eps = 1e-4 * l2_norm(emb)
+        adv = make_adversarial(emb, fgsm_perturbation(grads.d_embed, eps))
         _, adv_loss = model.forward(params, batch, embeddings=adv)
         assert adv_loss > base_loss

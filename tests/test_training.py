@@ -421,9 +421,12 @@ class TestTrainBatch:
         for name in model.PARAM_NAMES:
             np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
 
-    def test_adversarial_step_peaks_no_higher_than_clean(self):
+    def test_adversarial_step_peaks_no_higher_than_clean(self, monkeypatch):
         # The clean trace, its d_embed and the perturbation are freed before
         # the adversarial pass, so that pass reuses the clean pass's memory.
+        # The adversarial forward reads a dense [n, B, d_in] input, which the
+        # clean forward does not build, so the baseline is a clean step whose
+        # forward is handed the dense embeddings as an override.
         ds = generate_synthetic(24, 50, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=16)
         batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
         cfg = TrainConfig(skill_dim=32, resp_dim=16, hidden_dim=24, attn_dim=24, beta=0.5, epsilon=1.0)
@@ -437,7 +440,16 @@ class TestTrainBatch:
             finally:
                 tracemalloc.stop()
 
-        clean, adv = peak(False), peak(True)
+        adv = peak(True)
+        forward = model.forward
+
+        def dense_forward(params, batch, *args, embeddings=None):
+            if embeddings is None:
+                embeddings = model.build_embeddings(params, batch)
+            return forward(params, batch, *args, embeddings=embeddings)
+
+        monkeypatch.setattr(model, "forward", dense_forward)
+        clean = peak(False)
         assert adv <= 1.1 * clean, (adv, clean)
 
     def test_non_finite_clean_pass_gives_nan_objective_without_fgsm(self):
