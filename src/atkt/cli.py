@@ -367,7 +367,7 @@ def cmd_trace(args) -> int:
     # model believes just before seeing the outcome of exercise t+1.
     grid = np.empty((steps, len(tracked)))
     grid[0] = sigmoid(params.head_b[tracked])
-    grid[1:] = probs[: steps - 1, 0, tracked]
+    grid[1:] = probs[:, tracked]  # one batch row: packed order is step order
     if not np.all(np.isfinite(grid)):
         raise FloatingPointError(f"non-finite mastery probabilities for {seq.student_id}")
     attempts = [(int(seq.skills[t]), int(seq.responses[t])) for t in range(steps)]

@@ -12,8 +12,10 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
     against a learned context vector, softmax over the causal window) and the
     aggregate is concatenated with h_{t-1}. Every window's softmax is computed
     at once as a ratio of exclusive prefix sums, N_k / D_k, over shifted
-    exponentials of the scores (exact while ||attn_u||_1 < 350), so attention
-    costs O(T) per sequence in both directions;
+    exponentials of the scores, so attention costs O(T) per sequence in both
+    directions. It is exact while ||attn_u||_1 < 350; beyond that, a window
+    whose exponentials all underflow gets a NaN aggregate, not a silent 0, and
+    every caller refuses the non-finite loss;
   * an affine layer maps the composite to one logit per skill and a sigmoid
     gives per-skill mastery probabilities; the probability at the attempted
     skill is scored with binary cross-entropy. Training and evaluation compute
@@ -29,15 +31,15 @@ everything is float64 and validated against central finite differences
 (the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
 readers recompute tanh(cell), and concatenate the composite from its halves.
 
-Batches are padded to their longest row, but the LSTM works only on real
-steps. ``forward`` takes a batch's valid cells (step t of row b, for
-t < seq_len - 1) in packed order: step by step, and within a step longest
-row first, as ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows
-alive at step t + 1 are then a prefix of those alive at step t, so each step
-of the recurrence reads and writes contiguous slices, and the trace keeps
-the gates and cell states of valid cells only. Everything after the
-recurrence (attention, head, loss) reads [n, B, ...] arrays in batch order,
-with zeros at padded steps.
+Batches are padded to their longest row, but the network works only on
+real steps: every per-cell array, from the recurrence to the loss, holds the
+N valid cells (step t of row b, for t < seq_len - 1) in packed order: step
+by step, and within a step longest row first, as
+``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows alive at step
+t + 1 are then a prefix of those alive at step t, so each step of the
+recurrence, and of attention's running prefix sums, reads and writes
+contiguous slices. Only the ``embeddings=`` override and
+``GradientSet.d_embed`` are [n, B, d_in], with zeros at padded steps.
 
 A looked-up input embedding depends only on its (response, skill) pair, of
 which there are at most 2S, and a batch holds far fewer pairs than cells.
@@ -173,10 +175,9 @@ class GradientSet:
 class ForwardTrace:
     """Everything the backward pass and ``skill_probs`` need, per batch, once.
 
-    Time-major layout: axis 0 indexes the L-1 consumed steps (equivalently
-    the L-1 prediction targets), axis 1 the batch rows. ``gates`` and
-    ``cell`` hold the N valid cells only, in packed order: row r is the cell
-    with flat index ``cells[r]`` = t * B + b, and step t's rows are
+    Every array but the ``embeddings`` override holds the N valid cells in
+    packed order: row r is the cell with flat index ``cells[r]`` = t * B + b
+    (input step t, target t + 1), and step t's rows are
     ``starts[t]:starts[t + 1]``, longest batch row first. The head's
     composite input is not stored: readers concatenate [agg_hidden | hidden].
     """
@@ -186,16 +187,16 @@ class ForwardTrace:
     cell: np.ndarray  # [N, H]
     cells: np.ndarray  # int64 [N]
     starts: np.ndarray  # int64 [n + 1]
-    hidden: np.ndarray  # [n, B, H]; zeros at padded steps
-    attn_hidden: np.ndarray | None  # [n, B, attn_dim]
-    # a_j = exp(l_j - row max) for j < seq_len - 2, else 0; and each target's
-    # normaliser D_k. Target k's window weights are attn_exp[:k] / attn_norm[k].
-    attn_exp: np.ndarray | None  # [n, B]
-    attn_norm: np.ndarray | None  # [n, B]
-    agg_hidden: np.ndarray  # [n, B, H]; zeros with attention off
-    pred: np.ndarray  # [n, B] probability at the attempted skill (the only one computed)
-    step_mask: np.ndarray  # bool [n, B]; valid input steps == valid targets
-    target_skills: np.ndarray  # int64 [n, B] (clipped to 0 where padded)
+    hidden: np.ndarray  # [N, H]
+    attn_hidden: np.ndarray | None  # [N, attn_dim]
+    # a_j = exp(l_j - the row's largest l) where some window uses state j,
+    # else 0; and each target's normaliser D_k. Target k's window weights are
+    # its row's earlier attn_exp over its attn_norm.
+    attn_exp: np.ndarray | None  # [N]
+    attn_norm: np.ndarray | None  # [N]
+    agg_hidden: np.ndarray  # [N, H]; zeros with attention off
+    pred: np.ndarray  # [N] probability at the attempted skill (the only one computed)
+    target_skills: np.ndarray  # int64 [N]
     attention_enabled: bool
     attention_window: str
     batch: Batch
@@ -251,12 +252,9 @@ def build_embeddings(params: ModelParams, batch: Batch) -> np.ndarray:
     ``forward`` never builds this array; the adversarial step does, to add
     its perturbation to it.
     """
-    n = batch.max_len - 1
-    out = np.zeros((n, batch.size, params.input_dim), dtype=FLOAT)
-    valid = np.flatnonzero(_step_mask(batch))
-    out.reshape(n * batch.size, params.input_dim)[valid] = _pair_embeddings(
-        params, _cell_keys(batch, valid)
-    )
+    cells, _ = _pack(batch.seq_lens)
+    out = np.zeros((batch.max_len - 1, batch.size, params.input_dim), dtype=FLOAT)
+    out.reshape(-1, params.input_dim)[cells] = _pair_embeddings(params, _cell_keys(batch, cells))
     return out
 
 
@@ -281,25 +279,35 @@ def _pair_embeddings(params: ModelParams, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_mask(batch: Batch) -> np.ndarray:
-    # Step t is a consumed input (and target t is real) iff t < seq_len - 1.
-    n = batch.max_len - 1
-    return (np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)).astype(bool)
-
-
-def _pack(step_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pack(seq_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The valid cells in packed order: (flat indices t * B + b, step starts).
 
-    Rows are taken longest first (ties in batch order), so the rows alive at
-    step t + 1 are the first ones of those alive at step t.
+    Step t of row b is valid, a consumed input with a real target, iff
+    t < seq_len - 1. Rows are taken longest first (ties in batch order), so
+    the rows alive at step t + 1 are the first ones of those alive at step t.
     """
-    n, b = step_mask.shape
-    order = np.argsort(-np.count_nonzero(step_mask, axis=0), kind="stable")
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(step_mask, axis=1), out=starts[1:])
-    steps = np.repeat(np.arange(n), np.diff(starts))
-    cells = steps * b + order[np.arange(starts[-1]) - starts[steps]]
+    steps_per_row = seq_lens - 1
+    order = np.argsort(-steps_per_row, kind="stable")
+    alive = np.count_nonzero(np.arange(steps_per_row.max())[:, None] < steps_per_row, axis=1)
+    starts = np.concatenate([[0], np.cumsum(alive)])
+    steps = np.repeat(np.arange(len(alive)), alive)
+    cells = steps * len(seq_lens) + order[np.arange(starts[-1]) - starts[steps]]
     return cells, starts
+
+
+def _prefix_sums(x: np.ndarray, starts: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Each packed row's sum of ``x`` over the earlier (``reverse``: later) steps of its batch row.
+
+    Walks the steps as the recurrence does: step t's rows are a prefix of a running sum.
+    """
+    out = np.empty_like(x)
+    running = np.zeros((starts[1],) + x.shape[1:], dtype=x.dtype)
+    steps = range(len(starts) - 1)
+    for t in reversed(steps) if reverse else steps:
+        lo, hi = starts[t], starts[t + 1]
+        out[lo:hi] = running[: hi - lo]
+        running[: hi - lo] += x[lo:hi]
+    return out
 
 
 def forward(
@@ -338,11 +346,10 @@ def forward(
             f"expected {(n, b, params.input_dim)}"
         )
 
-    step_mask = _step_mask(batch)
-    cells, starts = _pack(step_mask)
+    cells, starts = _pack(batch.seq_lens)
     gates = np.empty((len(cells), 4 * hd), dtype=FLOAT)
     cell = np.empty((len(cells), hd), dtype=FLOAT)
-    hidden_rows = np.empty((len(cells), hd), dtype=FLOAT)
+    hidden = np.empty((len(cells), hd), dtype=FLOAT)
 
     # The input contributions of all valid cells go straight into the gate
     # buffer; each step adds its recurrent term and activates its rows in
@@ -365,7 +372,7 @@ def forward(
             np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
         gates += params.lstm_b
     h = c = np.zeros((b, hd), dtype=FLOAT)
-    for t in range(n):
+    for t in range(len(starts) - 1):
         lo, hi = starts[t], starts[t + 1]
         z = gates[lo:hi]
         z += h[: hi - lo] @ params.lstm_u.T
@@ -374,30 +381,29 @@ def forward(
         z[:, 2 * hd : 3 * hd] = gg
         gi, gf, go = z[:, :hd], z[:, hd : 2 * hd], z[:, 3 * hd :]
         c = np.add(gf * c[: hi - lo], gi * gg, out=cell[lo:hi])
-        h = np.multiply(go, np.tanh(c), out=hidden_rows[lo:hi])
-    hidden = np.zeros((n, b, hd), dtype=FLOAT)
-    hidden.reshape(n * b, hd)[cells] = hidden_rows
-    del hidden_rows, h  # h is a view of the last step's rows
+        h = np.multiply(go, np.tanh(c), out=hidden[lo:hi])
+    del h  # a view of the last step's rows
 
+    steps, rows = np.divmod(cells, b)
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
         attn_hidden, attn_exp, attn_norm, agg = _attention_forward(
-            params, hidden, batch.seq_lens, attention_window
+            params, hidden, starts, steps, rows, batch.seq_lens, attention_window
         )
     else:
-        agg = np.zeros((n, b, hd), dtype=FLOAT)
+        agg = np.zeros_like(hidden)
 
     # The loss reads one skill per target, so only its head row is applied:
-    # O(n*B*2H) rather than O(n*B*S*2H) for the full head (see skill_probs).
-    target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
+    # O(N*2H) rather than O(N*S*2H) for the full head (see skill_probs).
+    target_skills = batch.skills[rows, steps + 1]
     if attention_enabled:
-        composite = np.concatenate([agg, hidden], axis=2)
-        logit = np.einsum("nbh,nbh->nb", composite, params.head_w[target_skills])
+        composite = np.concatenate([agg, hidden], axis=1)
+        logit = np.einsum("nh,nh->n", composite, params.head_w[target_skills])
     else:
         # The aggregate half is identically zero; skipping it keeps the
         # ablated model bit-identical to a plain LSTM with the right-half
         # head columns.
-        logit = np.einsum("nbh,nbh->nb", hidden, params.head_w[target_skills, hd:])
+        logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
     logit += params.head_b[target_skills]
     pred = sigmoid(logit)
 
@@ -405,9 +411,9 @@ def forward(
     # so a target's loss is softplus(z) - a z, exact at any z, and its
     # derivative is exactly the p - a that backward uses. (np.logaddexp would
     # warn on a NaN logit, which the callers report as a non-finite loss.)
-    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    labels = batch.responses[rows, steps + 1]
     nll = np.maximum(logit, 0.0) + np.log1p(np.exp(-np.abs(logit))) - labels * logit
-    per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
+    per_seq = np.bincount(rows, weights=nll, minlength=b) / (batch.seq_lens - 1)
     loss = float(per_seq.mean())
 
     trace = ForwardTrace(
@@ -422,7 +428,6 @@ def forward(
         attn_norm=attn_norm,
         agg_hidden=agg,
         pred=pred,
-        step_mask=step_mask,
         target_skills=target_skills,
         attention_enabled=attention_enabled,
         attention_window=attention_window,
@@ -432,15 +437,15 @@ def forward(
 
 
 def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
-    """Every skill's mastery probability at every step, [n, B, S].
+    """Every skill's mastery probability at every valid cell, [N, S], packed like ``trace.pred``.
 
     ``forward`` computes only the attempted skill's probability; this rebuilds
-    the full head from the trace for inspection. Its entry at a valid target
-    agrees with ``trace.pred`` to rounding (the dot products are summed in a
-    different order), not bit for bit.
+    the full head from the trace for inspection (for one batch row, row t is
+    step t). Its entry at the attempted skill agrees with ``trace.pred`` to
+    rounding (the dot products are summed in a different order), not bit for bit.
     """
     if trace.attention_enabled:
-        composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=2)
+        composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=1)
         logits = composite @ params.head_w.T + params.head_b
     else:
         hd = params.hidden_dim
@@ -451,47 +456,38 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
 def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     """Exact gradients of the traced batch's loss for all parameters and embeddings."""
     batch = trace.batch
-    n, b, _ = trace.hidden.shape
+    b = batch.size
     hd = params.hidden_dim
+    cells, starts, gates, cell = trace.cells, trace.starts, trace.gates, trace.cell
+    steps, rows = np.divmod(cells, b)
     grads = zero_gradients(params)
 
-    # d(loss)/d(selected logit) = (p - a) / (B * (T_b - 1)) at valid targets.
-    labels = batch.responses[:, 1:].T.astype(FLOAT)
+    # d(loss)/d(selected logit) = (p - a) / (B * (T_b - 1)).
     weight = 1.0 / (b * (batch.seq_lens - 1).astype(FLOAT))  # [B]
-    dz_sel = np.where(trace.step_mask, (trace.pred - labels) * weight[None, :], 0.0)
-
-    valid = np.flatnonzero(trace.step_mask)
-    tgt_flat = trace.target_skills.ravel()[valid]
-    dz_flat = dz_sel.ravel()[valid]
+    dlogit = (trace.pred - batch.responses[rows, steps + 1]) * weight[rows]
 
     # The head reads [agg_hidden | hidden | 1] (the 1 for head_b) at each
     # target. With attention off the aggregate half is exact zeros, so its
     # head gradients are too.
     head_in = np.concatenate(
-        [trace.agg_hidden, trace.hidden, np.ones((n, b, 1), dtype=FLOAT)], axis=2
-    ).reshape(n * b, 2 * hd + 1)
-    head_in *= dz_sel.reshape(n * b, 1)
-    rows, sums = _segment_sum(tgt_flat, head_in, valid)
+        [trace.agg_hidden, trace.hidden, np.ones((len(cells), 1), dtype=FLOAT)], axis=1
+    )
+    head_in *= dlogit[:, None]
+    head_rows, sums = _segment_sum(trace.target_skills, head_in)
     del head_in
-    grads["head_w"][rows] = sums[:, :-1]
-    grads["head_b"][rows] = sums[:, -1]
-    dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
-    dcomp[valid] = dz_flat[:, None] * params.head_w[tgt_flat]
-    dcomp = dcomp.reshape(n, b, 2 * hd)
-    dhidden = dcomp[:, :, hd:]
+    grads["head_w"][head_rows] = sums[:, :-1]
+    grads["head_b"][head_rows] = sums[:, -1]
+    dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
     if trace.attention_enabled:
-        _attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
+        _attention_backward(params, trace, rows, dlogit, dh_rows, grads)
 
     # LSTM backward through time over the packed cells: the loop runs only
     # the recurrence and keeps every cell's gate gradient; the weights'
     # gradients are block GEMMs after it. The rows alive at t + 1 are the
     # first len(dh) rows at t; the others end at t, with dh = dc = 0.
-    cells, starts, gates, cell = trace.cells, trace.starts, trace.gates, trace.cell
-    dh_rows = dcomp.reshape(n * b, 2 * hd)[cells, hd:]
-    del dcomp, dhidden
     dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
     dh = dc = np.zeros((0, hd), dtype=FLOAT)
-    for t in range(n - 1, -1, -1):
+    for t in range(len(starts) - 2, -1, -1):
         lo, hi = starts[t], starts[t + 1]
         dh_t = dh_rows[lo:hi]
         dh_t[: len(dh)] += dh
@@ -512,18 +508,19 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     # Cells that consumed the same (response, skill) read the same table rows,
     # so their gate gradients are summed once per pair; a looked-up input's
     # share of lstm_w's gradient is then one product over the pairs.
-    keys, pair_dz = _segment_sum(_cell_keys(batch, cells), dz, np.arange(len(cells)))
+    keys, pair_dz = _segment_sum(_cell_keys(batch, cells), dz)
     if trace.embeddings is None:
         np.matmul(pair_dz.T, _pair_embeddings(params, keys), out=grads["lstm_w"])
     else:
-        _gathered_outer(dz, trace.embeddings.reshape(n * b, params.input_dim), cells, grads["lstm_w"])
-    # A cell's previous hidden state sits one step (B flat cells) earlier;
-    # step 0's is h_0 = 0.
+        _gathered_outer(dz, trace.embeddings.reshape(-1, params.input_dim), cells, grads["lstm_w"])
+    # A cell's previous hidden state is the same batch row's at the step
+    # before, as many packed rows earlier as that step has; step 0's is h_0 = 0.
     first = starts[1]
-    _gathered_outer(dz[first:], trace.hidden.reshape(n * b, hd), cells[first:] - b, grads["lstm_u"])
+    prev = np.arange(first, len(cells)) - np.diff(starts)[steps[first:] - 1]
+    _gathered_outer(dz[first:], trace.hidden, prev, grads["lstm_u"])
     np.sum(dz, axis=0, out=grads["lstm_b"])
     _embedding_backward(params, keys, pair_dz, grads)
-    return GradientSet(grads, dz, params.lstm_w, cells, (n, b))
+    return GradientSet(grads, dz, params.lstm_w, cells, (batch.max_len - 1, b))
 
 
 def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -534,16 +531,15 @@ def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: 
         out += left[block].T @ right[rows[block]]
 
 
-def _segment_sum(keys: np.ndarray, values: np.ndarray, rows: np.ndarray):
-    """Sums of ``values[rows]`` per key: (ascending distinct keys, sums).
+def _segment_sum(keys: np.ndarray, values: np.ndarray):
+    """Sums of the rows of ``values`` per key: (ascending distinct keys, sums).
 
-    ``rows`` selects the rows of ``values`` that take part, one per key. The
-    rows are gathered in stable key order, at most ``_ROW_BLOCK`` at a time,
-    and each run of equal keys is summed with ``np.add.reduceat``; no copy
-    of all the selected rows is made at once.
+    The rows are gathered in stable key order, at most ``_ROW_BLOCK`` at a
+    time, and each run of equal keys is summed with ``np.add.reduceat``; no
+    sorted copy of all the rows is made at once.
     """
     order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], rows[order]
+    keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     segment = np.cumsum(first) - 1
@@ -555,64 +551,62 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray, rows: np.ndarray):
         # block before, so that part is added back after the block's sums.
         carry = sums[seg[0]].copy()
         block = sums[seg[0] : seg[0] + len(starts)]
-        np.add.reduceat(values[rows[lo : lo + _ROW_BLOCK]], starts, axis=0, out=block)
+        np.add.reduceat(values[order[lo : lo + _ROW_BLOCK]], starts, axis=0, out=block)
         block[0] += carry
     return keys[first], sums
 
 
-def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
-    """out[k] = sum of x[:k] along axis 0 (out[0] = 0)."""
-    out = np.zeros_like(x)
-    np.cumsum(x[:-1], axis=0, out=out[1:])
-    return out
-
-
-def _attention_forward(params, hidden, seq_lens, window):
+def _attention_forward(params, hidden, starts, steps, rows, seq_lens, window):
     """Returns (attn_hidden, attn_exp, attn_norm, agg); see forward.
 
-    Only states some window can use (j < seq_len - 2) get a nonzero a_j.
+    Only states some window can use (step < seq_len - 2) get a nonzero a_j.
+    A window past step 0 whose exponentials all underflow has D_k = 0 and
+    gets a NaN aggregate, which the loss carries to every caller.
     """
-    n = hidden.shape[0]
     attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
-    logits = attn_hidden @ params.attn_u  # [n, B], l_j
+    logits = attn_hidden @ params.attn_u  # l_j
     # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
-    # row max every a_j >= exp(-2 ||attn_u||_1) stays a normal float64 (and
-    # 1/D_k finite) while ||attn_u||_1 < 350.
-    support = np.arange(n)[:, None] < (seq_lens[None, :] - 2)
-    attn_exp = np.where(support, np.exp(logits - logits.max(axis=0)), 0.0)
+    # row's largest score every a_j >= exp(-2 ||attn_u||_1) stays a normal
+    # float64 (and 1/D_k finite) while ||attn_u||_1 < 350.
+    peak = np.full(len(seq_lens), -np.inf)
+    np.maximum.at(peak, rows, logits)
+    attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
     if window == "causal":
-        attn_norm = _exclusive_cumsum(attn_exp)
+        attn_norm = _prefix_sums(attn_exp, starts)
     else:
-        attn_norm = np.repeat(attn_exp.sum(axis=0, keepdims=True), n, axis=0)
-    numer = _exclusive_cumsum(attn_exp[:, :, None] * hidden)
-    norm = attn_norm[:, :, None]
-    agg = np.divide(numer, norm, out=np.zeros_like(numer), where=norm > 0)
+        attn_norm = np.bincount(rows, weights=attn_exp, minlength=len(seq_lens))[rows]
+    numer = _prefix_sums(attn_exp[:, None] * hidden, starts)
+    agg = np.full_like(numer, np.nan)
+    agg[: starts[1]] = 0.0  # step 0's window is empty
+    np.divide(numer, attn_norm[:, None], out=agg, where=attn_norm[:, None] > 0)
     return attn_hidden, attn_exp, attn_norm, agg
 
 
-def _attention_backward(params, trace, dagg, dhidden, grads) -> None:
-    # Through agg_k = N_k / D_k: dN_k = dagg_k / D_k and
-    # dD_k = -(dagg_k . agg_k) / D_k. State j enters N_k for every k > j, and
-    # D_k for every k > j ("causal") or for every k ("sequence").
-    norm = trace.attn_norm[:, :, None]
+def _attention_backward(params, trace, rows, dlogit, dhidden, grads) -> None:
+    # The aggregate is the head input's first half. Through agg_k = N_k / D_k:
+    # dN_k = dagg_k / D_k and dD_k = -(dagg_k . agg_k) / D_k. State j enters
+    # N_k for every later k of its row, and D_k for every later k ("causal")
+    # or for every k ("sequence").
+    dagg = dlogit[:, None] * params.head_w[trace.target_skills, : params.hidden_dim]
+    norm = trace.attn_norm[:, None]
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
-    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)  # [n, B]
-    dnumer_after = _exclusive_cumsum(dnumer[::-1])[::-1]
+    del dagg
+    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=1)
+    dnumer_after = _prefix_sums(dnumer, trace.starts, reverse=True)
     del dnumer
     if trace.attention_window == "causal":
-        dnorm_sum = _exclusive_cumsum(dnorm[::-1])[::-1]
+        dnorm_sum = _prefix_sums(dnorm, trace.starts, reverse=True)
     else:
-        dnorm_sum = dnorm.sum(axis=0)
+        dnorm_sum = np.bincount(rows, weights=dnorm, minlength=trace.batch.size)[rows]
     a = trace.attn_exp
-    dhidden += a[:, :, None] * dnumer_after
-    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
+    dhidden += a[:, None] * dnumer_after
+    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
     u = trace.attn_hidden
-    a_dim = params.attn_dim
-    grads["attn_u"] += dlogits.reshape(-1) @ u.reshape(-1, a_dim)
-    dpre = dlogits[:, :, None] * params.attn_u[None, None, :]
+    grads["attn_u"] += dlogits @ u
+    dpre = dlogits[:, None] * params.attn_u
     dpre *= 1.0 - u * u
-    grads["attn_w"] += dpre.reshape(-1, a_dim).T @ trace.hidden.reshape(-1, params.hidden_dim)
-    grads["attn_b"] += dpre.sum(axis=(0, 1))
+    grads["attn_w"] += dpre.T @ trace.hidden
+    grads["attn_b"] += dpre.sum(axis=0)
     dhidden += dpre @ params.attn_w
 
 

@@ -277,14 +277,14 @@ def prepare_split_sequences(
 def collect_predictions(trace: ForwardTrace) -> PredictionLog:
     """Every valid target of the traced batch, row by row, as a prediction log."""
     batch = trace.batch
-    valid = trace.step_mask.T  # [B, n]
-    rows, ks = np.nonzero(valid)
+    by_row = np.argsort(trace.cells % batch.size, kind="stable")  # packed order is step by step
+    steps, rows = np.divmod(trace.cells[by_row], batch.size)
     return PredictionLog(
-        probs=trace.pred.T[valid],
-        labels=batch.responses[:, 1:][valid],
+        probs=trace.pred[by_row],
+        labels=batch.responses[rows, steps + 1],
         student_ids=np.asarray(batch.student_ids, dtype=object)[rows],
-        steps=ks + 1,
-        skills=batch.skills[:, 1:][valid],
+        steps=steps + 1,
+        skills=batch.skills[rows, steps + 1],
     )
 
 

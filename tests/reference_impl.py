@@ -8,10 +8,17 @@ semantics the batched ``model.forward`` must agree with;
 attention wiring at all (the ablation target); ``full_head_forward`` scores
 every skill at every step and keeps the attempted one's column, the oracle for
 the gathered head; ``softmax`` backs ``attend_history`` and ``bce`` backs
-``sequence_forward``; ``loop_attention_forward`` and
-``loop_attention_backward`` compute the batched history attention one
-prediction window at a time, O(n^2) per sequence, as drop-in replacements for
-``model._attention_forward`` and ``model._attention_backward``;
+``sequence_forward``. ``on_grid`` lays a packed trace array onto the [n, B]
+grid, which is how the tests read ``model.forward``'s per-cell values by step
+and batch row; ``valid_cells`` is the grid's mask of valid cells. ``padded_forward`` and ``padded_backward`` run the LSTM,
+attention, head and loss over every cell of the padded batch, as
+``model.forward`` and ``model.backward`` did before they packed the valid
+cells; their ``PaddedTrace`` keeps every per-cell array as [n, B, ...], which
+is also the layout ``stepwise_backward`` reads. Their attention is
+``padded_attention_forward`` and ``padded_attention_backward`` (prefix sums
+along the step axis, ``exclusive_cumsum``); ``loop_attention_forward`` and
+``loop_attention_backward`` compute the same one prediction window at a
+time, O(n^2) per sequence, as drop-in replacements for those two;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
 ``reference_train_batch`` is the training step that holds the clean pass's
 arrays through the adversarial pass; ``l2_norm`` measures perturbation
@@ -19,23 +26,20 @@ budgets. ``two_branch_sigmoid`` is the logistic function with one masked
 branch per sign, and ``stepwise_backward`` the backward pass with per-step
 weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
 ``model.backward`` computed them before its gradients were hoisted out of the
-time loop. ``padded_forward`` and ``padded_backward`` run the LSTM over every
-cell of the padded batch, as ``model.forward`` and ``model.backward`` did
-before they packed the valid cells; their trace keeps ``gates`` and ``cell``
-as [n, B, ...] arrays, which is the layout ``stepwise_backward`` reads.
-``adam_step`` is the Adam update that allocates new moment arrays at every
-step, and ``unscaled_clip_gradients`` the global-norm clip that squares unscaled
-gradients (its norm overflows to inf above ~1e154). All are deliberately
-kept separate from the production code they validate.
+time loop. ``adam_step`` is the Adam update that allocates new moment arrays
+at every step, and ``unscaled_clip_gradients`` the global-norm clip that
+squares unscaled gradients (its norm overflows to inf above ~1e154). All are
+deliberately kept separate from the production code they validate.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from atkt import adversarial, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid
+from atkt.data import Batch
 from atkt.model import build_embeddings
 from atkt.training import clip_gradients
 
@@ -207,23 +211,38 @@ def plain_lstm_forward(params, batch):
     return probs, pred
 
 
+def on_grid(trace, packed):
+    """Packed per-cell values of ``trace`` laid onto the [n, B, ...] grid, zeros at padded steps."""
+    n, b = trace.batch.max_len - 1, trace.batch.size
+    out = np.zeros((n * b,) + packed.shape[1:], dtype=packed.dtype)
+    out[trace.cells] = packed
+    return out.reshape((n, b) + packed.shape[1:])
+
+
+def valid_cells(trace):
+    """bool [n, B]: the grid cells the trace's packed rows stand for."""
+    return on_grid(trace, np.ones(len(trace.cells), dtype=bool))
+
+
 def full_head_forward(params, batch, attention_enabled=True, attention_window="causal"):
     """The forward pass with the full skill head; returns (trace, loss, probs).
 
-    Every skill's probability at every step, then the attempted skill's
-    column: the head as ``model.forward`` computed it before it gathered one
-    head row per target. The embedding, LSTM and attention trunk is
-    ``model.forward``'s (checked by the oracles above); the mask, targets,
-    predictions and loss are rebuilt here from the batch and put into the
-    trace, so ``model.backward`` on it gives this head's gradients.
+    Every skill's probability at every step of the [n, B] grid, then the
+    attempted skill's column: the head as ``model.forward`` computed it before
+    it gathered one head row per target. The embedding, LSTM and attention
+    trunk is ``model.forward``'s (checked by the oracles above), laid onto the
+    grid; the mask, targets, predictions and loss are rebuilt here from the
+    batch, and the predictions put into the packed trace, so
+    ``model.backward`` on it gives this head's gradients.
     """
     trace, _ = model.forward(params, batch, attention_enabled, attention_window)
     hd = params.hidden_dim
+    hidden = on_grid(trace, trace.hidden)
     if attention_enabled:
-        composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=2)
+        composite = np.concatenate([on_grid(trace, trace.agg_hidden), hidden], axis=2)
         logits = composite @ params.head_w.T + params.head_b
     else:
-        logits = trace.hidden @ params.head_w[:, hd:].T + params.head_b
+        logits = hidden @ params.head_w[:, hd:].T + params.head_b
     probs = sigmoid(logits)
     n = batch.max_len - 1
     step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
@@ -233,12 +252,12 @@ def full_head_forward(params, batch, attention_enabled=True, attention_window="c
     clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
     nll = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
     per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
-    trace = replace(trace, pred=pred, step_mask=step_mask, target_skills=targets)
+    trace = replace(trace, pred=pred.reshape(-1)[trace.cells])
     return trace, float(per_seq.mean()), probs
 
 
 def loop_attention_forward(params, hidden, seq_lens, window):
-    """Per-window softmax aggregates; same return layout as the model's.
+    """Per-window softmax aggregates; same return layout as ``padded_attention_forward``.
 
     "causal" takes a fresh softmax over each window h_0..h_{k-1}; "sequence"
     takes one softmax per row over j < seq_len - 2 and sums its prefixes.
@@ -361,9 +380,9 @@ def _einsum_attention_backward(params, trace, dagg, dhidden, grads):
     norm = trace.attn_norm[:, :, None]
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)
-    dnumer_after = model._exclusive_cumsum(dnumer[::-1])[::-1]
+    dnumer_after = exclusive_cumsum(dnumer[::-1])[::-1]
     if trace.attention_window == "causal":
-        dnorm_sum = model._exclusive_cumsum(dnorm[::-1])[::-1]
+        dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
     else:
         dnorm_sum = dnorm.sum(axis=0)
     a = trace.attn_exp
@@ -425,12 +444,90 @@ def reference_train_batch(params, batch, config, run_adversarial):
     return clean_loss, objective, total
 
 
-def padded_forward(params, batch, attention_enabled=True, attention_window="causal", embeddings=None):
-    """``model.forward`` with the LSTM run over every cell of the padded batch.
+@dataclass
+class PaddedTrace:
+    """``padded_forward``'s trace: ``model.ForwardTrace``'s values on the [n, B] grid.
 
-    Returns (trace, loss); the trace's ``gates`` and ``cell`` are [n, B, ...]
-    arrays and its ``cells`` and ``starts`` are None. Each step's input
-    projection is part of one 3-D matmul over all cells.
+    Every per-cell array is [n, B, ...] in batch order, with the LSTM's
+    values at padded steps too; ``step_mask`` marks the valid cells.
+    """
+
+    embeddings: np.ndarray  # [n, B, d_in]
+    gates: np.ndarray  # [n, B, 4H]
+    cell: np.ndarray  # [n, B, H]
+    hidden: np.ndarray  # [n, B, H]
+    attn_hidden: np.ndarray | None  # [n, B, attn_dim]
+    attn_exp: np.ndarray | None  # [n, B]
+    attn_norm: np.ndarray | None  # [n, B]
+    agg_hidden: np.ndarray  # [n, B, H]
+    pred: np.ndarray  # [n, B]
+    step_mask: np.ndarray  # bool [n, B]
+    target_skills: np.ndarray  # int64 [n, B], 0 where padded
+    attention_enabled: bool
+    attention_window: str
+    batch: Batch
+
+
+def exclusive_cumsum(x):
+    """out[k] = sum of x[:k] along axis 0 (out[0] = 0)."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    return out
+
+
+def padded_attention_forward(params, hidden, seq_lens, window):
+    """Prefix-sum attention over the [n, B] grid: (attn_hidden, attn_exp, attn_norm, agg).
+
+    ``model.forward``'s attention before it ran on the packed cells. Each
+    row's scores are shifted by its largest over all n steps, padded ones
+    included, and only states some window can use (j < seq_len - 2) get a
+    nonzero a_j. A window whose D_k is 0 gets a zero aggregate.
+    """
+    n = hidden.shape[0]
+    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
+    logits = attn_hidden @ params.attn_u  # [n, B], l_j
+    support = np.arange(n)[:, None] < (seq_lens[None, :] - 2)
+    attn_exp = np.where(support, np.exp(logits - logits.max(axis=0)), 0.0)
+    if window == "causal":
+        attn_norm = exclusive_cumsum(attn_exp)
+    else:
+        attn_norm = np.repeat(attn_exp.sum(axis=0, keepdims=True), n, axis=0)
+    numer = exclusive_cumsum(attn_exp[:, :, None] * hidden)
+    norm = attn_norm[:, :, None]
+    agg = np.divide(numer, norm, out=np.zeros_like(numer), where=norm > 0)
+    return attn_hidden, attn_exp, attn_norm, agg
+
+
+def padded_attention_backward(params, trace, dagg, dhidden, grads):
+    """The backward pass of ``padded_attention_forward`` over the [n, B] grid."""
+    norm = trace.attn_norm[:, :, None]
+    dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
+    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)  # [n, B]
+    dnumer_after = exclusive_cumsum(dnumer[::-1])[::-1]
+    if trace.attention_window == "causal":
+        dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
+    else:
+        dnorm_sum = dnorm.sum(axis=0)
+    a = trace.attn_exp
+    dhidden += a[:, :, None] * dnumer_after
+    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
+    u = trace.attn_hidden
+    a_dim = params.attn_dim
+    grads["attn_u"] += dlogits.reshape(-1) @ u.reshape(-1, a_dim)
+    dpre = dlogits[:, :, None] * params.attn_u[None, None, :]
+    dpre *= 1.0 - u * u
+    grads["attn_w"] += dpre.reshape(-1, a_dim).T @ trace.hidden.reshape(-1, params.hidden_dim)
+    grads["attn_b"] += dpre.sum(axis=(0, 1))
+    dhidden += dpre @ params.attn_w
+
+
+def padded_forward(params, batch, attention_enabled=True, attention_window="causal", embeddings=None):
+    """``model.forward`` run over every cell of the padded batch.
+
+    Returns (``PaddedTrace``, loss). The LSTM, attention, head and loss work
+    on [n, B, ...] arrays, as ``model.forward`` did before it packed the valid
+    cells; each step's input projection is part of one 3-D matmul over all
+    cells.
     """
     n = batch.max_len - 1
     b = batch.size
@@ -459,7 +556,7 @@ def padded_forward(params, batch, attention_enabled=True, attention_window="caus
     step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden, attn_exp, attn_norm, agg = model._attention_forward(
+        attn_hidden, attn_exp, attn_norm, agg = padded_attention_forward(
             params, hidden, batch.seq_lens, attention_window
         )
     else:
@@ -475,8 +572,8 @@ def padded_forward(params, batch, attention_enabled=True, attention_window="caus
     clamped = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
     nll = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
     per_seq = np.sum(np.where(step_mask, nll, 0.0), axis=0) / (batch.seq_lens - 1)
-    trace = model.ForwardTrace(
-        embeddings=embeddings, gates=gates, cell=cell, cells=None, starts=None, hidden=hidden,
+    trace = PaddedTrace(
+        embeddings=embeddings, gates=gates, cell=cell, hidden=hidden,
         attn_hidden=attn_hidden, attn_exp=attn_exp, attn_norm=attn_norm, agg_hidden=agg,
         pred=pred, step_mask=step_mask, target_skills=target_skills,
         attention_enabled=attention_enabled, attention_window=attention_window, batch=batch,
@@ -505,7 +602,7 @@ def padded_backward(params, trace):
         [trace.agg_hidden, trace.hidden, np.ones((n, b, 1), dtype=FLOAT)], axis=2
     ).reshape(n * b, 2 * hd + 1)
     head_in *= dz_sel.reshape(n * b, 1)
-    rows, sums = model._segment_sum(tgt_flat, head_in, valid)
+    rows, sums = model._segment_sum(tgt_flat, head_in[valid])
     grads["head_w"][rows] = sums[:, :-1]
     grads["head_b"][rows] = sums[:, -1]
     dcomp = np.zeros((n * b, 2 * hd), dtype=FLOAT)
@@ -513,7 +610,7 @@ def padded_backward(params, trace):
     dcomp = dcomp.reshape(n, b, 2 * hd)
     dhidden = dcomp[:, :, hd:]
     if trace.attention_enabled:
-        model._attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
+        padded_attention_backward(params, trace, dcomp[:, :, :hd], dhidden, grads)
 
     dz = np.empty((n, b, 4 * hd), dtype=FLOAT)
     dh = np.zeros((b, hd), dtype=FLOAT)
@@ -540,7 +637,7 @@ def padded_backward(params, trace):
     s, d_s, d_a = params.num_skills, params.skill_dim, params.resp_dim
     resps = batch.responses[:, :n].T.ravel()[valid]
     skills = batch.skills[:, :n].T.ravel()[valid]
-    keys, sums = model._segment_sum(resps * s + skills, dz_rows, valid)
+    keys, sums = model._segment_sum(resps * s + skills, dz_rows[valid])
     split = np.searchsorted(keys, s)
     wrong, right = sums[:split], sums[split:]
     w = params.lstm_w

@@ -33,7 +33,7 @@ from atkt.metrics import PredictionLog, auc, auc_bruteforce
 from atkt.training import TrainConfig, evaluate, train
 
 from grad_oracle import grad_check
-from reference_impl import l2_norm, plain_lstm_forward
+from reference_impl import l2_norm, on_grid, plain_lstm_forward, valid_cells
 
 
 def criterion(number, title):
@@ -167,8 +167,9 @@ def test_c5_ablation():
     for batch in make_batches(list(data.sequences), 6, config.batch_size, rng=None):
         trace, _ = model.forward(params, batch, attention_enabled=False)
         ref_probs, ref_pred = plain_lstm_forward(params, batch)
-        assert np.array_equal(trace.pred, ref_pred)
-        assert np.array_equal(model.skill_probs(params, trace), ref_probs)
+        valid = valid_cells(trace)
+        assert np.array_equal(on_grid(trace, trace.pred)[valid], ref_pred[valid])
+        assert np.array_equal(on_grid(trace, model.skill_probs(params, trace))[valid], ref_probs[valid])
 
     # One full training epoch with attention on: every prediction window's
     # weights form a distribution.
@@ -179,9 +180,11 @@ def test_c5_ablation():
         [data.sequences[i] for i in split.train], 6, config.batch_size, rng=None
     ):
         trace, _ = model.forward(result.params, batch, attention_enabled=True)
-        for k in range(1, trace.pred.shape[0]):
-            valid = trace.step_mask[k]
-            sums = trace.attn_exp[:k, valid].sum(axis=0) / trace.attn_norm[k, valid]
+        step_mask = valid_cells(trace)
+        attn_exp, attn_norm = on_grid(trace, trace.attn_exp), on_grid(trace, trace.attn_norm)
+        for k in range(1, batch.max_len - 1):
+            valid = step_mask[k]
+            sums = attn_exp[:k, valid].sum(axis=0) / attn_norm[k, valid]
             assert np.all(np.abs(sums - 1.0) <= 1e-10)
             windows += int(valid.sum())
     print(f"  checked {windows} prediction windows")

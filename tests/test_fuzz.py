@@ -12,8 +12,10 @@ a few seconds; mutated values are small for the same reason.
 
 import base64
 import contextlib
+import csv
 import io
 import json
+import math
 import random
 import re
 
@@ -309,3 +311,38 @@ def test_cli_survives_mutated_inputs(tmp_path, monkeypatch, kind):
         codes.append(run_case(label, argv))
     # The mutations must reach past the first check: some cases succeed, some fail.
     assert 0 in codes and set(codes) - {0}, codes
+
+
+def edge_checkpoint(inputs, case):
+    """A valid checkpoint at one edge of the float range, and its argv for eval and trace.
+
+    "saturated_head": every head_b entry at +-40, so every sigmoid rounds to
+    0 or 1 while the loss, taken from the logit, stays finite.
+    "underflowing_attention": scores spread so wide (||attn_u||_1 = 683.5)
+    that all the exponentials of some windows underflow; sequence 2 has such
+    a window, and so does the echoed fold's test split.
+    """
+    cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
+    params, _ = model.load_checkpoint(inputs.checkpoint)
+    if case == "saturated_head":
+        params.head_b[:] = [40.0, -40.0, 40.0, -40.0]
+    else:
+        cfg = TrainConfig(skill_dim=3, resp_dim=2, hidden_dim=3, attn_dim=3, seed=11)
+        params = model.init_params(4, 3, 2, 3, 3, Rng(30).split("init"))
+        params.attn_w *= 20.0
+        params.attn_u *= 683.5 / np.sum(np.abs(params.attn_u))
+    path = inputs.root / f"{case}.json"
+    model.save_checkpoint(path, params, dict(cfg.to_dict(), fold=0), timestamp=False)
+    trace = ["trace", "--checkpoint", path, "--data", inputs.data, "--out", inputs.out, "--index", "2"]
+    return inputs.argv("eval", checkpoint=path), trace
+
+
+@pytest.mark.parametrize("case, code", [("saturated_head", 0), ("underflowing_attention", 3)])
+def test_cli_handles_edge_checkpoints(tmp_path, case, code):
+    inputs = Inputs(tmp_path)
+    for argv in edge_checkpoint(inputs, case):
+        assert run_case(case, argv) == code
+    if case == "saturated_head":
+        with open(tmp_path / "log.csv", encoding="utf-8") as fh:
+            probs = [float(row["prob"]) for row in csv.DictReader(fh)]
+        assert probs and all(math.isfinite(p) for p in probs)

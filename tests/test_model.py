@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from atkt import model, training
-from atkt.data import InteractionSequence, generate_synthetic, make_batches
+from atkt.data import Dataset, FoldSplit, InteractionSequence, generate_synthetic, make_batches
 from atkt.linalg import Rng, ShapeError
 from atkt.model import (
     CheckpointError,
@@ -25,6 +25,7 @@ from grad_oracle import (
     grad_check_batch,
     numeric_gradients,
 )
+import reference_impl
 from reference_impl import (
     attend_history,
     compose,
@@ -33,12 +34,14 @@ from reference_impl import (
     loop_attention_backward,
     loop_attention_forward,
     lstm_step,
+    on_grid,
     padded_backward,
     padded_forward,
     plain_lstm_forward,
     predict_step,
     sequence_forward,
     stepwise_backward,
+    valid_cells,
 )
 
 
@@ -191,8 +194,8 @@ class TestForward:
     def test_length_two_sequence_has_one_target(self):
         seqs, batch = random_batch(0, lengths=(2,))
         trace, _ = model.forward(tiny_params(), batch)
-        assert trace.pred.shape == (1, 1)
-        assert trace.step_mask.sum() == 1
+        assert trace.pred.shape == (1,)
+        np.testing.assert_array_equal(valid_cells(trace), [[True]])
 
     def test_attention_flag_changes_predictions(self):
         _, batch = random_batch(1)
@@ -204,10 +207,11 @@ class TestForward:
     def test_window_weights_sum_to_one(self):
         _, batch = random_batch(2, lengths=(6, 5, 4, 3, 2))
         trace, _ = model.forward(tiny_params(seed=3), batch)
-        np.testing.assert_array_equal(trace.agg_hidden[0], 0.0)  # empty window
-        for k in range(1, trace.pred.shape[0]):
-            valid = trace.step_mask[k]
-            w = trace.attn_exp[:k, valid] / trace.attn_norm[k, valid]
+        attn_exp, attn_norm = on_grid(trace, trace.attn_exp), on_grid(trace, trace.attn_norm)
+        np.testing.assert_array_equal(on_grid(trace, trace.agg_hidden)[0], 0.0)  # empty window
+        for k in range(1, batch.max_len - 1):
+            valid = valid_cells(trace)[k]
+            w = attn_exp[:k, valid] / attn_norm[k, valid]
             np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-10)
             assert np.all(w > 0)
 
@@ -217,12 +221,13 @@ class TestForward:
                 seqs, batch = random_batch(4, lengths=lengths)
                 p = tiny_params(seed=7)
                 trace, loss = model.forward(p, batch, attention_enabled=attention)
+                pred = on_grid(trace, trace.pred)
                 ref_losses = []
                 for b, seq in enumerate(seqs):
                     preds, seq_loss = sequence_forward(p, seq, attention=attention)
                     ref_losses.append(seq_loss)
                     for k, want in enumerate(preds):
-                        assert trace.pred[k, b] == pytest.approx(want, abs=1e-12)
+                        assert pred[k, b] == pytest.approx(want, abs=1e-12)
                 assert loss == pytest.approx(np.mean(ref_losses), abs=1e-12)
 
     def test_sequence_window_mode_prefix_weights(self):
@@ -231,15 +236,16 @@ class TestForward:
         seqs, batch = random_batch(5, lengths=(5,))
         p = tiny_params(seed=8)
         trace, _ = model.forward(p, batch, attention_window="sequence")
-        norm = trace.attn_norm[:, 0]
+        norm = on_grid(trace, trace.attn_norm)[:, 0]
         assert np.all(norm == norm[0])  # one normaliser for every window
-        w = trace.attn_exp[:, 0] / norm[0]
+        w = on_grid(trace, trace.attn_exp)[:, 0] / norm[0]
+        hidden, agg = on_grid(trace, trace.hidden), on_grid(trace, trace.agg_hidden)
         support = len(seqs[0]) - 2  # states any window can use
         assert w[support:] == pytest.approx(0.0, abs=0)
         assert w[:support].sum() == pytest.approx(1.0, abs=1e-12)
         for k in range(1, len(seqs[0]) - 1):
-            want = sum(w[j] * trace.hidden[j, 0] for j in range(k))
-            np.testing.assert_allclose(trace.agg_hidden[k, 0], want, atol=1e-12)
+            want = sum(w[j] * hidden[j, 0] for j in range(k))
+            np.testing.assert_allclose(agg[k, 0], want, atol=1e-12)
 
     def test_rejects_wrong_override_shape(self):
         _, batch = random_batch(6)
@@ -292,7 +298,7 @@ class TestMaskingOpacity:
         p = tiny_params(seed=12)
         trace, _ = model.forward(p, batch)
         grads = model.backward(p, trace)
-        padded = ~trace.step_mask
+        padded = ~valid_cells(trace)
         assert np.all(grads.d_embed[padded] == 0.0)
 
 
@@ -302,12 +308,14 @@ class TestCausality:
         p = tiny_params(seed=13)
         base = model.build_embeddings(p, batch)
         trace, _ = model.forward(p, batch, embeddings=base)
+        pred = on_grid(trace, trace.pred)[:, 0]
         for t0 in range(base.shape[0]):
             bumped = base.copy()
             bumped[t0, 0, :] += 0.05
             trace2, _ = model.forward(p, batch, embeddings=bumped)
-            np.testing.assert_array_equal(trace2.pred[:t0, 0], trace.pred[:t0, 0])
-            later = np.abs(trace2.pred[t0:, 0] - trace.pred[t0:, 0])
+            pred2 = on_grid(trace2, trace2.pred)[:, 0]
+            np.testing.assert_array_equal(pred2[:t0], pred[:t0])
+            later = np.abs(pred2[t0:] - pred[t0:])
             assert later.max() > 0
 
 
@@ -317,8 +325,9 @@ class TestAblation:
         p = tiny_params(seed=14)
         trace, _ = model.forward(p, batch, attention_enabled=False)
         ref_probs, ref_pred = plain_lstm_forward(p, batch)
-        np.testing.assert_array_equal(trace.pred, ref_pred)
-        np.testing.assert_array_equal(model.skill_probs(p, trace), ref_probs)
+        valid = valid_cells(trace)
+        np.testing.assert_array_equal(on_grid(trace, trace.pred)[valid], ref_pred[valid])
+        np.testing.assert_array_equal(on_grid(trace, model.skill_probs(p, trace))[valid], ref_probs[valid])
 
     def test_attention_gradients_are_exact_zeros_when_disabled(self):
         _, batch = random_batch(16, lengths=(6, 5, 4, 3, 2))
@@ -379,43 +388,77 @@ class TestGradientCheck:
 
 
 class TestPrefixSumAttention:
-    """The batched attention against the per-window loop oracle."""
+    """The packed prefix-sum attention against the per-window loop oracle."""
 
     LENGTHS = (123, 60, 17, 5, 3, 2)
 
-    def run(self, p, batch, window):
+    def params(self, attn_u_l1=None):
+        p = tiny_params(seed=30)
+        if attn_u_l1 is not None:
+            p.attn_w *= 20.0
+            p.attn_u *= attn_u_l1 / np.sum(np.abs(p.attn_u))
+        return p
+
+    def compare(self, monkeypatch, p, window):
+        _, batch = random_batch(30, lengths=self.LENGTHS)
         trace, loss = model.forward(p, batch, attention_window=window)
         grads = model.backward(p, trace)
-        return trace, loss, grads
+        with monkeypatch.context() as m:
+            m.setattr(reference_impl, "padded_attention_forward", loop_attention_forward)
+            m.setattr(reference_impl, "padded_attention_backward", loop_attention_backward)
+            ref_trace, ref_loss = padded_forward(p, batch, attention_window=window)
+            ref_grads, ref_d_embed = padded_backward(p, ref_trace)
+
+        valid = ref_trace.step_mask
+        pairs = [
+            ("loss", np.array(loss), np.array(ref_loss)),
+            ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
+            ("d_embed", grads.d_embed, ref_d_embed),
+        ]
+        pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
+        for name, got, want in pairs:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+        return trace
 
     @pytest.mark.parametrize("window", model.ATTENTION_WINDOWS)
     @pytest.mark.parametrize("large_logits", [False, True])
     def test_matches_loop_oracle(self, monkeypatch, window, large_logits):
-        _, batch = random_batch(30, lengths=self.LENGTHS)
         p = tiny_params(seed=30)
         if large_logits:
             # ||attn_u||_1 ~ 205, inside the documented < 350 range.
             p.attn_w *= 20.0
             p.attn_u *= 120.0
-        trace, loss, grads = self.run(p, batch, window)
-        with monkeypatch.context() as m:
-            m.setattr(model, "_attention_forward", loop_attention_forward)
-            m.setattr(model, "_attention_backward", loop_attention_backward)
-            ref_trace, ref_loss, ref_grads = self.run(p, batch, window)
-
+        trace = self.compare(monkeypatch, p, window)
         if large_logits:
-            seen = (trace.attn_hidden @ p.attn_u)[trace.step_mask]
+            seen = trace.attn_hidden @ p.attn_u
             assert seen.max() >= 100.0 and seen.min() <= -100.0
-        valid = trace.step_mask
-        pairs = [
-            ("loss", np.array(loss), np.array(ref_loss)),
-            ("pred", trace.pred[valid], ref_trace.pred[valid]),
-            ("d_embed", grads.d_embed, ref_grads.d_embed),
-        ]
-        pairs += [(name, grads.params[name], ref_grads.params[name]) for name in grads.params]
-        for name, got, want in pairs:
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("window", model.ATTENTION_WINDOWS)
+    def test_matches_loop_oracle_beyond_documented_range(self, monkeypatch, window):
+        # Some a_j are subnormal here, but no window's D_k underflows to 0.
+        self.compare(monkeypatch, self.params(attn_u_l1=512.6), window)
+
+    def test_underflowing_window_gives_non_finite_loss(self):
+        # Every exponential of 9 causal windows past step 0 underflows, so
+        # their D_k is 0; the aggregate must not silently become 0.
+        _, batch = random_batch(30, lengths=self.LENGTHS)
+        p = self.params(attn_u_l1=683.5)
+        with np.errstate(all="ignore"):
+            trace, loss = model.forward(p, batch, attention_window="causal")
+        empty = (trace.attn_norm == 0.0) & (trace.cells >= batch.size)  # windows past step 0
+        assert np.count_nonzero(empty) == 9
+        assert np.all(np.isnan(trace.agg_hidden[empty]))
+        assert not math.isfinite(loss)
+
+    def test_underflowing_window_stops_training(self):
+        seqs, _ = random_batch(30, lengths=self.LENGTHS)
+        data = Dataset(sequences=tuple(seqs), num_skills=4)
+        idx = tuple(range(len(seqs)))
+        split = FoldSplit(fold_index=0, train=idx, val=idx, test=idx)
+        cfg = tiny_config(batch_size=len(seqs), max_epochs=1)
+        with pytest.raises(training.DivergenceError):
+            training.train(cfg, data, split, initial_params=self.params(attn_u_l1=683.5))
 
 
 class TestGatheredHead:
@@ -454,10 +497,9 @@ class TestGatheredHead:
         ref_trace, ref_loss, _ = full_head_forward(p, batch, enabled, window)
         ref_grads = model.backward(p, ref_trace)
 
-        valid = ref_trace.step_mask
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
-            ("pred", trace.pred[valid], ref_trace.pred[valid]),
+            ("pred", trace.pred, ref_trace.pred),
             ("d_embed", grads.d_embed, ref_grads.d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads.params[name]) for name in model.PARAM_NAMES]
@@ -474,8 +516,9 @@ class TestGatheredHead:
         trace, _ = model.forward(p, batch, enabled, window)
         _, _, ref_probs = full_head_forward(p, batch, enabled, window)
         probs = model.skill_probs(p, trace)
-        assert probs.shape == (batch.max_len - 1, batch.size, p.num_skills)
-        np.testing.assert_array_equal(probs, ref_probs)
+        assert probs.shape == (len(trace.cells), p.num_skills)
+        valid = valid_cells(trace)
+        np.testing.assert_array_equal(on_grid(trace, probs)[valid], ref_probs[valid])
 
     def test_trace_holds_no_per_skill_array(self):
         _, batch = random_batch(33, num_skills=11)
@@ -610,17 +653,17 @@ class TestPacking:
         ref_grads, ref_d_embed = padded_backward(p, ref_trace)
 
         valid = ref_trace.step_mask
+        np.testing.assert_array_equal(valid_cells(trace), valid)
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
-            ("pred", trace.pred[valid], ref_trace.pred[valid]),
-            ("hidden", trace.hidden[valid], ref_trace.hidden[valid]),
+            ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
+            ("hidden", on_grid(trace, trace.hidden)[valid], ref_trace.hidden[valid]),
             ("d_embed", grads.d_embed, ref_d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-        np.testing.assert_array_equal(trace.hidden[~valid], 0.0)
         np.testing.assert_array_equal(grads.d_embed[~valid], 0.0)
 
     def test_trace_keeps_only_valid_cells(self):
@@ -628,9 +671,13 @@ class TestPacking:
         p = tiny_params(seed=51)
         trace, _ = model.forward(p, batch)
         assert trace.embeddings is None  # the lookup is projected per pair, never per cell
-        n_valid = int(trace.step_mask.sum())
+        n_valid = int(np.sum(batch.seq_lens - 1))
         assert trace.gates.shape == (n_valid, 4 * p.hidden_dim)
         assert trace.cell.shape == (n_valid, p.hidden_dim)
+        for f in dataclasses.fields(trace):  # no array is laid out on the [n, B] grid
+            value = getattr(trace, f.name)
+            if isinstance(value, np.ndarray) and f.name != "starts":
+                assert len(value) == n_valid, f.name
         # Step by step, longest row first: rows 0, 2, 1 at step 0, then 0 and 2.
         np.testing.assert_array_equal(trace.cells, [0, 2, 1, 3, 5, 6, 8, 9, 12, 15])
         np.testing.assert_array_equal(trace.starts, [0, 3, 5, 7, 8, 9, 10])
@@ -638,7 +685,7 @@ class TestPacking:
 
 def embedding_shape(params, trace):
     """[n, B, d_in]: the shape of the batch's input embeddings and of ``d_embed``."""
-    return trace.hidden.shape[:2] + (params.input_dim,)
+    return (trace.batch.max_len - 1, trace.batch.size, params.input_dim)
 
 
 def holds_array_of_shape(obj, shape):

@@ -29,7 +29,7 @@ from atkt.training import (
 )
 
 from grad_oracle import compare_gradients, grad_check
-from reference_impl import reference_train_batch
+from reference_impl import on_grid, reference_train_batch
 from reference_impl import adam_step as reference_adam_step
 from reference_impl import unscaled_clip_gradients
 
@@ -350,8 +350,9 @@ class TestCollectPredictions:
         for batch in make_batches(list(ds.sequences), ds.num_skills, 4, rng=None):
             trace, _ = model.forward(params, batch)
             log = collect_predictions(trace)
+            pred = on_grid(trace, trace.pred)
             want = [
-                (batch.student_ids[b], k + 1, int(batch.skills[b, k + 1]), float(trace.pred[k, b]),
+                (batch.student_ids[b], k + 1, int(batch.skills[b, k + 1]), float(pred[k, b]),
                  int(batch.responses[b, k + 1]))
                 for b in range(batch.size)
                 for k in range(int(batch.seq_lens[b]) - 1)
