@@ -41,6 +41,16 @@ recurrence, and of attention's running prefix sums, reads and writes
 contiguous slices. Only the ``embeddings=`` override and
 ``GradientSet.d_embed`` are [n, B, d_in], with zeros at padded steps.
 
+Each step of the recurrence allocates nothing: its recurrent term is a GEMM
+with one contiguous copy of lstm_u^T into a preallocated buffer, and its
+gate rows are activated in place, the whole [m, 4H] block as 1/(1 + e^-z)
+with the candidate's tanh put back after. That form agrees with the
+two-branch logistic to rounding; below z = -709, e^-z overflows to inf and
+the gate is exactly its limit 0, silently. The head's probabilities still
+use ``linalg.sigmoid``. The backward step takes all four gate derivatives
+from the activations a as one expression, a (s - a) + (1 - s), with s = 1
+on the sigmoid blocks and 0 on the candidate's.
+
 A looked-up input embedding depends only on its (response, skill) pair, of
 which there are at most 2S, and a batch holds far fewer pairs than cells.
 Clean and evaluation passes therefore project each pair present once and
@@ -253,8 +263,9 @@ def build_embeddings(params: ModelParams, batch: Batch) -> np.ndarray:
     its perturbation to it.
     """
     cells, _ = _pack(batch.seq_lens)
+    pairs, pair_of_cell = _distinct_pairs(batch, cells)
     out = np.zeros((batch.max_len - 1, batch.size, params.input_dim), dtype=FLOAT)
-    out.reshape(-1, params.input_dim)[cells] = _pair_embeddings(params, _cell_keys(batch, cells))
+    out.reshape(-1, params.input_dim)[cells] = _pair_embeddings(params, pairs)[pair_of_cell]
     return out
 
 
@@ -262,6 +273,19 @@ def _cell_keys(batch: Batch, cells: np.ndarray) -> np.ndarray:
     """Key response * S + skill of the interaction each cell t * B + b consumes."""
     t, b = np.divmod(cells, batch.size)
     return batch.responses[b, t] * batch.num_skills + batch.skills[b, t]
+
+
+def _distinct_pairs(batch: Batch, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys present among ``cells``, ascending, and each cell's index into them.
+
+    A looked-up embedding depends only on its key, so the callers embed each
+    present key once and gather one row per cell.
+    """
+    keys = _cell_keys(batch, cells)
+    present = np.zeros(2 * batch.num_skills, dtype=bool)
+    present[keys] = True
+    slot = np.cumsum(present) - 1  # a present key's index among the present keys
+    return np.flatnonzero(present), slot[keys]
 
 
 def _pair_embeddings(params: ModelParams, keys: np.ndarray) -> np.ndarray:
@@ -356,33 +380,42 @@ def forward(
     # place. The rows alive at a step are the first ones of the step before,
     # so its previous h and c are prefixes of that step's.
     if embeddings is None:
-        # A looked-up embedding depends only on its (response, skill) key, so
-        # each key present is projected once and its row gathered per cell.
-        keys = _cell_keys(batch, cells)
-        present = np.zeros(2 * params.num_skills, dtype=bool)
-        present[keys] = True
-        slot = np.cumsum(present) - 1  # a present key's row in the projection
-        proj = _pair_embeddings(params, np.flatnonzero(present)) @ params.lstm_w.T
+        pairs, pair_of_cell = _distinct_pairs(batch, cells)
+        proj = _pair_embeddings(params, pairs) @ params.lstm_w.T
         proj += params.lstm_b
-        np.take(proj, slot[keys], axis=0, out=gates, mode="clip")  # "clip" writes unbuffered
+        np.take(proj, pair_of_cell, axis=0, out=gates, mode="clip")  # "clip" writes unbuffered
     else:
         emb_rows = embeddings.reshape(n * b, params.input_dim)
         for lo in range(0, len(cells), _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
             np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
         gates += params.lstm_b
+    # Each step writes only into preallocated rows. All four gate blocks are
+    # activated in place as 1/(1 + e^-z), and the candidate's tanh, kept
+    # aside, is put back. A gate with z < -709 overflows e^-z to inf and gets
+    # exactly its limit 0, so that overflow is not reported.
+    u_t = np.ascontiguousarray(params.lstm_u.T)  # [H, 4H]: a plain GEMM per step
+    rec = np.empty((b, 4 * hd), dtype=FLOAT)
+    tmp = np.empty((b, hd), dtype=FLOAT)
     h = c = np.zeros((b, hd), dtype=FLOAT)
-    for t in range(len(starts) - 1):
-        lo, hi = starts[t], starts[t + 1]
-        z = gates[lo:hi]
-        z += h[: hi - lo] @ params.lstm_u.T
-        gg = np.tanh(z[:, 2 * hd : 3 * hd])
-        z[...] = sigmoid(z)
-        z[:, 2 * hd : 3 * hd] = gg
-        gi, gf, go = z[:, :hd], z[:, hd : 2 * hd], z[:, 3 * hd :]
-        c = np.add(gf * c[: hi - lo], gi * gg, out=cell[lo:hi])
-        h = np.multiply(go, np.tanh(c), out=hidden[lo:hi])
-    del h  # a view of the last step's rows
+    with np.errstate(over="ignore"):
+        for t in range(len(starts) - 1):
+            lo, hi = starts[t], starts[t + 1]
+            m = hi - lo
+            z = gates[lo:hi]
+            z += np.matmul(h[:m], u_t, out=rec[:m])
+            cand = np.tanh(z[:, 2 * hd : 3 * hd], out=tmp[:m])
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            gi, gf, gg, go = (z[:, k * hd : (k + 1) * hd] for k in range(4))
+            gg[...] = cand
+            c = np.multiply(gf, c[:m], out=cell[lo:hi])
+            c += np.multiply(gi, gg, out=tmp[:m])
+            h = np.tanh(c, out=hidden[lo:hi])
+            h *= go
+    del h, c  # views of the last step's rows
 
     steps, rows = np.divmod(cells, b)
     attn_hidden = attn_exp = attn_norm = None
@@ -485,24 +518,43 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     # the recurrence and keeps every cell's gate gradient; the weights'
     # gradients are block GEMMs after it. The rows alive at t + 1 are the
     # first len(dh) rows at t; the others end at t, with dh = dc = 0.
+    # With s = 1 on the sigmoid blocks and 0 on the candidate's, a (s - a) + (1 - s)
+    # is every gate's derivative from its activation a: a (1 - a), or 1 - a^2.
+    s = np.ones(4 * hd, dtype=FLOAT)
+    s[2 * hd : 3 * hd] = 0.0
+    one_minus_s = 1.0 - s
+    width = starts[1]  # step 0 has every row
+    deriv = np.empty((width, 4 * hd), dtype=FLOAT)
+    tanh_c = np.empty((width, hd), dtype=FLOAT)
+    dc_buf, dc_next, dh_next = (np.empty((width, hd), dtype=FLOAT) for _ in range(3))
+    c_zero = np.zeros((width, hd), dtype=FLOAT)
     dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
-    dh = dc = np.zeros((0, hd), dtype=FLOAT)
+    dh = dc = c_zero[:0]
     for t in range(len(starts) - 2, -1, -1):
         lo, hi = starts[t], starts[t + 1]
+        m = hi - lo
         dh_t = dh_rows[lo:hi]
         dh_t[: len(dh)] += dh
-        gi, gf, gg, go = (gates[lo:hi, k * hd : (k + 1) * hd] for k in range(4))
-        tc = np.tanh(cell[lo:hi])
-        dc_t = go * (1.0 - tc * tc) * dh_t
+        a = gates[lo:hi]
+        gi, gf, gg, go = (a[:, k * hd : (k + 1) * hd] for k in range(4))
+        tc = np.tanh(cell[lo:hi], out=tanh_c[:m])
+        dc_t = np.multiply(tc, tc, out=dc_buf[:m])
+        np.subtract(1.0, dc_t, out=dc_t)
+        dc_t *= go
+        dc_t *= dh_t
         dc_t[: len(dc)] += dc
-        c_prev = cell[starts[t - 1] : starts[t - 1] + hi - lo] if t > 0 else np.zeros_like(tc)
+        c_prev = cell[starts[t - 1] : starts[t - 1] + m] if t > 0 else c_zero[:m]
         dz_t = dz[lo:hi]
-        dz_t[:, :hd] = gi * (1.0 - gi) * (gg * dc_t)
-        dz_t[:, hd : 2 * hd] = gf * (1.0 - gf) * (c_prev * dc_t)
-        dz_t[:, 2 * hd : 3 * hd] = (1.0 - gg * gg) * (gi * dc_t)
-        dz_t[:, 3 * hd :] = go * (1.0 - go) * (tc * dh_t)
-        dh = dz_t @ params.lstm_u
-        dc = gf * dc_t
+        np.multiply(gg, dc_t, out=dz_t[:, :hd])
+        np.multiply(c_prev, dc_t, out=dz_t[:, hd : 2 * hd])
+        np.multiply(gi, dc_t, out=dz_t[:, 2 * hd : 3 * hd])
+        np.multiply(tc, dh_t, out=dz_t[:, 3 * hd :])
+        d = np.subtract(s, a, out=deriv[:m])
+        d *= a
+        d += one_minus_s
+        dz_t *= d
+        dh = np.matmul(dz_t, params.lstm_u, out=dh_next[:m])
+        dc = np.multiply(gf, dc_t, out=dc_next[:m])
     del dh_rows, dh_t  # dh_t is a view of step 0's rows
 
     # Cells that consumed the same (response, skill) read the same table rows,

@@ -176,8 +176,10 @@ def plain_lstm_forward(params, batch):
     no-attention configuration can be compared bit for bit: each step runs
     on the rows still alive, longest first, and the input projection is one
     product over the distinct (response, skill) pairs, in ascending order of
-    response * S + skill, whose rows the cells then read. Hidden states of
-    padded steps are zeros.
+    response * S + skill, whose rows the cells then read. The recurrent term
+    is a product with a contiguous copy of lstm_u^T, and the input, forget
+    and output gates are 1/(1 + e^-z). Hidden states of padded steps are
+    zeros.
     """
     hd = params.hidden_dim
     n, b, s = batch.max_len - 1, batch.size, params.num_skills
@@ -189,18 +191,20 @@ def plain_lstm_forward(params, batch):
     table = np.stack([embed_interaction(params, k % s, k // s) for k in pairs]) @ params.lstm_w.T
     table += params.lstm_b
     in_part = table[[pairs.index(k) for k in keys]]
+    u_t = np.ascontiguousarray(params.lstm_u.T)
     h = np.zeros((b, hd))
     c = np.zeros((b, hd))
     stack = np.zeros((n, b, hd))
     lo = 0
     for t in range(n):
         rows = alive[t]
-        z = in_part[lo : lo + len(rows)] + h[: len(rows)] @ params.lstm_u.T
+        z = in_part[lo : lo + len(rows)] + h[: len(rows)] @ u_t
         lo += len(rows)
-        gi = sigmoid(z[:, 0:hd])
-        gf = sigmoid(z[:, hd : 2 * hd])
+        with np.errstate(over="ignore"):  # e^-z = inf gives the gate's limit 0
+            gi = 1.0 / (1.0 + np.exp(-z[:, 0:hd]))
+            gf = 1.0 / (1.0 + np.exp(-z[:, hd : 2 * hd]))
+            go = 1.0 / (1.0 + np.exp(-z[:, 3 * hd :]))
         gg = np.tanh(z[:, 2 * hd : 3 * hd])
-        go = sigmoid(z[:, 3 * hd :])
         c = gf * c[: len(rows)] + gi * gg
         h = go * np.tanh(c)
         stack[t, rows] = h

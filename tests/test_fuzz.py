@@ -318,6 +318,8 @@ def edge_checkpoint(inputs, case):
 
     "saturated_head": every head_b entry at +-40, so every sigmoid rounds to
     0 or 1 while the loss, taken from the logit, stays finite.
+    "saturated_gates": lstm_b at +-800 in every gate block, so e^-z overflows
+    to inf in the recurrence and those gates take their exact limits 0 and 1.
     "underflowing_attention": scores spread so wide (||attn_u||_1 = 683.5)
     that all the exponentials of some windows underflow; sequence 2 has such
     a window, and so does the echoed fold's test split.
@@ -326,6 +328,9 @@ def edge_checkpoint(inputs, case):
     params, _ = model.load_checkpoint(inputs.checkpoint)
     if case == "saturated_head":
         params.head_b[:] = [40.0, -40.0, 40.0, -40.0]
+    elif case == "saturated_gates":
+        params.lstm_b[0::2] = 800.0
+        params.lstm_b[1::2] = -800.0
     else:
         cfg = TrainConfig(skill_dim=3, resp_dim=2, hidden_dim=3, attn_dim=3, seed=11)
         params = model.init_params(4, 3, 2, 3, 3, Rng(30).split("init"))
@@ -337,12 +342,14 @@ def edge_checkpoint(inputs, case):
     return inputs.argv("eval", checkpoint=path), trace
 
 
-@pytest.mark.parametrize("case, code", [("saturated_head", 0), ("underflowing_attention", 3)])
+@pytest.mark.parametrize(
+    "case, code", [("saturated_head", 0), ("saturated_gates", 0), ("underflowing_attention", 3)]
+)
 def test_cli_handles_edge_checkpoints(tmp_path, case, code):
     inputs = Inputs(tmp_path)
     for argv in edge_checkpoint(inputs, case):
         assert run_case(case, argv) == code
-    if case == "saturated_head":
+    if code == 0:
         with open(tmp_path / "log.csv", encoding="utf-8") as fh:
             probs = [float(row["prob"]) for row in csv.DictReader(fh)]
         assert probs and all(math.isfinite(p) for p in probs)

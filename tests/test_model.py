@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from reference_impl import (
     predict_step,
     sequence_forward,
     stepwise_backward,
+    two_branch_sigmoid,
     valid_cells,
 )
 
@@ -91,6 +93,15 @@ class TestEmbedInteraction:
             embed_interaction(tiny_params(), 4, 1)
         with pytest.raises(ValueError):
             embed_interaction(tiny_params(), 0, 2)
+
+    def test_build_embeddings_matches_stacked_rows(self):
+        seqs, batch = random_batch(3, lengths=(7, 2, 5, 4))
+        p = tiny_params(seed=3)
+        want = np.zeros((batch.max_len - 1, batch.size, p.input_dim))
+        for b, seq in enumerate(seqs):
+            for t in range(len(seq) - 1):
+                want[t, b] = embed_interaction(p, int(seq.skills[t]), int(seq.responses[t]))
+        assert np.array_equal(model.build_embeddings(p, poison_padding(batch)), want)
 
 
 class TestLstmStep:
@@ -264,6 +275,43 @@ class TestForward:
         for name in g1.params:
             np.testing.assert_array_equal(g1.params[name], g2.params[name])
         np.testing.assert_array_equal(g1.d_embed, g2.d_embed)
+
+
+class TestGateActivation:
+    """The recurrence's in-place gates, 1/(1 + e^-z), at and inside their float64 range."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("block", range(4))
+    def test_saturated_bias_gives_exact_limits(self, block, sign):
+        _, batch = random_batch(60, lengths=(6, 5, 3, 2))
+        p = tiny_params(seed=60)
+        hd = p.hidden_dim
+        p.lstm_b[block * hd : (block + 1) * hd] = 800.0 * sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e^800 overflowing to inf must stay silent
+            trace, loss = model.forward(p, batch)
+            grads = model.backward(p, trace)
+        assert math.isfinite(loss)
+        assert all(np.all(np.isfinite(g)) for g in grads.params.values())
+        limit = sign if model.GATE_ORDER[block] == "candidate" else max(sign, 0.0)
+        np.testing.assert_array_equal(trace.gates[:, block * hd : (block + 1) * hd], limit)
+
+    def test_matches_two_branch_sigmoid(self):
+        # With lstm_w = lstm_u = 0, every cell's pre-activation is lstm_b.
+        _, batch = random_batch(61, lengths=(4, 2))
+        p = tiny_params(seed=61, hidden_dim=600)
+        p.lstm_w[...] = 0.0
+        p.lstm_u[...] = 0.0
+        p.lstm_b[...] = Rng(61).split("z").uniform(-700.0, 700.0, size=p.lstm_b.shape)
+        trace, _ = model.forward(p, batch)
+        hd = p.hidden_dim
+        for k, name in enumerate(model.GATE_ORDER):
+            got = trace.gates[:, k * hd : (k + 1) * hd]
+            z = p.lstm_b[k * hd : (k + 1) * hd]
+            if name == "candidate":
+                np.testing.assert_array_equal(got, np.broadcast_to(np.tanh(z), got.shape))
+            else:
+                np.testing.assert_allclose(got, np.broadcast_to(two_branch_sigmoid(z), got.shape), rtol=1e-15, atol=0)
 
 
 class TestMaskingOpacity:
