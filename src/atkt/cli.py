@@ -137,6 +137,13 @@ def load_config(path) -> TrainConfig:
 def config_from_echo(echo: dict, params: model.ModelParams) -> TrainConfig:
     """The TrainConfig a checkpoint echoes (other keys are ignored); a bad value
     there, or a dimension the arrays contradict, is a bad checkpoint."""
+    # Checkpoints from before attention became causal-only echo this key; only
+    # its causal value is the model this program runs.
+    window = echo.get("attention_window", "causal")
+    if window != "causal":
+        raise CheckpointError(
+            f"checkpoint config: attention_window {window!r} is not supported (causal only)"
+        )
     try:
         config = TrainConfig.from_dict({k: v for k, v in echo.items() if k in FIELD_TYPES})
     except ValueError as exc:
@@ -357,9 +364,7 @@ def cmd_trace(args) -> int:
         tracked = _default_tracked(seq)
     batch = make_batches([seq], dataset.num_skills, batch_size=1, rng=None)[0]
     with np.errstate(all="ignore"):  # overflow is reported below, once
-        trace, _ = model.forward(
-            params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-        )
+        trace, _ = model.forward(params, batch, attention_enabled=config.attention)
         probs = model.skill_probs(params, trace)
     steps = len(seq)
     # Row 0 is the untouched initial state (a zero composite leaves only

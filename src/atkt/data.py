@@ -98,16 +98,30 @@ def _sequence(student_id: str, skills, responses) -> InteractionSequence:
     )
 
 
+def _plain_int(tok: str) -> int:
+    """``int(tok)`` for ASCII digits with an optional leading "-" only.
+
+    ``int`` alone also reads "+1", "1_0" and non-ASCII digits such as "١".
+    """
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _parse_int_list(line: str, line_number: int, what: str) -> list[int]:
     # Community files often carry a trailing comma; tolerate empty tail tokens.
     tokens = line.strip().split(",")
     while tokens and tokens[-1] == "":
         tokens.pop()
+    # On an ASCII line with no "+" or "_", int() reads exactly the plain
+    # integers, so only other lines pay for the per-token check.
+    parse = int if line.isascii() and "+" not in line and "_" not in line else _plain_int
     values = []
     for tok in tokens:
         tok = tok.strip()
         try:
-            values.append(int(tok))
+            values.append(parse(tok))
         except ValueError:
             raise DataFormatError(line_number, f"non-integer {what} token {tok!r}") from None
     return values
@@ -132,7 +146,7 @@ def parse_triple_line(text: str, num_skills: int | None = None) -> Dataset:
         count_line_no = i + 1
         count_tok = lines[i].strip()
         try:
-            count = int(count_tok)
+            count = _plain_int(count_tok)
         except ValueError:
             raise DataFormatError(count_line_no, f"expected interaction count, got {count_tok!r}") from None
         if count < 0:

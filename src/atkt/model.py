@@ -87,8 +87,6 @@ from .linalg import FLOAT, Rng, ShapeError, sigmoid
 # candidate, output.
 GATE_ORDER = ("input", "forget", "candidate", "output")
 
-ATTENTION_WINDOWS = ("causal", "sequence")
-
 # Work over all valid cells that can be split runs this many rows at a time:
 # a GEMM packs all its rows into BLAS's buffer, whose pages then stay
 # resident, and a gather copies all its rows at once.
@@ -208,7 +206,6 @@ class ForwardTrace:
     pred: np.ndarray  # [N] probability at the attempted skill (the only one computed)
     target_skills: np.ndarray  # int64 [N]
     attention_enabled: bool
-    attention_window: str
     batch: Batch
 
 
@@ -281,11 +278,7 @@ def _distinct_pairs(batch: Batch, cells: np.ndarray) -> tuple[np.ndarray, np.nda
     A looked-up embedding depends only on its key, so the callers embed each
     present key once and gather one row per cell.
     """
-    keys = _cell_keys(batch, cells)
-    present = np.zeros(2 * batch.num_skills, dtype=bool)
-    present[keys] = True
-    slot = np.cumsum(present) - 1  # a present key's index among the present keys
-    return np.flatnonzero(present), slot[keys]
+    return np.unique(_cell_keys(batch, cells), return_inverse=True)
 
 
 def _pair_embeddings(params: ModelParams, keys: np.ndarray) -> np.ndarray:
@@ -338,7 +331,6 @@ def forward(
     params: ModelParams,
     batch: Batch,
     attention_enabled: bool = True,
-    attention_window: str = "causal",
     embeddings: np.ndarray | None = None,
 ) -> tuple[ForwardTrace, float]:
     """Run the full network over a batch; returns the trace and the loss.
@@ -347,16 +339,7 @@ def forward(
     and is kept in the trace; gradients w.r.t. the embedding tables still
     flow through the lookup indices on the backward pass. Without it, each
     (response, skill) pair of the batch is projected once.
-
-    ``attention_window`` picks how attention weights are normalized:
-    "causal" renormalizes over each prediction's own window; "sequence"
-    normalizes once over all aggregable states and reuses prefix weights.
-    Both compute aggregate k as N_k / D_k, with N_k the prefix sum of
-    exp-weighted hidden states before k; only the normaliser D_k differs
-    (its own prefix sum, or the row total).
     """
-    if attention_window not in ATTENTION_WINDOWS:
-        raise ValueError(f"attention_window must be one of {ATTENTION_WINDOWS}")
     if batch.num_skills != params.num_skills:
         raise ShapeError(
             f"batch built for {batch.num_skills} skills, model has {params.num_skills}"
@@ -421,7 +404,7 @@ def forward(
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
         attn_hidden, attn_exp, attn_norm, agg = _attention_forward(
-            params, hidden, starts, steps, rows, batch.seq_lens, attention_window
+            params, hidden, starts, steps, rows, batch.seq_lens
         )
     else:
         agg = np.zeros_like(hidden)
@@ -463,7 +446,6 @@ def forward(
         pred=pred,
         target_skills=target_skills,
         attention_enabled=attention_enabled,
-        attention_window=attention_window,
         batch=batch,
     )
     return trace, loss
@@ -512,7 +494,7 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     grads["head_b"][head_rows] = sums[:, -1]
     dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
     if trace.attention_enabled:
-        _attention_backward(params, trace, rows, dlogit, dh_rows, grads)
+        _attention_backward(params, trace, dlogit, dh_rows, grads)
 
     # LSTM backward through time over the packed cells: the loop runs only
     # the recurrence and keeps every cell's gate gradient; the weights'
@@ -608,7 +590,7 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray):
     return keys[first], sums
 
 
-def _attention_forward(params, hidden, starts, steps, rows, seq_lens, window):
+def _attention_forward(params, hidden, starts, steps, rows, seq_lens):
     """Returns (attn_hidden, attn_exp, attn_norm, agg); see forward.
 
     Only states some window can use (step < seq_len - 2) get a nonzero a_j.
@@ -623,10 +605,7 @@ def _attention_forward(params, hidden, starts, steps, rows, seq_lens, window):
     peak = np.full(len(seq_lens), -np.inf)
     np.maximum.at(peak, rows, logits)
     attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
-    if window == "causal":
-        attn_norm = _prefix_sums(attn_exp, starts)
-    else:
-        attn_norm = np.bincount(rows, weights=attn_exp, minlength=len(seq_lens))[rows]
+    attn_norm = _prefix_sums(attn_exp, starts)
     numer = _prefix_sums(attn_exp[:, None] * hidden, starts)
     agg = np.full_like(numer, np.nan)
     agg[: starts[1]] = 0.0  # step 0's window is empty
@@ -634,11 +613,10 @@ def _attention_forward(params, hidden, starts, steps, rows, seq_lens, window):
     return attn_hidden, attn_exp, attn_norm, agg
 
 
-def _attention_backward(params, trace, rows, dlogit, dhidden, grads) -> None:
+def _attention_backward(params, trace, dlogit, dhidden, grads) -> None:
     # The aggregate is the head input's first half. Through agg_k = N_k / D_k:
     # dN_k = dagg_k / D_k and dD_k = -(dagg_k . agg_k) / D_k. State j enters
-    # N_k for every later k of its row, and D_k for every later k ("causal")
-    # or for every k ("sequence").
+    # N_k and D_k for every later k of its row.
     dagg = dlogit[:, None] * params.head_w[trace.target_skills, : params.hidden_dim]
     norm = trace.attn_norm[:, None]
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
@@ -646,10 +624,7 @@ def _attention_backward(params, trace, rows, dlogit, dhidden, grads) -> None:
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=1)
     dnumer_after = _prefix_sums(dnumer, trace.starts, reverse=True)
     del dnumer
-    if trace.attention_window == "causal":
-        dnorm_sum = _prefix_sums(dnorm, trace.starts, reverse=True)
-    else:
-        dnorm_sum = np.bincount(rows, weights=dnorm, minlength=trace.batch.size)[rows]
+    dnorm_sum = _prefix_sums(dnorm, trace.starts, reverse=True)
     a = trace.attn_exp
     dhidden += a[:, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
@@ -739,7 +714,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not an {CHECKPOINT_FORMAT} file")

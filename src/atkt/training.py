@@ -69,7 +69,6 @@ class TrainConfig:
     epsilon: float | None = None
     beta: float = 0.0
     attention: bool = True
-    attention_window: str = "causal"
     fgsm_scope: str = "per_sequence"
     strict_truncate: bool = False
     seed: int = 0
@@ -91,8 +90,6 @@ class TrainConfig:
             raise ValueError("epsilon is required when beta > 0")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.attention_window not in model.ATTENTION_WINDOWS:
-            raise ValueError(f"attention_window must be one of {model.ATTENTION_WINDOWS}")
         if self.fgsm_scope not in adversarial.FGSM_SCOPES:
             raise ValueError(f"fgsm_scope must be one of {adversarial.FGSM_SCOPES}")
         for name in ("skill_dim", "resp_dim", "hidden_dim", "attn_dim", "batch_size",
@@ -302,9 +299,7 @@ def evaluate(
     total_loss = 0.0
     total_rows = 0
     for batch in make_batches(sequences, num_skills, config.batch_size, rng=None):
-        trace, loss = model.forward(
-            params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-        )
+        trace, loss = model.forward(params, batch, attention_enabled=config.attention)
         total_loss += loss * batch.size
         total_rows += batch.size
         logs.append(collect_predictions(trace))
@@ -322,7 +317,7 @@ def train_batch(
     the gradient of that objective. A non-finite clean pass gives FGSM no
     direction: the adversarial pass is skipped and the objective is NaN.
     """
-    trace, clean_loss = model.forward(params, batch, config.attention, config.attention_window)
+    trace, clean_loss = model.forward(params, batch, config.attention)
     clean = model.backward(params, trace)
     grads, objective = clean.params, clean_loss
     if run_adversarial and not (math.isfinite(clean_loss) and np.all(np.isfinite(clean.d_embed))):
@@ -334,9 +329,7 @@ def train_batch(
         del trace, clean  # only the clean parameter gradients outlive the clean pass
         adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
         del pert
-        adv_trace, adv_loss = model.forward(
-            params, batch, config.attention, config.attention_window, embeddings=adv_inputs
-        )
+        adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)
         adv = model.backward(params, adv_trace).params
         grads = {name: g + config.beta * adv[name] for name, g in grads.items()}
         objective = clean_loss + config.beta * adv_loss

@@ -91,8 +91,7 @@ def numeric_gradients(
 
     def loss_now(embeddings) -> float:
         _, loss = model.forward(
-            params, batch, attention_enabled=config.attention,
-            attention_window=config.attention_window, embeddings=embeddings,
+            params, batch, attention_enabled=config.attention, embeddings=embeddings
         )
         return loss
 
@@ -118,9 +117,7 @@ def numeric_gradients(
 def analytic_gradients(
     params: ModelParams, batch: Batch, config: TrainConfig
 ) -> dict[str, np.ndarray]:
-    trace, _ = model.forward(
-        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-    )
+    trace, _ = model.forward(params, batch, attention_enabled=config.attention)
     grads = model.backward(params, trace)
     out = dict(grads.params)
     out["d_embed"] = grads.d_embed

@@ -228,7 +228,7 @@ def valid_cells(trace):
     return on_grid(trace, np.ones(len(trace.cells), dtype=bool))
 
 
-def full_head_forward(params, batch, attention_enabled=True, attention_window="causal"):
+def full_head_forward(params, batch, attention_enabled=True):
     """The forward pass with the full skill head; returns (trace, loss, probs).
 
     Every skill's probability at every step of the [n, B] grid, then the
@@ -239,7 +239,7 @@ def full_head_forward(params, batch, attention_enabled=True, attention_window="c
     batch, and the predictions put into the packed trace, so
     ``model.backward`` on it gives this head's gradients.
     """
-    trace, _ = model.forward(params, batch, attention_enabled, attention_window)
+    trace, _ = model.forward(params, batch, attention_enabled)
     hd = params.hidden_dim
     hidden = on_grid(trace, trace.hidden)
     if attention_enabled:
@@ -260,20 +260,19 @@ def full_head_forward(params, batch, attention_enabled=True, attention_window="c
     return trace, float(per_seq.mean()), probs
 
 
-def loop_attention_forward(params, hidden, seq_lens, window):
+def loop_attention_forward(params, hidden, seq_lens):
     """Per-window softmax aggregates; same return layout as ``padded_attention_forward``.
 
-    "causal" takes a fresh softmax over each window h_0..h_{k-1}; "sequence"
-    takes one softmax per row over j < seq_len - 2 and sums its prefixes.
-    The exp/normaliser slots are None: only ``loop_attention_backward``
-    consumes a trace built from this.
+    Each target k takes a fresh softmax over its window h_0..h_{k-1}. The
+    exp/normaliser slots are None: only ``loop_attention_backward`` consumes
+    a trace built from this.
     """
     n, b, hd = hidden.shape
     attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
     attn_logits = attn_hidden @ params.attn_u
     agg = np.zeros((n, b, hd))
     for k in range(1, n):
-        agg[k] = np.einsum("jb,jbh->bh", _window_weights(attn_logits, seq_lens, window, k), hidden[:k])
+        agg[k] = np.einsum("jb,jbh->bh", _window_weights(attn_logits, k), hidden[:k])
     return attn_hidden, None, None, agg
 
 
@@ -282,21 +281,12 @@ def loop_attention_backward(params, trace, dagg, dhidden, grads):
     n, b, hd = trace.hidden.shape
     u = trace.attn_hidden
     logits = u @ params.attn_u
-    seq_lens = trace.batch.seq_lens
     dlogits = np.zeros((n, b))
-    if trace.attention_window == "causal":
-        for k in range(1, n):
-            w = _window_weights(logits, seq_lens, "causal", k)  # [k, B]
-            dw = np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
-            dhidden[:k] += w[:, :, None] * dagg[k][None, :, :]
-            dlogits[:k] += w * (dw - np.sum(w * dw, axis=0, keepdims=True))
-    else:
-        w = _window_weights(logits, seq_lens, "sequence", n)  # [n, B]
-        dweights = np.zeros((n, b))
-        for k in range(1, n):
-            dweights[:k] += np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
-            dhidden[:k] += w[:k, :, None] * dagg[k][None, :, :]
-        dlogits = w * (dweights - np.sum(w * dweights, axis=0, keepdims=True))
+    for k in range(1, n):
+        w = _window_weights(logits, k)  # [k, B]
+        dw = np.einsum("bh,jbh->jb", dagg[k], trace.hidden[:k])
+        dhidden[:k] += w[:, :, None] * dagg[k][None, :, :]
+        dlogits[:k] += w * (dw - np.sum(w * dw, axis=0, keepdims=True))
     du = dlogits[:, :, None] * params.attn_u[None, None, :]
     grads["attn_u"] += np.einsum("kb,kbw->w", dlogits, u)
     dpre = (1.0 - u * u) * du
@@ -385,10 +375,7 @@ def _einsum_attention_backward(params, trace, dagg, dhidden, grads):
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)
     dnumer_after = exclusive_cumsum(dnumer[::-1])[::-1]
-    if trace.attention_window == "causal":
-        dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
-    else:
-        dnorm_sum = dnorm.sum(axis=0)
+    dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
     a = trace.attn_exp
     dhidden += a[:, :, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
@@ -401,18 +388,10 @@ def _einsum_attention_backward(params, trace, dagg, dhidden, grads):
     dhidden += dpre @ params.attn_w
 
 
-def _window_weights(logits, seq_lens, window, k):
+def _window_weights(logits, k):
     """Weights [k, B] of the states h_0..h_{k-1} in target k's aggregate."""
-    if window == "causal":
-        w = np.exp(logits[:k] - logits[:k].max(axis=0, keepdims=True))
-        return w / w.sum(axis=0, keepdims=True)
-    support = np.arange(len(logits))[:, None] < (seq_lens[None, :] - 2)
-    shifted = np.where(support, logits, -np.inf)
-    peak = shifted.max(axis=0, keepdims=True)
-    expw = np.where(support, np.exp(shifted - np.where(np.isfinite(peak), peak, 0.0)), 0.0)
-    total = expw.sum(axis=0, keepdims=True)
-    w = np.divide(expw, total, out=np.zeros_like(expw), where=total > 0)
-    return w[:k]
+    w = np.exp(logits[:k] - logits[:k].max(axis=0, keepdims=True))
+    return w / w.sum(axis=0, keepdims=True)
 
 
 def reference_train_batch(params, batch, config, run_adversarial):
@@ -422,9 +401,7 @@ def reference_train_batch(params, batch, config, run_adversarial):
     the adversarial forward and backward, as they did before the training
     step freed them early; the outputs must not change.
     """
-    trace, clean_loss = model.forward(
-        params, batch, attention_enabled=config.attention, attention_window=config.attention_window
-    )
+    trace, clean_loss = model.forward(params, batch, attention_enabled=config.attention)
     clean_grads = model.backward(params, trace)
     total = clean_grads.params
     objective = clean_loss
@@ -437,7 +414,6 @@ def reference_train_batch(params, batch, config, run_adversarial):
             params,
             batch,
             attention_enabled=config.attention,
-            attention_window=config.attention_window,
             embeddings=adv_inputs,
         )
         adv_params = model.backward(params, adv_trace).params
@@ -468,7 +444,6 @@ class PaddedTrace:
     step_mask: np.ndarray  # bool [n, B]
     target_skills: np.ndarray  # int64 [n, B], 0 where padded
     attention_enabled: bool
-    attention_window: str
     batch: Batch
 
 
@@ -479,7 +454,7 @@ def exclusive_cumsum(x):
     return out
 
 
-def padded_attention_forward(params, hidden, seq_lens, window):
+def padded_attention_forward(params, hidden, seq_lens):
     """Prefix-sum attention over the [n, B] grid: (attn_hidden, attn_exp, attn_norm, agg).
 
     ``model.forward``'s attention before it ran on the packed cells. Each
@@ -492,10 +467,7 @@ def padded_attention_forward(params, hidden, seq_lens, window):
     logits = attn_hidden @ params.attn_u  # [n, B], l_j
     support = np.arange(n)[:, None] < (seq_lens[None, :] - 2)
     attn_exp = np.where(support, np.exp(logits - logits.max(axis=0)), 0.0)
-    if window == "causal":
-        attn_norm = exclusive_cumsum(attn_exp)
-    else:
-        attn_norm = np.repeat(attn_exp.sum(axis=0, keepdims=True), n, axis=0)
+    attn_norm = exclusive_cumsum(attn_exp)
     numer = exclusive_cumsum(attn_exp[:, :, None] * hidden)
     norm = attn_norm[:, :, None]
     agg = np.divide(numer, norm, out=np.zeros_like(numer), where=norm > 0)
@@ -508,10 +480,7 @@ def padded_attention_backward(params, trace, dagg, dhidden, grads):
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=2)  # [n, B]
     dnumer_after = exclusive_cumsum(dnumer[::-1])[::-1]
-    if trace.attention_window == "causal":
-        dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
-    else:
-        dnorm_sum = dnorm.sum(axis=0)
+    dnorm_sum = exclusive_cumsum(dnorm[::-1])[::-1]
     a = trace.attn_exp
     dhidden += a[:, :, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=2) + dnorm_sum)
@@ -525,7 +494,7 @@ def padded_attention_backward(params, trace, dagg, dhidden, grads):
     dhidden += dpre @ params.attn_w
 
 
-def padded_forward(params, batch, attention_enabled=True, attention_window="causal", embeddings=None):
+def padded_forward(params, batch, attention_enabled=True, embeddings=None):
     """``model.forward`` run over every cell of the padded batch.
 
     Returns (``PaddedTrace``, loss). The LSTM, attention, head and loss work
@@ -560,9 +529,7 @@ def padded_forward(params, batch, attention_enabled=True, attention_window="caus
     step_mask = np.arange(n)[:, None] < (batch.seq_lens[None, :] - 1)
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden, attn_exp, attn_norm, agg = padded_attention_forward(
-            params, hidden, batch.seq_lens, attention_window
-        )
+        attn_hidden, attn_exp, attn_norm, agg = padded_attention_forward(params, hidden, batch.seq_lens)
     else:
         agg = np.zeros((n, b, hd), dtype=FLOAT)
     target_skills = np.where(step_mask, batch.skills[:, 1:].T, 0)
@@ -580,7 +547,7 @@ def padded_forward(params, batch, attention_enabled=True, attention_window="caus
         embeddings=embeddings, gates=gates, cell=cell, hidden=hidden,
         attn_hidden=attn_hidden, attn_exp=attn_exp, attn_norm=attn_norm, agg_hidden=agg,
         pred=pred, step_mask=step_mask, target_skills=target_skills,
-        attention_enabled=attention_enabled, attention_window=attention_window, batch=batch,
+        attention_enabled=attention_enabled, batch=batch,
     )
     return trace, float(per_seq.mean())
 

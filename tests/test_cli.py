@@ -90,7 +90,6 @@ class TestConfigParsing:
             ("grad_clip", "off", None),
             ("epsilon", "10", 10.0),
             ("patience", "7", 7),
-            ("attention_window", "sequence", "sequence"),
         ],
     )
     def test_accepted_spellings(self, key, raw, want):
@@ -248,6 +247,18 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data) == 2
         assert "skills" in capsys.readouterr().err
 
+    def test_causal_window_echo_evaluates_as_without_it(self, tmp_path, data_file):
+        # Checkpoints written while attention_window was a config key echo "causal".
+        cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
+        params = model.init_params(4, 6, 3, 5, 5, Rng(0).split("init"))
+        logs = []
+        for name, extra in [("new", {}), ("old", {"attention_window": "causal"})]:
+            ckpt = tmp_path / f"{name}.json"
+            model.save_checkpoint(ckpt, params, dict(cfg.to_dict(), fold=0, **extra), timestamp=False)
+            log = tmp_path / f"{name}.csv"
+            assert run_cli("eval", "--checkpoint", ckpt, "--data", data_file, "--out", log) == 0
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("command", ["eval", "trace"])
     def test_non_finite_predictions_exit_3(self, tmp_path, data_file, capsys, command):
@@ -279,12 +290,17 @@ class TestEval:
         "echo_resp_dim_vs_arrays": ("resp_dim", 4),
         "echo_hidden_dim_vs_arrays": ("hidden_dim", 100000000),
         "echo_attn_dim_vs_arrays": ("attn_dim", 1),
+        # Attention is causal only; the key survives in older checkpoints' echoes.
+        "echo_attention_window_sequence": ("attention_window", "sequence"),
     }
 
     def malformed_checkpoint(self, tmp_path, case):
         ckpt = self.make_chance_checkpoint(tmp_path)
         if case == "non_utf8":
             ckpt.write_bytes(b"\xff" + ckpt.read_bytes())
+            return ckpt
+        if case == "deeply_nested":  # deeper than the JSON reader's recursion limit
+            ckpt.write_text("[" * 200_000)
             return ckpt
         doc = json.loads(ckpt.read_text())
         arrays = doc["arrays"]
@@ -314,7 +330,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "case",
         ["json_list", "no_arrays", "shape_vs_payload", "bad_base64", "short_head_b",
-         *ECHO_FAULTS, "nan_head_b", "non_utf8"],
+         *ECHO_FAULTS, "nan_head_b", "non_utf8", "deeply_nested"],
     )
     def test_malformed_checkpoint_exits_2(self, tmp_path, data_file, capsys, case):
         ckpt = self.malformed_checkpoint(tmp_path, case)
@@ -503,7 +519,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1",
                  "seed = -1", "adam_beta1 = 1.0", "adam_beta1 = -0.1", "adam_beta2 = 1",
-                 "adam_eps = 0"]
+                 "adam_eps = 0", "attention_window = causal"]
     )
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, data_file, capsys, line):
         cfg = tmp_path / "bad.txt"

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -49,9 +50,21 @@ class TestParse:
         with pytest.raises(DataFormatError, match="line 2"):
             parse_triple_line("3\n1,2\n1,0,1\n")
 
-    def test_non_integer_token_reports_line(self):
-        with pytest.raises(DataFormatError, match="line 3"):
-            parse_triple_line("2\n1,2\n1,x\n")
+    # int() also reads "+1", "1_0" and non-ASCII digits; the format does not.
+    @pytest.mark.parametrize("token", ["x", "+1", "1_0", "١", "1.0", "-", "--1"])
+    @pytest.mark.parametrize("what, line", [("skill", 2), ("response", 3)])
+    def test_non_integer_token_reports_line(self, what, line, token):
+        lines = ["2", "1,2", "1,0"]
+        lines[line - 1] = f"1,{token}"
+        want = f"line {line}: non-integer {what} token {token!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(want)}$"):
+            parse_triple_line("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("token", ["x", "+2", "0_2", "٢"])
+    def test_non_integer_count_reports_line(self, token):
+        want = f"line 1: expected interaction count, got {token!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(want)}$"):
+            parse_triple_line(f"{token}\n1,2\n1,0\n")
 
     def test_bad_response_value(self):
         with pytest.raises(DataFormatError, match="response must be 0 or 1"):

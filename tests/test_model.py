@@ -241,23 +241,6 @@ class TestForward:
                         assert pred[k, b] == pytest.approx(want, abs=1e-12)
                 assert loss == pytest.approx(np.mean(ref_losses), abs=1e-12)
 
-    def test_sequence_window_mode_prefix_weights(self):
-        # Global normalization: each window reuses the whole-sequence
-        # weights without renormalizing, so aggregates are prefix sums.
-        seqs, batch = random_batch(5, lengths=(5,))
-        p = tiny_params(seed=8)
-        trace, _ = model.forward(p, batch, attention_window="sequence")
-        norm = on_grid(trace, trace.attn_norm)[:, 0]
-        assert np.all(norm == norm[0])  # one normaliser for every window
-        w = on_grid(trace, trace.attn_exp)[:, 0] / norm[0]
-        hidden, agg = on_grid(trace, trace.hidden), on_grid(trace, trace.agg_hidden)
-        support = len(seqs[0]) - 2  # states any window can use
-        assert w[support:] == pytest.approx(0.0, abs=0)
-        assert w[:support].sum() == pytest.approx(1.0, abs=1e-12)
-        for k in range(1, len(seqs[0]) - 1):
-            want = sum(w[j] * hidden[j, 0] for j in range(k))
-            np.testing.assert_allclose(agg[k, 0], want, atol=1e-12)
-
     def test_rejects_wrong_override_shape(self):
         _, batch = random_batch(6)
         with pytest.raises(ShapeError):
@@ -366,6 +349,30 @@ class TestCausality:
             later = np.abs(pred2[t0:] - pred[t0:])
             assert later.max() > 0
 
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_flipped_response_moves_no_earlier_prediction(self, attention):
+        # Through the pair projection, no override: flipping interaction k's
+        # response leaves the predictions of interactions 1..k (packed steps
+        # before k) alone. Attention shifts a row's scores by its largest, which
+        # later states can move; N_k and D_k then change by one factor, so the
+        # earlier predictions may move by rounding, never by a real amount.
+        seqs, batch = random_batch(17, lengths=(9, 6, 4, 2))
+        p = tiny_params(seed=17)
+        trace, _ = model.forward(p, batch, attention_enabled=attention)
+        pred = on_grid(trace, trace.pred)
+        for b, seq in enumerate(seqs):
+            for k in range(len(seq)):
+                responses = seq.responses.copy()
+                responses[k] = 1 - responses[k]
+                flipped = list(seqs)
+                flipped[b] = dataclasses.replace(seq, responses=responses)
+                batch2 = make_batches(flipped, batch.num_skills, batch_size=len(seqs), rng=None)[0]
+                trace2, _ = model.forward(p, batch2, attention_enabled=attention)
+                pred2 = on_grid(trace2, trace2.pred)
+                np.testing.assert_allclose(pred2[:k, b], pred[:k, b], rtol=0, atol=1e-14)
+                if k < len(seq) - 1:
+                    assert abs(pred2[k, b] - pred[k, b]) > 1e-6  # the flip reaches the model
+
 
 class TestAblation:
     def test_no_attention_bit_matches_plain_lstm(self):
@@ -401,10 +408,6 @@ class TestGradientCheck:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_default_config_passes(self, seed):
         report = grad_check(tiny_config(), seed=seed)
-        assert report.passed, report.summary()
-
-    def test_sequence_window_mode_passes(self):
-        report = grad_check(tiny_config(attention_window="sequence"), seed=3)
         assert report.passed, report.summary()
 
     def test_attention_disabled_passes(self):
@@ -447,14 +450,14 @@ class TestPrefixSumAttention:
             p.attn_u *= attn_u_l1 / np.sum(np.abs(p.attn_u))
         return p
 
-    def compare(self, monkeypatch, p, window):
+    def compare(self, monkeypatch, p):
         _, batch = random_batch(30, lengths=self.LENGTHS)
-        trace, loss = model.forward(p, batch, attention_window=window)
+        trace, loss = model.forward(p, batch)
         grads = model.backward(p, trace)
         with monkeypatch.context() as m:
             m.setattr(reference_impl, "padded_attention_forward", loop_attention_forward)
             m.setattr(reference_impl, "padded_attention_backward", loop_attention_backward)
-            ref_trace, ref_loss = padded_forward(p, batch, attention_window=window)
+            ref_trace, ref_loss = padded_forward(p, batch)
             ref_grads, ref_d_embed = padded_backward(p, ref_trace)
 
         valid = ref_trace.step_mask
@@ -469,23 +472,21 @@ class TestPrefixSumAttention:
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
         return trace
 
-    @pytest.mark.parametrize("window", model.ATTENTION_WINDOWS)
     @pytest.mark.parametrize("large_logits", [False, True])
-    def test_matches_loop_oracle(self, monkeypatch, window, large_logits):
+    def test_matches_loop_oracle(self, monkeypatch, large_logits):
         p = tiny_params(seed=30)
         if large_logits:
             # ||attn_u||_1 ~ 205, inside the documented < 350 range.
             p.attn_w *= 20.0
             p.attn_u *= 120.0
-        trace = self.compare(monkeypatch, p, window)
+        trace = self.compare(monkeypatch, p)
         if large_logits:
             seen = trace.attn_hidden @ p.attn_u
             assert seen.max() >= 100.0 and seen.min() <= -100.0
 
-    @pytest.mark.parametrize("window", model.ATTENTION_WINDOWS)
-    def test_matches_loop_oracle_beyond_documented_range(self, monkeypatch, window):
+    def test_matches_loop_oracle_beyond_documented_range(self, monkeypatch):
         # Some a_j are subnormal here, but no window's D_k underflows to 0.
-        self.compare(monkeypatch, self.params(attn_u_l1=512.6), window)
+        self.compare(monkeypatch, self.params(attn_u_l1=512.6))
 
     def test_underflowing_window_gives_non_finite_loss(self):
         # Every exponential of 9 causal windows past step 0 underflows, so
@@ -493,7 +494,7 @@ class TestPrefixSumAttention:
         _, batch = random_batch(30, lengths=self.LENGTHS)
         p = self.params(attn_u_l1=683.5)
         with np.errstate(all="ignore"):
-            trace, loss = model.forward(p, batch, attention_window="causal")
+            trace, loss = model.forward(p, batch)
         empty = (trace.attn_norm == 0.0) & (trace.cells >= batch.size)  # windows past step 0
         assert np.count_nonzero(empty) == 9
         assert np.all(np.isnan(trace.agg_hidden[empty]))
@@ -518,7 +519,7 @@ class TestGatheredHead:
         # Every row attempts skill 2 at every step.
         "same_target": (32, (12, 12, 7, 2)),
     }
-    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+    ATTENTION = {"causal": True, "off": False}
 
     def params(self, seed):
         p = tiny_params(seed=seed)
@@ -539,10 +540,10 @@ class TestGatheredHead:
     def test_matches_full_head_oracle(self, case, attention):
         batch = self.batch(case)
         p = self.params(31)
-        enabled, window = self.ATTENTION[attention]
-        trace, loss = model.forward(p, batch, enabled, window)
+        enabled = self.ATTENTION[attention]
+        trace, loss = model.forward(p, batch, enabled)
         grads = model.backward(p, trace)
-        ref_trace, ref_loss, _ = full_head_forward(p, batch, enabled, window)
+        ref_trace, ref_loss, _ = full_head_forward(p, batch, enabled)
         ref_grads = model.backward(p, ref_trace)
 
         pairs = [
@@ -560,9 +561,9 @@ class TestGatheredHead:
     def test_skill_probs_equal_full_head(self, case, attention):
         batch = self.batch(case)
         p = self.params(32)
-        enabled, window = self.ATTENTION[attention]
-        trace, _ = model.forward(p, batch, enabled, window)
-        _, _, ref_probs = full_head_forward(p, batch, enabled, window)
+        enabled = self.ATTENTION[attention]
+        trace, _ = model.forward(p, batch, enabled)
+        _, _, ref_probs = full_head_forward(p, batch, enabled)
         probs = model.skill_probs(p, trace)
         assert probs.shape == (len(trace.cells), p.num_skills)
         valid = valid_cells(trace)
@@ -590,7 +591,7 @@ def poison_padding(batch, skill=10**6, response=1):
 class TestStepwiseBackward:
     """The hoisted backward pass against the per-step oracle it replaced."""
 
-    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+    ATTENTION = {"causal": True, "off": False}
 
     @pytest.mark.parametrize("row_block", [None, 5])
     @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
@@ -602,14 +603,14 @@ class TestStepwiseBackward:
         _, batch = random_batch(40, lengths=(23, 2, 9, 2, 15, 4, 17))
         batch = poison_padding(batch)
         p = tiny_params(seed=40)
-        enabled, window = self.ATTENTION[attention]
+        enabled = self.ATTENTION[attention]
         override = None
         if embeddings == "overridden":
             shape = (batch.max_len - 1, batch.size, p.input_dim)
             override = Rng(40).split("override").normal(size=shape)  # padded rows too
-        trace, _ = model.forward(p, batch, enabled, window, embeddings=override)
+        trace, _ = model.forward(p, batch, enabled, embeddings=override)
         grads = model.backward(p, trace)
-        padded_trace, _ = padded_forward(p, batch, enabled, window, embeddings=override)
+        padded_trace, _ = padded_forward(p, batch, enabled, embeddings=override)
         want, want_d_embed = stepwise_backward(p, padded_trace)
         pairs = [(name, grads.params[name], want[name]) for name in model.PARAM_NAMES]
         pairs.append(("d_embed", grads.d_embed, want_d_embed))
@@ -650,7 +651,7 @@ class TestStepwiseBackward:
 class TestPacking:
     """The packed forward and backward against the padded oracle they replaced."""
 
-    ATTENTION = {"causal": (True, "causal"), "sequence": (True, "sequence"), "off": (False, "causal")}
+    ATTENTION = {"causal": True, "off": False}
     LENGTHS = {
         "all_equal": (9, 9, 9, 9),
         # After step 0 only the long row is alive.
@@ -690,14 +691,14 @@ class TestPacking:
             monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
         batch = self.batch(lengths)
         p = tiny_params(seed=50, num_skills=batch.num_skills)
-        enabled, window = self.ATTENTION[attention]
+        enabled = self.ATTENTION[attention]
         override = None
         if embeddings == "overridden":
             shape = (batch.max_len - 1, batch.size, p.input_dim)
             override = Rng(50).split("override").normal(size=shape)  # padded rows too
-        trace, loss = model.forward(p, batch, enabled, window, embeddings=override)
+        trace, loss = model.forward(p, batch, enabled, embeddings=override)
         grads = model.backward(p, trace)
-        ref_trace, ref_loss = padded_forward(p, batch, enabled, window, embeddings=override)
+        ref_trace, ref_loss = padded_forward(p, batch, enabled, embeddings=override)
         ref_grads, ref_d_embed = padded_backward(p, ref_trace)
 
         valid = ref_trace.step_mask

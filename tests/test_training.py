@@ -403,14 +403,12 @@ class TestTrainBatch:
     @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
     @pytest.mark.parametrize("grad_clip", [None, 0.05])
     @pytest.mark.parametrize("scope", ["per_sequence", "global"])
-    @pytest.mark.parametrize("window", ["causal", "sequence"])
     @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("run_adversarial", [True, False])
-    def test_bit_identical_to_reference(self, run_adversarial, attention, window, scope, grad_clip,
-                                        responses):
+    def test_bit_identical_to_reference(self, run_adversarial, attention, scope, grad_clip, responses):
         batch = self.batch(responses)
-        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, attention_window=window,
-                          fgsm_scope=scope, grad_clip=grad_clip)
+        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, fgsm_scope=scope,
+                          grad_clip=grad_clip)
         params = model.init_params(
             batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
             Rng(3).split("init"),
