@@ -392,10 +392,14 @@ class TestValSplitUsage:
 class TestTrainBatch:
     """The step that frees the clean pass early against the one that holds it."""
 
-    def batch(self, responses):
+    # "ragged" mixes in padding; "equal" has none, so every packed step spans
+    # the whole batch; with one row, FGSM's two scopes cover the same ball.
+    LENGTHS = {"ragged": (12, 2, 7, 12, 5, 9), "equal": (12,) * 6, "one_row": (12,)}
+
+    def batch(self, responses, lengths="ragged"):
         ds = tiny_dataset(num_students=6, seq_len=12, seed=15)
         seqs = []
-        for s, n in zip(ds.sequences, (12, 2, 7, 12, 5, 9)):  # lengths that mix in padding
+        for s, n in zip(ds.sequences, self.LENGTHS[lengths]):
             resp = s.responses[:n] if responses == "mixed" else np.full(n, int(responses == "all_correct"))
             seqs.append(InteractionSequence(s.student_id, s.skills[:n], resp))
         return make_batches(seqs, ds.num_skills, batch_size=len(seqs), rng=None)[0]
@@ -403,10 +407,13 @@ class TestTrainBatch:
     @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
     @pytest.mark.parametrize("grad_clip", [None, 0.05])
     @pytest.mark.parametrize("scope", ["per_sequence", "global"])
+    @pytest.mark.parametrize("lengths", LENGTHS)
     @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("run_adversarial", [True, False])
-    def test_bit_identical_to_reference(self, run_adversarial, attention, scope, grad_clip, responses):
-        batch = self.batch(responses)
+    def test_bit_identical_to_reference(self, run_adversarial, attention, lengths, scope, grad_clip,
+                                        responses):
+        batch = self.batch(responses, lengths)
+        assert np.all(batch.seq_lens == self.LENGTHS[lengths])
         cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, fgsm_scope=scope,
                           grad_clip=grad_clip)
         params = model.init_params(
