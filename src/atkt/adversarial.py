@@ -43,15 +43,19 @@ def fgsm_perturbation(
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if scope not in FGSM_SCOPES:
         raise ValueError(f"scope must be one of {FGSM_SCOPES}, got {scope!r}")
-    if not np.all(np.isfinite(d_embed)):
-        raise ValueError("embedding gradient contains non-finite entries")
     # One ball per batch row (norms over step and coordinate), or one for all.
     axes = (0, 2) if scope == "per_sequence" else None
+    # Each ball's largest magnitude, without an |d_embed| temporary. NaN and
+    # +-inf survive max and min, so the peaks are finite iff d_embed is.
+    peak = np.maximum(np.max(d_embed, axis=axes, keepdims=True),
+                      -np.min(d_embed, axis=axes, keepdims=True))
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("embedding gradient contains non-finite entries")
     # 2**-k puts each ball's largest entry in [0.5, 1): squares of entries
     # near 1e200 would overflow, and of entries near 1e-170 underflow. The
     # scaled gradient is built twice so that only one [n, B, d] temporary at
     # a time lives beside d_embed, as before the scaling.
-    _, k = np.frexp(np.max(np.abs(d_embed), axis=axes, keepdims=True))
+    _, k = np.frexp(peak)
     squares = np.ldexp(d_embed, -k)
     np.square(squares, out=squares)
     norms = np.sqrt(np.sum(squares, axis=axes, keepdims=True))

@@ -127,22 +127,61 @@ def _parse_int_list(line: str, line_number: int, what: str) -> list[int]:
     return values
 
 
+# The bytes of the plain grammar: ASCII digits, "-", ",", space, tab, newline.
+_PLAIN_BYTES = b"0123456789-, \t\n"
+# Longer tokens (a "-" included) go to the per-token walk, because the bulk
+# conversion adds up digits in int64, which holds any 18-digit number.
+_MAX_PLAIN_TOKEN = 18
+
+
 def parse_triple_line(text: str, num_skills: int | None = None) -> Dataset:
     """Parse triple-line text into a Dataset.
 
     Groups with fewer than 2 interactions are dropped (with a logged count).
     ``num_skills`` may force a larger skill universe than the file exhibits.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    sequences: list[InteractionSequence] = []
-    dropped = 0
-    max_skill = -1
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    starts = _group_starts(lines)
+    # A file in the plain grammar that breaks no rule converts in bulk; the
+    # per-token walk parses any other file or raises its first error.
+    plain = text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+    parsed = _parse_plain(lines, starts) if plain else None
+    if parsed is None:
+        parsed = _parse_tokens(lines, starts)
+    sequences, max_skill = parsed
+    dropped = len(starts) - len(sequences)
+    if dropped:
+        logger.info("dropped %d sequence(s) shorter than %d interactions", dropped, MIN_SEQ_LEN)
+    inferred = max_skill + 1
+    if num_skills is None:
+        num_skills = inferred
+    elif num_skills < inferred:
+        raise ValueError(f"num_skills={num_skills} but file contains skill id {max_skill}")
+    return Dataset(sequences=tuple(sequences), num_skills=num_skills)
+
+
+def _group_starts(lines: list[str]) -> list[int]:
+    """Each group's count line index: a blank line is skipped only where a count is expected."""
+    starts = []
     i = 0
-    group = 0
     while i < len(lines):
         if lines[i].strip() == "":
             i += 1
             continue
+        starts.append(i)
+        i += 3
+    return starts
+
+
+def _parse_tokens(lines: list[str], starts: list[int]) -> tuple[list[InteractionSequence], int]:
+    """The kept sequences and the largest skill id (-1 if none), token by token.
+
+    Raises the ``DataFormatError`` of the first rule the file breaks.
+    """
+    sequences: list[InteractionSequence] = []
+    max_skill = -1
+    for group, i in enumerate(starts):
         count_line_no = i + 1
         count_tok = lines[i].strip()
         try:
@@ -172,18 +211,93 @@ def parse_triple_line(text: str, num_skills: int | None = None) -> Dataset:
             max_skill = max(max_skill, line_max)
         if count >= MIN_SEQ_LEN:
             sequences.append(_sequence(f"student-{group}", skills, responses))
-        else:
-            dropped += 1
-        group += 1
-        i += 3
-    if dropped:
-        logger.info("dropped %d sequence(s) shorter than %d interactions", dropped, MIN_SEQ_LEN)
-    inferred = max_skill + 1
-    if num_skills is None:
-        num_skills = inferred
-    elif num_skills < inferred:
-        raise ValueError(f"num_skills={num_skills} but file contains skill id {max_skill}")
-    return Dataset(sequences=tuple(sequences), num_skills=num_skills)
+    return sequences, max_skill
+
+
+def _parse_plain(lines: list[str], starts: list[int]) -> tuple[list[InteractionSequence], int] | None:
+    """What ``_parse_tokens`` returns, in bulk, for lines in the plain grammar.
+
+    None when the file breaks a rule or has a token longer than
+    ``_MAX_PLAIN_TOKEN``, so that the per-token walk decides.
+    """
+    if starts and starts[-1] + 2 >= len(lines):
+        return None
+    try:
+        # On plain lines int() reads exactly what _plain_int reads.
+        counts = np.array([int(lines[i]) for i in starts], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    numbers = _plain_numbers([lines[i + 1] for i in starts] + [lines[i + 2] for i in starts])
+    if numbers is None:
+        return None
+    values, per_line = numbers
+    # Token counts are never negative, so this also rejects a negative count.
+    if not np.array_equal(per_line, np.tile(counts, 2)):
+        return None
+    skills, responses = np.split(values, 2)
+    if skills.size and (
+        skills.min() < 0 or skills.max() >= MAX_SKILLS or responses.min() < 0 or responses.max() > 1
+    ):
+        return None
+    sequences = []
+    offset = 0
+    for group, count in enumerate(counts.tolist()):
+        if count >= MIN_SEQ_LEN:
+            stop = offset + count
+            sequences.append(_sequence(f"student-{group}", skills[offset:stop], responses[offset:stop]))
+        offset += count
+    return sequences, int(skills.max()) if skills.size else -1
+
+
+def _plain_numbers(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """All values of comma-separated plain number lines, and each line's token count.
+
+    A line reads as ``_parse_int_list`` reads it: stripped, split at commas,
+    with the empty tail fields dropped and every other field, stripped, an
+    optional "-" and ASCII digits. None when a field breaks that grammar or is
+    longer than ``_MAX_PLAIN_TOKEN``.
+    """
+    # A newline before every line and after the last gives every character two
+    # neighbours and gives len(lines) + 1 newlines, also when lines is empty.
+    b = np.frombuffer("\n".join(["", *lines, ""]).encode("ascii"), dtype=np.uint8)
+    blank = (b == ord(" ")) | (b == ord("\t"))
+    kept = ~blank
+    c = b[kept]
+    spaced = blank[1:][kept[:-1]]  # whitespace between c[k] and c[k + 1]
+    tok = c >= ord("-")  # "-" or a digit; every other kept byte is "," or a newline
+    minus = c == ord("-")
+    comma = c == ord(",")
+    # An empty field ends at a comma right after a comma or a line start.
+    empty_field = comma[1:] & ~tok[:-1]
+    if (
+        np.any(tok[1:] & tok[:-1] & spaced)  # whitespace inside a token
+        or np.any(minus[1:] & tok[:-1])  # "-" after a token character
+        or np.any(minus[:-1] & (c[1:] < ord("0")))  # "-" not before a digit
+        or np.any(empty_field[:-1] & tok[2:])  # an empty field before a token
+        or np.any(empty_field & comma[:-1] & spaced)  # a whitespace-only field
+    ):
+        return None
+    # Tokens alternate with separator runs, and the block starts and ends
+    # with a separator, so the places where c turns to or from a token
+    # alternate too: the separator before each token, and its last character.
+    turns = np.flatnonzero(tok[1:] != tok[:-1])
+    before, last = turns[0::2], turns[1::2]
+    # A line's tokens are those whose separator-before lies before its newline.
+    per_line = np.diff(np.searchsorted(before, np.flatnonzero(c == ord("\n"))))
+    if before.size == 0:
+        return np.zeros(0, dtype=np.int64), per_line
+    width = int((last - before).max())
+    if width > _MAX_PLAIN_TOKEN:
+        return None
+    # Each token's digits times powers of ten, one place per pass from the
+    # last digit back. Digits are 0 at "-" and separators, and a place before
+    # the token reads the separator just before it.
+    digits = (c - ord("0")) * (c >= ord("0"))  # uint8, 0 where c - 48 wrapped
+    values = digits[last].astype(np.int64)
+    for k in range(1, width):
+        values += digits[np.maximum(last - k, before)].astype(np.int64) * 10**k
+    np.negative(values, out=values, where=minus[1:][before])  # a "-" opens the token
+    return values, per_line
 
 
 def serialize_triple_line(dataset: Dataset) -> str:

@@ -245,7 +245,8 @@ def init_params(
 
 
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    # np.zeros takes calloc's already-zeroed pages; np.zeros_like writes every entry.
+    return {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.named_arrays()}
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         return cls(
-            m={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-            v={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
+            m={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.named_arrays()},
+            v={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.named_arrays()},
             work=np.empty((2, max(arr.size for _, arr in params.named_arrays()))),
         )
 

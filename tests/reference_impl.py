@@ -28,8 +28,11 @@ weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
 ``model.backward`` computed them before its gradients were hoisted out of the
 time loop. ``adam_step`` is the Adam update that allocates new moment arrays
 at every step, and ``unscaled_clip_gradients`` the global-norm clip that
-squares unscaled gradients (its norm overflows to inf above ~1e154). All are
-deliberately kept separate from the production code they validate.
+squares unscaled gradients (its norm overflows to inf above ~1e154).
+``per_token_parse_triple_line`` is ``data.parse_triple_line`` as it was
+before it converted files in the plain grammar in bulk: one walk over the
+groups, one ``int()`` per token. All are deliberately kept separate from the
+production code they validate.
 """
 
 import math
@@ -37,9 +40,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from atkt import adversarial, model
+from atkt import adversarial, data, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid
-from atkt.data import Batch
+from atkt.data import MAX_SKILLS, MIN_SEQ_LEN, Batch, DataFormatError, Dataset
 from atkt.model import build_embeddings
 from atkt.training import clip_gradients
 
@@ -640,3 +643,58 @@ def unscaled_clip_gradients(grads, max_norm):
         scale = max_norm / total
         for g in grads.values():
             g *= scale
+
+
+def per_token_parse_triple_line(text, num_skills=None):
+    """Triple-line text to a Dataset, group by group and token by token."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    sequences = []
+    dropped = 0
+    max_skill = -1
+    i = 0
+    group = 0
+    while i < len(lines):
+        if lines[i].strip() == "":
+            i += 1
+            continue
+        count_line_no = i + 1
+        count_tok = lines[i].strip()
+        try:
+            count = data._plain_int(count_tok)
+        except ValueError:
+            raise DataFormatError(count_line_no, f"expected interaction count, got {count_tok!r}") from None
+        if count < 0:
+            raise DataFormatError(count_line_no, f"negative interaction count {count}")
+        if i + 2 >= len(lines):
+            raise DataFormatError(count_line_no, "truncated group: need skill and response lines")
+        skills = data._parse_int_list(lines[i + 1], i + 2, "skill")
+        responses = data._parse_int_list(lines[i + 2], i + 3, "response")
+        if len(skills) != count:
+            raise DataFormatError(i + 2, f"declared {count} interactions but found {len(skills)} skills")
+        if len(responses) != count:
+            raise DataFormatError(i + 3, f"declared {count} interactions but found {len(responses)} responses")
+        for s in skills:
+            if s < 0:
+                raise DataFormatError(i + 2, f"negative skill id {s}")
+        for a in responses:
+            if a not in (0, 1):
+                raise DataFormatError(i + 3, f"response must be 0 or 1, got {a}")
+        if skills:
+            line_max = max(skills)
+            if line_max >= MAX_SKILLS:
+                raise DataFormatError(i + 2, f"skill id {line_max} is not below the cap of {MAX_SKILLS:,}")
+            max_skill = max(max_skill, line_max)
+        if count >= MIN_SEQ_LEN:
+            sequences.append(data._sequence(f"student-{group}", skills, responses))
+        else:
+            dropped += 1
+        group += 1
+        i += 3
+    if dropped:
+        data.logger.info("dropped %d sequence(s) shorter than %d interactions", dropped, MIN_SEQ_LEN)
+    inferred = max_skill + 1
+    if num_skills is None:
+        num_skills = inferred
+    elif num_skills < inferred:
+        raise ValueError(f"num_skills={num_skills} but file contains skill id {max_skill}")
+    return Dataset(sequences=tuple(sequences), num_skills=num_skills)

@@ -1,9 +1,12 @@
 import logging
+import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from atkt import data
 from atkt.data import (
     MAX_SKILLS,
     Batch,
@@ -18,6 +21,8 @@ from atkt.data import (
     serialize_triple_line,
 )
 from atkt.linalg import Rng
+from reference_impl import per_token_parse_triple_line
+from test_fuzz import DATA_TEXT, mutate_data
 
 
 def seq(student_id, skills, responses):
@@ -26,6 +31,23 @@ def seq(student_id, skills, responses):
         skills=np.asarray(skills, dtype=np.int64),
         responses=np.asarray(responses, dtype=np.int64),
     )
+
+
+# Texts whose last sequence is skills 4, 5 with responses 1, 0.
+TOLERATED = [
+    "2\r\n4,5,\r\n1,0,\r\n",  # CRLF and trailing commas
+    "2\n4, 5\n1 ,0\n",  # a space beside a token
+    "2\n4,\t5\n1,0\t\n",  # a tab beside a token
+    "2\n4\u00a0,5\n1,0\n",  # a no-break space beside a token
+    "2\n04,5\n1,-0\n",  # a leading zero; -0 is 0
+    "2\n4,5, \n1,0, \n",  # a trailing ", "
+    "0\n\n\n2\n4,5\n1,0\n",  # a count-0 group still has its two number lines
+    "2\n0000000000000000000004,5\n1,0\n",  # leading zeros past int64's 18 safe digits
+]
+# A field written after "1," on a number line, and the token its error names.
+# int() also reads "+1", "1_0" and non-ASCII digits; the format does not. A
+# field holds one token, and an empty field before a token is the empty token.
+MALFORMED = [(t, t) for t in ["x", "+1", "1_0", "١", "1.0", "-", "--1", "1 2", "1\t2"]] + [("1,,2", ""), (" ,2", "")]
 
 
 class TestParse:
@@ -42,20 +64,21 @@ class TestParse:
         assert len(ds.sequences) == 0
         assert "dropped 1" in caplog.text
 
-    def test_crlf_and_trailing_commas(self):
-        ds = parse_triple_line("2\r\n4,5,\r\n1,0,\r\n")
-        np.testing.assert_array_equal(ds.sequences[0].skills, [4, 5])
+    @pytest.mark.parametrize("text", TOLERATED)
+    def test_tolerated_forms(self, text):
+        ds = parse_triple_line(text)
+        np.testing.assert_array_equal(ds.sequences[-1].skills, [4, 5])
+        np.testing.assert_array_equal(ds.sequences[-1].responses, [1, 0])
 
     def test_count_mismatch_reports_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_triple_line("3\n1,2\n1,0,1\n")
 
-    # int() also reads "+1", "1_0" and non-ASCII digits; the format does not.
-    @pytest.mark.parametrize("token", ["x", "+1", "1_0", "١", "1.0", "-", "--1"])
+    @pytest.mark.parametrize("field, token", MALFORMED, ids=[field for field, _ in MALFORMED])
     @pytest.mark.parametrize("what, line", [("skill", 2), ("response", 3)])
-    def test_non_integer_token_reports_line(self, what, line, token):
+    def test_non_integer_token_reports_line(self, what, line, field, token):
         lines = ["2", "1,2", "1,0"]
-        lines[line - 1] = f"1,{token}"
+        lines[line - 1] = f"1,{field}"
         want = f"line {line}: non-integer {what} token {token!r}"
         with pytest.raises(DataFormatError, match=f"^{re.escape(want)}$"):
             parse_triple_line("\n".join(lines) + "\n")
@@ -98,6 +121,80 @@ class TestParse:
         for a, b in zip(ds.sequences, again.sequences):
             np.testing.assert_array_equal(a.skills, b.skills)
             np.testing.assert_array_equal(a.responses, b.responses)
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+# Pieces inserted into number lines: each keeps the line in the plain grammar.
+PLAIN_PIECES = ["0", "1", "7", "12", "-", ",", " ", "\t", "-0", "01"]
+
+
+def plain_noise_text(rng: random.Random) -> str:
+    """Up to four groups in the plain grammar, many of them broken by an inserted piece."""
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        count = rng.randint(0, 4)
+        lines.append(str(count) if rng.random() < 0.9 else rng.choice(["-1", " 2 ", "1,", "99999999999999999999"]))
+        for top in (12, 1):
+            line = ",".join(str(rng.randint(0, top)) for _ in range(count))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                at = rng.randrange(len(line) + 1)
+                line = line[:at] + rng.choice(PLAIN_PIECES) + line[at:]
+            lines.append(line + rng.choice(["", "", ",", ",,", ", ", " ,", ", ,"]))
+        if rng.random() < 0.2:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t"]))
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n", "\r\n"])
+
+
+class TestBulkParse:
+    """``parse_triple_line`` gives what the per-token walk gives: sequences or exception, and log."""
+
+    def outcome(self, parse, text, num_skills, caplog):
+        caplog.clear()
+        try:
+            ds = parse(text, num_skills)
+        except Exception as exc:  # both parsers must raise the same type with the same message
+            return (type(exc), str(exc)), caplog.messages
+        sequences = [(s.student_id, s.skills.dtype, s.skills.tolist(), s.responses.dtype, s.responses.tolist())
+                     for s in ds.sequences]
+        return (ds.num_skills, sequences), caplog.messages
+
+    def assert_matches(self, texts, num_skills, monkeypatch, caplog):
+        real = data._parse_plain
+        bulk = []
+
+        def recording(*args):
+            bulk.append(real(*args))
+            return bulk[-1]
+
+        monkeypatch.setattr(data, "_parse_plain", recording)
+        with caplog.at_level(logging.INFO, logger="atkt.data"):
+            for text in texts:
+                for n in (None, num_skills):
+                    want = self.outcome(per_token_parse_triple_line, text, n, caplog)
+                    assert self.outcome(parse_triple_line, text, n, caplog) == want, (text, n)
+        # The bulk path, not only the walk it falls back to, parsed some of them.
+        assert any(result is not None for result in bulk)
+
+    def test_grammar_cases(self, monkeypatch, caplog):
+        texts = list(TOLERATED)
+        for field, _ in MALFORMED:
+            texts += [f"2\n1,{field}\n1,0\n", f"2\n1,2\n1,{field}\n", f"{field}\n1,2\n1,0\n"]
+        self.assert_matches(texts, 5, monkeypatch, caplog)
+
+    def test_fuzzed_files(self, monkeypatch, caplog):
+        rng = random.Random("atkt-parse-fuzz")
+        self.assert_matches([mutate_data(rng, DATA_TEXT) for _ in range(400)], 6, monkeypatch, caplog)
+
+    def test_plain_noise(self, monkeypatch, caplog):
+        rng = random.Random("atkt-parse-plain")
+        self.assert_matches([plain_noise_text(rng) for _ in range(600)], 6, monkeypatch, caplog)
+
+    def test_workload_texts(self, monkeypatch, caplog):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        from workloads import WORKLOADS, make_text
+
+        texts = [make_text(w, seed, 1) for w in WORKLOADS.values() for seed in (21, 22, 23)]
+        self.assert_matches(texts, 110, monkeypatch, caplog)
 
 
 class TestFolds:

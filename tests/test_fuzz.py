@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from atkt import cli, model
+from atkt.adversarial import FGSM_SCOPES
 from atkt.data import MAX_SKILLS, generate_synthetic, serialize_triple_line
 from atkt.linalg import Rng
 from atkt.training import FIELD_TYPES, TrainConfig
@@ -47,13 +48,15 @@ SWEEP_BOUNDS = {"--epsilons": "1", "--betas": "0,0.5", "--folds": "0"}
 
 TEXT_TOKENS = ["", "0", "1", "2", "3", "-1", "7", "2.5", "x", "nan", "inf", "1e400", "none",
                "true", ",", "=", "#", " ", "\n", "\t", "é"]
+# The valid data file that data cases mutate.
+DATA_TEXT = serialize_triple_line(generate_synthetic(20, 4, 8, learn_rate=0.3, guess=0.25, slip=0.1, seed=7))
 CONFIG_VALUES = ["0", "1", "2", "3", "-1", "0.5", "1.0", "1e-8", "1e200", "x", "", "nan", "inf",
                  "none", "off", "true", "false", "causal", "sequence", "global", "per_sequence"]
 PLAUSIBLE = {
     int: ["1", "2", "3", "4", "7", "0"],
     float: ["0.5", "0.9", "1", "2", "1e-3", "1e200"],
     bool: ["true", "false", "on", "0"],
-    str: ["causal", "sequence", "global", "per_sequence"],
+    str: [*FGSM_SCOPES, "per_step"],  # fgsm_scope is the only string key
 }
 ECHO_VALUES = [None, -1, 0, 1, 2, 5, 2.5, 1e308, -1e308, "x", "", True, False, [], {}, [1],
                10**30, "causal", "sequence", "global"]
@@ -236,10 +239,7 @@ class Inputs:
     def __init__(self, root):
         self.root = root
         self.data = root / "data.txt"
-        self.data_text = serialize_triple_line(
-            generate_synthetic(20, 4, 8, learn_rate=0.3, guess=0.25, slip=0.1, seed=7)
-        )
-        self.data.write_text(self.data_text)
+        self.data.write_text(DATA_TEXT)
         self.config = root / "config.cfg"
         self.config.write_text(BASE_CONFIG + ONE_EPOCH)
         cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
@@ -293,7 +293,7 @@ def test_cli_survives_mutated_inputs(tmp_path, monkeypatch, kind):
         label = f"{kind} case {case}"
         path = tmp_path / f"case-{case}"
         if kind == "data":
-            path.write_bytes(encode(rng, mutate_data(rng, inputs.data_text)))
+            path.write_bytes(encode(rng, mutate_data(rng, DATA_TEXT)))
             argv = inputs.argv(rng.choice(COMMANDS), data=path)
         elif kind == "config":
             path.write_bytes(encode(rng, mutate_config(rng, BASE_CONFIG) + ONE_EPOCH))
