@@ -127,10 +127,11 @@ def _parse_int_list(line: str, line_number: int, what: str) -> list[int]:
     return values
 
 
-# The bytes of the plain grammar: ASCII digits, "-", ",", space, tab, newline.
-_PLAIN_BYTES = b"0123456789-, \t\n"
-# Longer tokens (a "-" included) go to the per-token walk, because the bulk
-# conversion adds up digits in int64, which holds any 18-digit number.
+# The bytes of the plain grammar: ASCII digits, ",", newline. That is all
+# ``serialize_triple_line`` writes; other files are read token by token.
+_PLAIN_BYTES = b"0123456789,\n"
+# Longer tokens go to the per-token walk, because the bulk conversion adds
+# up digits in int64, which holds any 18-digit number.
 _MAX_PLAIN_TOKEN = 18
 
 
@@ -250,37 +251,25 @@ def _parse_plain(lines: list[str], starts: list[int]) -> tuple[list[InteractionS
 
 
 def _plain_numbers(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """All values of comma-separated plain number lines, and each line's token count.
+    """All values of comma-separated lines of digits, and each line's token count.
 
-    A line reads as ``_parse_int_list`` reads it: stripped, split at commas,
-    with the empty tail fields dropped and every other field, stripped, an
-    optional "-" and ASCII digits. None when a field breaks that grammar or is
-    longer than ``_MAX_PLAIN_TOKEN``.
+    A line reads as ``_parse_int_list`` reads it: split at commas, with the
+    empty tail fields dropped and every other field a run of digits. None
+    when a line has an empty field before a token or a token is longer than
+    ``_MAX_PLAIN_TOKEN``.
     """
-    # A newline before every line and after the last gives every character two
+    # A newline before every line and after the last gives every byte two
     # neighbours and gives len(lines) + 1 newlines, also when lines is empty.
-    b = np.frombuffer("\n".join(["", *lines, ""]).encode("ascii"), dtype=np.uint8)
-    blank = (b == ord(" ")) | (b == ord("\t"))
-    kept = ~blank
-    c = b[kept]
-    spaced = blank[1:][kept[:-1]]  # whitespace between c[k] and c[k + 1]
-    tok = c >= ord("-")  # "-" or a digit; every other kept byte is "," or a newline
-    minus = c == ord("-")
-    comma = c == ord(",")
+    c = np.frombuffer("\n".join(["", *lines, ""]).encode("ascii"), dtype=np.uint8)
+    digit = c >= ord("0")  # every other byte is "," or a newline
     # An empty field ends at a comma right after a comma or a line start.
-    empty_field = comma[1:] & ~tok[:-1]
-    if (
-        np.any(tok[1:] & tok[:-1] & spaced)  # whitespace inside a token
-        or np.any(minus[1:] & tok[:-1])  # "-" after a token character
-        or np.any(minus[:-1] & (c[1:] < ord("0")))  # "-" not before a digit
-        or np.any(empty_field[:-1] & tok[2:])  # an empty field before a token
-        or np.any(empty_field & comma[:-1] & spaced)  # a whitespace-only field
-    ):
+    empty_field = (c[1:] == ord(",")) & ~digit[:-1]
+    if np.any(empty_field[:-1] & digit[2:]):
         return None
     # Tokens alternate with separator runs, and the block starts and ends
-    # with a separator, so the places where c turns to or from a token
-    # alternate too: the separator before each token, and its last character.
-    turns = np.flatnonzero(tok[1:] != tok[:-1])
+    # with a separator, so the places where c turns to or from a digit
+    # alternate too: the separator before each token, and its last digit.
+    turns = np.flatnonzero(digit[1:] != digit[:-1])
     before, last = turns[0::2], turns[1::2]
     # A line's tokens are those whose separator-before lies before its newline.
     per_line = np.diff(np.searchsorted(before, np.flatnonzero(c == ord("\n"))))
@@ -290,13 +279,12 @@ def _plain_numbers(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     if width > _MAX_PLAIN_TOKEN:
         return None
     # Each token's digits times powers of ten, one place per pass from the
-    # last digit back. Digits are 0 at "-" and separators, and a place before
-    # the token reads the separator just before it.
-    digits = (c - ord("0")) * (c >= ord("0"))  # uint8, 0 where c - 48 wrapped
+    # last digit back. Digits are 0 at separators, and a place before the
+    # token reads the separator just before it.
+    digits = (c - ord("0")) * digit  # uint8, 0 where c - 48 wrapped
     values = digits[last].astype(np.int64)
     for k in range(1, width):
         values += digits[np.maximum(last - k, before)].astype(np.int64) * 10**k
-    np.negative(values, out=values, where=minus[1:][before])  # a "-" opens the token
     return values, per_line
 
 

@@ -124,12 +124,13 @@ class TestParse:
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-# Pieces inserted into number lines: each keeps the line in the plain grammar.
-PLAIN_PIECES = ["0", "1", "7", "12", "-", ",", " ", "\t", "-0", "01"]
+# Pieces inserted into number lines: the first ones keep the line in the plain
+# alphabet (digits and commas), the last ones send the file to the walk.
+PLAIN_PIECES = ["0", "1", "7", "12", ",", ",,", "01"] + ["-", " ", "-0"]
 
 
 def plain_noise_text(rng: random.Random) -> str:
-    """Up to four groups in the plain grammar, many of them broken by an inserted piece."""
+    """Up to four groups of digits and commas, many of them broken by an inserted piece."""
     lines = []
     for _ in range(rng.randint(0, 4)):
         count = rng.randint(0, 4)
@@ -139,7 +140,7 @@ def plain_noise_text(rng: random.Random) -> str:
             for _ in range(rng.choice([0, 0, 1, 2])):
                 at = rng.randrange(len(line) + 1)
                 line = line[:at] + rng.choice(PLAIN_PIECES) + line[at:]
-            lines.append(line + rng.choice(["", "", ",", ",,", ", ", " ,", ", ,"]))
+            lines.append(line + rng.choice(["", "", ",", ",,", ", "]))
         if rng.random() < 0.2:
             lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t"]))
     return "\n".join(lines) + rng.choice(["\n", "", "\n\n", "\r\n"])
@@ -159,6 +160,7 @@ class TestBulkParse:
         return (ds.num_skills, sequences), caplog.messages
 
     def assert_matches(self, texts, num_skills, monkeypatch, caplog):
+        """Each call's bulk result, None where the bulk path left the text to the walk."""
         real = data._parse_plain
         bulk = []
 
@@ -172,29 +174,33 @@ class TestBulkParse:
                 for n in (None, num_skills):
                     want = self.outcome(per_token_parse_triple_line, text, n, caplog)
                     assert self.outcome(parse_triple_line, text, n, caplog) == want, (text, n)
-        # The bulk path, not only the walk it falls back to, parsed some of them.
-        assert any(result is not None for result in bulk)
+        return bulk
 
     def test_grammar_cases(self, monkeypatch, caplog):
         texts = list(TOLERATED)
         for field, _ in MALFORMED:
             texts += [f"2\n1,{field}\n1,0\n", f"2\n1,2\n1,{field}\n", f"{field}\n1,2\n1,0\n"]
-        self.assert_matches(texts, 5, monkeypatch, caplog)
+        # The bulk path, not only the walk it falls back to, parsed some of them.
+        assert any(result is not None for result in self.assert_matches(texts, 5, monkeypatch, caplog))
 
     def test_fuzzed_files(self, monkeypatch, caplog):
         rng = random.Random("atkt-parse-fuzz")
-        self.assert_matches([mutate_data(rng, DATA_TEXT) for _ in range(400)], 6, monkeypatch, caplog)
+        texts = [mutate_data(rng, DATA_TEXT) for _ in range(400)]
+        assert any(result is not None for result in self.assert_matches(texts, 6, monkeypatch, caplog))
 
     def test_plain_noise(self, monkeypatch, caplog):
         rng = random.Random("atkt-parse-plain")
-        self.assert_matches([plain_noise_text(rng) for _ in range(600)], 6, monkeypatch, caplog)
+        texts = [plain_noise_text(rng) for _ in range(600)]
+        assert any(result is not None for result in self.assert_matches(texts, 6, monkeypatch, caplog))
 
     def test_workload_texts(self, monkeypatch, caplog):
         monkeypatch.syspath_prepend(str(BENCHMARKS))
         from workloads import WORKLOADS, make_text
 
         texts = [make_text(w, seed, 1) for w in WORKLOADS.values() for seed in (21, 22, 23)]
-        self.assert_matches(texts, 110, monkeypatch, caplog)
+        bulk = self.assert_matches(texts, 110, monkeypatch, caplog)
+        # Every benchmark text takes the bulk path, with and without num_skills.
+        assert len(bulk) == 2 * len(texts) and all(result is not None for result in bulk)
 
 
 class TestFolds:
