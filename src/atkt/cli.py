@@ -478,10 +478,7 @@ def main(argv=None) -> int:
     except (DivergenceError, DegenerateLabelsError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, CheckpointError, ShapeError, DataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataFormatError, CheckpointError, ShapeError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:

@@ -27,11 +27,10 @@ MAX_SKILLS = 100_000
 
 
 class DataFormatError(ValueError):
-    """Malformed input file; carries the 1-based offending line number."""
+    """Malformed input file; the message starts with the 1-based offending line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -114,14 +113,11 @@ def _parse_int_list(line: str, line_number: int, what: str) -> list[int]:
     tokens = line.strip().split(",")
     while tokens and tokens[-1] == "":
         tokens.pop()
-    # On an ASCII line with no "+" or "_", int() reads exactly the plain
-    # integers, so only other lines pay for the per-token check.
-    parse = int if line.isascii() and "+" not in line and "_" not in line else _plain_int
     values = []
     for tok in tokens:
         tok = tok.strip()
         try:
-            values.append(parse(tok))
+            values.append(_plain_int(tok))
         except ValueError:
             raise DataFormatError(line_number, f"non-integer {what} token {tok!r}") from None
     return values
@@ -148,9 +144,7 @@ def parse_triple_line(text: str, num_skills: int | None = None) -> Dataset:
     # per-token walk parses any other file or raises its first error.
     plain = text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
     parsed = _parse_plain(lines, starts) if plain else None
-    if parsed is None:
-        parsed = _parse_tokens(lines, starts)
-    sequences, max_skill = parsed
+    sequences, max_skill = parsed or _parse_tokens(lines, starts)
     dropped = len(starts) - len(sequences)
     if dropped:
         logger.info("dropped %d sequence(s) shorter than %d interactions", dropped, MIN_SEQ_LEN)
@@ -176,13 +170,12 @@ def _group_starts(lines: list[str]) -> list[int]:
 
 
 def _parse_tokens(lines: list[str], starts: list[int]) -> tuple[list[InteractionSequence], int]:
-    """The kept sequences and the largest skill id (-1 if none), token by token.
+    """What ``_sequences`` returns for the file, read token by token.
 
     Raises the ``DataFormatError`` of the first rule the file breaks.
     """
-    sequences: list[InteractionSequence] = []
-    max_skill = -1
-    for group, i in enumerate(starts):
+    counts, all_skills, all_responses = [], [], []
+    for i in starts:
         count_line_no = i + 1
         count_tok = lines[i].strip()
         try:
@@ -205,14 +198,13 @@ def _parse_tokens(lines: list[str], starts: list[int]) -> tuple[list[Interaction
         for a in responses:
             if a not in (0, 1):
                 raise DataFormatError(i + 3, f"response must be 0 or 1, got {a}")
-        if skills:
-            line_max = max(skills)
-            if line_max >= MAX_SKILLS:
-                raise DataFormatError(i + 2, f"skill id {line_max} is not below the cap of {MAX_SKILLS:,}")
-            max_skill = max(max_skill, line_max)
-        if count >= MIN_SEQ_LEN:
-            sequences.append(_sequence(f"student-{group}", skills, responses))
-    return sequences, max_skill
+        line_max = max(skills, default=-1)
+        if line_max >= MAX_SKILLS:
+            raise DataFormatError(i + 2, f"skill id {line_max} is not below the cap of {MAX_SKILLS:,}")
+        counts.append(count)
+        all_skills += skills
+        all_responses += responses
+    return _sequences(counts, np.array(all_skills, dtype=np.int64), np.array(all_responses, dtype=np.int64))
 
 
 def _parse_plain(lines: list[str], starts: list[int]) -> tuple[list[InteractionSequence], int] | None:
@@ -240,9 +232,20 @@ def _parse_plain(lines: list[str], starts: list[int]) -> tuple[list[InteractionS
         skills.min() < 0 or skills.max() >= MAX_SKILLS or responses.min() < 0 or responses.max() > 1
     ):
         return None
+    return _sequences(counts.tolist(), skills, responses)
+
+
+def _sequences(
+    counts: list[int], skills: np.ndarray, responses: np.ndarray
+) -> tuple[list[InteractionSequence], int]:
+    """The groups of at least ``MIN_SEQ_LEN`` interactions, and the largest skill id (-1 if none).
+
+    Group g holds the next ``counts[g]`` values of the int64 arrays ``skills``
+    and ``responses`` and becomes sequence ``student-{g}``.
+    """
     sequences = []
     offset = 0
-    for group, count in enumerate(counts.tolist()):
+    for group, count in enumerate(counts):
         if count >= MIN_SEQ_LEN:
             stop = offset + count
             sequences.append(_sequence(f"student-{group}", skills[offset:stop], responses[offset:stop]))

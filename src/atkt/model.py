@@ -197,9 +197,9 @@ class ForwardTrace:
     starts: np.ndarray  # int64 [n + 1]
     hidden: np.ndarray  # [N, H]
     attn_hidden: np.ndarray | None  # [N, attn_dim]
-    # a_j = exp(l_j - the row's largest l) where some window uses state j,
-    # else 0; and each target's normaliser D_k. Target k's window weights are
-    # its row's earlier attn_exp over its attn_norm.
+    # a_j = exp(l_j - the row's largest l), and each target's normaliser D_k.
+    # Target k's window weights are its row's earlier attn_exp over its
+    # attn_norm, so no window reads a row's last a_j.
     attn_exp: np.ndarray | None  # [N]
     attn_norm: np.ndarray | None  # [N]
     agg_hidden: np.ndarray  # [N, H]; zeros with attention off
@@ -404,9 +404,7 @@ def forward(
     steps, rows = np.divmod(cells, b)
     attn_hidden = attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden, attn_exp, attn_norm, agg = _attention_forward(
-            params, hidden, starts, steps, rows, batch.seq_lens
-        )
+        attn_hidden, attn_exp, attn_norm, agg = _attention_forward(params, hidden, starts, rows)
     else:
         agg = np.zeros_like(hidden)
 
@@ -591,21 +589,21 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray):
     return keys[first], sums
 
 
-def _attention_forward(params, hidden, starts, steps, rows, seq_lens):
+def _attention_forward(params, hidden, starts, rows):
     """Returns (attn_hidden, attn_exp, attn_norm, agg); see forward.
 
-    Only states some window can use (step < seq_len - 2) get a nonzero a_j.
-    A window past step 0 whose exponentials all underflow has D_k = 0 and
-    gets a NaN aggregate, which the loss carries to every caller.
+    The exclusive prefix sums alone pick each window's states. A window past
+    step 0 whose exponentials all underflow has D_k = 0 and gets a NaN
+    aggregate, which the loss carries to every caller.
     """
     attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
     logits = attn_hidden @ params.attn_u  # l_j
     # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
     # row's largest score every a_j >= exp(-2 ||attn_u||_1) stays a normal
     # float64 (and 1/D_k finite) while ||attn_u||_1 < 350.
-    peak = np.full(len(seq_lens), -np.inf)
+    peak = np.full(starts[1], -np.inf)  # step 0 has every batch row
     np.maximum.at(peak, rows, logits)
-    attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
+    attn_exp = np.exp(logits - peak[rows])
     attn_norm = _prefix_sums(attn_exp, starts)
     numer = _prefix_sums(attn_exp[:, None] * hidden, starts)
     agg = np.full_like(numer, np.nan)

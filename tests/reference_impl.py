@@ -19,6 +19,8 @@ is also the layout ``stepwise_backward`` reads. Their attention is
 along the step axis, ``exclusive_cumsum``); ``loop_attention_forward`` and
 ``loop_attention_backward`` compute the same one prediction window at a
 time, O(n^2) per sequence, as drop-in replacements for those two;
+``masked_attention_forward`` is ``model._attention_forward`` with the support
+mask that zeroed each row's last a_j, a drop-in replacement for it;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
 ``reference_train_batch`` is the training step that holds the clean pass's
 arrays through the adversarial pass; ``l2_norm`` measures perturbation
@@ -296,6 +298,28 @@ def loop_attention_backward(params, trace, dagg, dhidden, grads):
     grads["attn_w"] += np.einsum("kbw,kbh->wh", dpre, trace.hidden)
     grads["attn_b"] += dpre.sum(axis=(0, 1))
     dhidden += dpre @ params.attn_w
+
+
+def masked_attention_forward(params, hidden, starts, rows):
+    """``model._attention_forward`` with its support mask: each row's last a_j is 0.
+
+    The packed attention as it was while a window over the whole row also
+    existed: only states some causal window uses (step < seq_len - 2) get a
+    nonzero a_j. Steps and lengths are recovered from ``starts`` and ``rows``.
+    """
+    steps = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    seq_lens = np.bincount(rows, minlength=starts[1]) + 1
+    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
+    logits = attn_hidden @ params.attn_u
+    peak = np.full(len(seq_lens), -np.inf)
+    np.maximum.at(peak, rows, logits)
+    attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
+    attn_norm = model._prefix_sums(attn_exp, starts)
+    numer = model._prefix_sums(attn_exp[:, None] * hidden, starts)
+    agg = np.full_like(numer, np.nan)
+    agg[: starts[1]] = 0.0
+    np.divide(numer, attn_norm[:, None], out=agg, where=attn_norm[:, None] > 0)
+    return attn_hidden, attn_exp, attn_norm, agg
 
 
 def stepwise_backward(params, trace):

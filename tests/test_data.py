@@ -114,9 +114,14 @@ class TestParse:
             parse_triple_line("2\n1,9\n1,0\n", num_skills=5)
 
     def test_round_trip(self):
-        text = "3\n1,2,1\n1,0,1\n2\n0,4\n0,0\n"
+        text = f"3\n1,2,1\n1,0,1\n2\n0,{MAX_SKILLS - 1}\n0,0\n"
         ds = parse_triple_line(text)
-        again = parse_triple_line(serialize_triple_line(ds))
+        written = serialize_triple_line(ds)  # what `atkt prepare` writes
+        # Written files use only the plain grammar's bytes and take the bulk path.
+        assert set(written.encode()) <= set(data._PLAIN_BYTES)
+        lines = written.split("\n")
+        assert data._parse_plain(lines, data._group_starts(lines)) is not None
+        again = parse_triple_line(written)
         assert len(again.sequences) == len(ds.sequences)
         for a, b in zip(ds.sequences, again.sequences):
             np.testing.assert_array_equal(a.skills, b.skills)

@@ -29,7 +29,7 @@ from atkt.training import (
 )
 
 from grad_oracle import compare_gradients, grad_check
-from reference_impl import on_grid, reference_train_batch
+from reference_impl import masked_attention_forward, on_grid, reference_train_batch
 from reference_impl import adam_step as reference_adam_step
 from reference_impl import unscaled_clip_gradients
 
@@ -426,6 +426,39 @@ class TestTrainBatch:
         assert got[2].keys() == want[2].keys()
         for name in model.PARAM_NAMES:
             np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+
+    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_attention_bit_identical_to_masked_oracle(self, monkeypatch, lengths, embeddings):
+        # No window reads a row's last state, so the mask that zeroed its a_j
+        # changes that a_j and nothing else.
+        batch = self.batch("mixed", lengths)
+        cfg = tiny_config()
+        params = model.init_params(
+            batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
+            Rng(3).split("init"),
+        )
+        override = None
+        if embeddings == "overridden":
+            shape = (batch.max_len - 1, batch.size, params.input_dim)
+            override = Rng(17).split("override").normal(size=shape)
+
+        def run():
+            trace, loss = model.forward(params, batch, embeddings=override)
+            return trace, loss, model.backward(params, trace)
+
+        trace, loss, grads = run()
+        monkeypatch.setattr(model, "_attention_forward", masked_attention_forward)
+        want_trace, want_loss, want_grads = run()
+        assert loss == want_loss
+        for name in ("pred", "agg_hidden", "attn_norm"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(want_trace, name), err_msg=name)
+        np.testing.assert_array_equal(grads.d_embed, want_grads.d_embed)
+        for name in model.PARAM_NAMES:
+            np.testing.assert_array_equal(grads.params[name], want_grads.params[name], err_msg=name)
+        steps, rows = np.divmod(trace.cells, batch.size)
+        last = steps == batch.seq_lens[rows] - 2
+        np.testing.assert_array_equal(trace.attn_exp != want_trace.attn_exp, last)
 
     def test_adversarial_step_peaks_no_higher_than_clean(self, monkeypatch):
         # The clean trace, its d_embed and the perturbation are freed before
