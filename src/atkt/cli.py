@@ -134,16 +134,19 @@ def load_config(path) -> TrainConfig:
     return parse_config_text(text)
 
 
+# Settings older checkpoints echo that are no longer config keys, each with the
+# one value this program still runs.
+RETIRED_KEYS = {"attention_window": "causal", "strict_truncate": False}
+
+
 def config_from_echo(echo: dict, params: model.ModelParams) -> TrainConfig:
     """The TrainConfig a checkpoint echoes (other keys are ignored); a bad value
-    there, or a dimension the arrays contradict, is a bad checkpoint."""
-    # Checkpoints from before attention became causal-only echo this key; only
-    # its causal value is the model this program runs.
-    window = echo.get("attention_window", "causal")
-    if window != "causal":
-        raise CheckpointError(
-            f"checkpoint config: attention_window {window!r} is not supported (causal only)"
-        )
+    there, a retired key at any other value or type than the one kept, or a
+    dimension the arrays contradict, is a bad checkpoint."""
+    for key, kept in RETIRED_KEYS.items():
+        value = echo.get(key, kept)
+        if type(value) is not type(kept) or value != kept:
+            raise CheckpointError(f"checkpoint config: {key} {value!r} is not supported (only {kept!r})")
     try:
         config = TrainConfig.from_dict({k: v for k, v in echo.items() if k in FIELD_TYPES})
     except ValueError as exc:
@@ -170,7 +173,7 @@ def cmd_prepare(args) -> int:
         f"{len(dataset.sequences):,} students, {dataset.num_skills:,} KSs, "
         f"{dataset.num_responses:,} responses"
     )
-    normalized = segment_dataset(dataset, max_len=args.max_seq_len, strict=args.strict_truncate)
+    normalized = segment_dataset(dataset, max_len=args.max_seq_len)
     if len(normalized.sequences) != len(dataset.sequences):
         print(
             f"segmented into {len(normalized.sequences):,} sequences "
@@ -413,7 +416,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-seq-len", type=int, default=DEFAULT_MAX_SEQ_LEN)
-    p.add_argument("--strict-truncate", action="store_true")
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train one fold and write run artifacts")

@@ -344,13 +344,10 @@ def make_folds(dataset: Dataset, seed: int) -> list[FoldSplit]:
     return folds
 
 
-def segment_long(
-    seq: InteractionSequence, max_len: int = DEFAULT_MAX_SEQ_LEN, strict: bool = False
-) -> list[InteractionSequence]:
+def segment_long(seq: InteractionSequence, max_len: int = DEFAULT_MAX_SEQ_LEN) -> list[InteractionSequence]:
     """Split an over-long sequence into consecutive chunks of <= max_len.
 
     A trailing chunk of length 1 is dropped (it has no prediction target).
-    With ``strict=True`` only the first chunk is kept (hard truncation).
     """
     if max_len < MIN_SEQ_LEN:
         raise ValueError(f"max_len must be >= {MIN_SEQ_LEN}, got {max_len}")
@@ -364,15 +361,13 @@ def segment_long(
         out.append(
             _sequence(f"{seq.student_id}/{k}", seq.skills[start:stop], seq.responses[start:stop])
         )
-        if strict:
-            break
     return out
 
 
-def segment_dataset(dataset: Dataset, max_len: int = DEFAULT_MAX_SEQ_LEN, strict: bool = False) -> Dataset:
+def segment_dataset(dataset: Dataset, max_len: int = DEFAULT_MAX_SEQ_LEN) -> Dataset:
     out: list[InteractionSequence] = []
     for seq in dataset.sequences:
-        out.extend(segment_long(seq, max_len=max_len, strict=strict))
+        out.extend(segment_long(seq, max_len=max_len))
     return Dataset(sequences=tuple(out), num_skills=dataset.num_skills)
 
 

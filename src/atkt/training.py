@@ -70,11 +70,7 @@ class TrainConfig:
     beta: float = 0.0
     attention: bool = True
     fgsm_scope: str = "per_sequence"
-    strict_truncate: bool = False
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
 
     def __post_init__(self) -> None:
@@ -100,10 +96,7 @@ class TrainConfig:
             raise ValueError(f"max_seq_len must be >= {MIN_SEQ_LEN}, got {self.max_seq_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("lr", "lr_decay", "adam_eps"):
+        for name in ("lr", "lr_decay"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -141,6 +134,10 @@ def _type_ok(kind: type, value) -> bool:
     return isinstance(value, kind)
 
 
+# Adam's moment decays and denominator offset, the values of Kingma & Ba (2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates mirroring the parameter arrays.
@@ -163,37 +160,29 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-) -> None:
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, applied in place to the parameters and moments.
 
     Per array: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and
     the parameter moves by lr m_hat / (sqrt(v_hat) + eps), each product and
-    sum rounded in that order.
+    sum rounded in that order; beta1, beta2 and eps are the ``ADAM_*`` constants.
     """
     state.step += 1
     t = state.step
     for name, arr in params.named_arrays():
         g, m, v = grads[name], state.m[name], state.v[name]
         a, b = (row[: arr.size].reshape(arr.shape) for row in state.work)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         a *= g
         v += a
-        np.divide(m, 1.0 - beta1**t, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
         a *= lr
-        np.divide(v, 1.0 - beta2**t, out=b)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += ADAM_EPS
         a /= b
         arr -= a
 
@@ -265,9 +254,7 @@ def prepare_split_sequences(
     """
     out: list[InteractionSequence] = []
     for i in indices:
-        out.extend(
-            segment_long(dataset.sequences[i], max_len=config.max_seq_len, strict=config.strict_truncate)
-        )
+        out.extend(segment_long(dataset.sequences[i], max_len=config.max_seq_len))
     return out
 
 
@@ -388,10 +375,7 @@ def train(
                 raise DivergenceError(
                     f"non-finite training objective at epoch {epoch}", epoch, last_good
                 )
-            adam_step(
-                params, grads, state, lr,
-                beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps,
-            )
+            adam_step(params, grads, state, lr)
             loss_sum += clean_loss * batch.size
             rows += batch.size
         train_loss = loss_sum / max(rows, 1)

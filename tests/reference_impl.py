@@ -33,11 +33,13 @@ at every step, and ``unscaled_clip_gradients`` the global-norm clip that
 squares unscaled gradients (its norm overflows to inf above ~1e154).
 ``per_token_parse_triple_line`` is ``data.parse_triple_line`` as it was
 before it converted files in the plain grammar in bulk: one walk over the
-groups, one ``int()`` per token. All are deliberately kept separate from the
-production code they validate.
+groups, one ``int()`` per token, each token checked against the README's
+grammar by its own ``readme_int``, not by the converter it validates. All are
+deliberately kept separate from the production code they validate.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -669,6 +671,29 @@ def unscaled_clip_gradients(grads, max_norm):
             g *= scale
 
 
+def readme_int(tok):
+    """A token of the README's grammar: ASCII digits, an optional leading "-",
+    whitespace around them."""
+    tok = tok.strip()
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
+def readme_int_list(line, line_number, what):
+    """One line's tokens by ``readme_int``; empty tokens at the end are allowed."""
+    tokens = line.strip().split(",")
+    while tokens and tokens[-1] == "":
+        tokens.pop()
+    values = []
+    for tok in tokens:
+        try:
+            values.append(readme_int(tok))
+        except ValueError:
+            raise DataFormatError(line_number, f"non-integer {what} token {tok.strip()!r}") from None
+    return values
+
+
 def per_token_parse_triple_line(text, num_skills=None):
     """Triple-line text to a Dataset, group by group and token by token."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -684,15 +709,15 @@ def per_token_parse_triple_line(text, num_skills=None):
         count_line_no = i + 1
         count_tok = lines[i].strip()
         try:
-            count = data._plain_int(count_tok)
+            count = readme_int(count_tok)
         except ValueError:
             raise DataFormatError(count_line_no, f"expected interaction count, got {count_tok!r}") from None
         if count < 0:
             raise DataFormatError(count_line_no, f"negative interaction count {count}")
         if i + 2 >= len(lines):
             raise DataFormatError(count_line_no, "truncated group: need skill and response lines")
-        skills = data._parse_int_list(lines[i + 1], i + 2, "skill")
-        responses = data._parse_int_list(lines[i + 2], i + 3, "response")
+        skills = readme_int_list(lines[i + 1], i + 2, "skill")
+        responses = readme_int_list(lines[i + 2], i + 3, "response")
         if len(skills) != count:
             raise DataFormatError(i + 2, f"declared {count} interactions but found {len(skills)} skills")
         if len(responses) != count:

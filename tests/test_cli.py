@@ -81,7 +81,7 @@ class TestConfigParsing:
         "key, raw, want",
         [
             *[("attention", raw, True) for raw in ("true", "TRUE", "1", "yes", "Yes", "on", "ON")],
-            *[("strict_truncate", raw, False) for raw in ("false", "False", "0", "no", "NO", "off", "Off")],
+            *[("attention", raw, False) for raw in ("false", "False", "0", "no", "NO", "off", "Off")],
             ("patience", "none", None),
             ("patience", "OFF", None),
             ("epsilon", "None", None),
@@ -162,6 +162,16 @@ class TestPrepare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["--max-seq-len must be >= 2, got 1"]
+        assert not out.exists()
+
+    def test_strict_truncate_flag_is_gone(self, tmp_path, capsys):
+        # Segmentation always keeps every chunk; the flag that kept only the first is retired.
+        raw = tmp_path / "raw.txt"
+        raw.write_text("3\n1,2,1\n1,0,1\n")
+        out = tmp_path / "norm.txt"
+        assert run_cli("prepare", "--data", raw, "--out", out, "--strict-truncate") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "unrecognized arguments: --strict-truncate" in lines[0], lines
         assert not out.exists()
 
 
@@ -248,11 +258,15 @@ class TestEval:
         assert "skills" in capsys.readouterr().err
 
     def test_causal_window_echo_evaluates_as_without_it(self, tmp_path, data_file):
-        # Checkpoints written while attention_window was a config key echo "causal".
+        # Older checkpoints echo retired keys: attention_window and strict_truncate
+        # at the one value still run, and Adam's three constants, which
+        # evaluation never reads, at any value.
         cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
         params = model.init_params(4, 6, 3, 5, 5, Rng(0).split("init"))
+        old = {"attention_window": "causal", "strict_truncate": False,
+               "adam_beta1": 0.5, "adam_beta2": 0.9, "adam_eps": 1e-3}
         logs = []
-        for name, extra in [("new", {}), ("old", {"attention_window": "causal"})]:
+        for name, extra in [("new", {}), ("old", old)]:
             ckpt = tmp_path / f"{name}.json"
             model.save_checkpoint(ckpt, params, dict(cfg.to_dict(), fold=0, **extra), timestamp=False)
             log = tmp_path / f"{name}.csv"
@@ -290,8 +304,12 @@ class TestEval:
         "echo_resp_dim_vs_arrays": ("resp_dim", 4),
         "echo_hidden_dim_vs_arrays": ("hidden_dim", 100000000),
         "echo_attn_dim_vs_arrays": ("attn_dim", 1),
-        # Attention is causal only; the key survives in older checkpoints' echoes.
+        # Retired keys survive in older checkpoints' echoes, each at one value and type.
         "echo_attention_window_sequence": ("attention_window", "sequence"),
+        "echo_strict_truncate_true": ("strict_truncate", True),
+        "echo_strict_truncate_int": ("strict_truncate", 1),
+        "echo_strict_truncate_zero": ("strict_truncate", 0),  # == False, but not a bool
+        "echo_strict_truncate_str": ("strict_truncate", "false"),
     }
 
     def malformed_checkpoint(self, tmp_path, case):
@@ -518,8 +536,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1",
-                 "seed = -1", "adam_beta1 = 1.0", "adam_beta1 = -0.1", "adam_beta2 = 1",
-                 "adam_eps = 0", "attention_window = causal"]
+                 "seed = -1"]
     )
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, data_file, capsys, line):
         cfg = tmp_path / "bad.txt"
@@ -530,6 +547,18 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:") and key in lines[0], lines
+
+    @pytest.mark.parametrize(
+        "line", ["attention_window = causal", "strict_truncate = false", "adam_beta1 = 0.9",
+                 "adam_beta2 = 0.999", "adam_eps = 1e-8"]
+    )
+    def test_retired_key_exits_1_as_unknown(self, tmp_path, data_file, capsys, line):
+        cfg = tmp_path / "old.txt"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
+        key = line.split(" = ")[0]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: config line 10: unknown key {key!r}"], lines
 
     @pytest.mark.parametrize("what", ["missing", "directory"])
     def test_unreadable_config_exits_1(self, tmp_path, data_file, capsys, what):

@@ -269,10 +269,6 @@ class TestSegment:
         parts = segment_long(self.long_seq(501), max_len=500)
         assert [len(p) for p in parts] == [500]
 
-    def test_strict_truncation(self):
-        parts = segment_long(self.long_seq(1200), max_len=500, strict=True)
-        assert [len(p) for p in parts] == [500]
-
     def test_max_len_validation(self):
         with pytest.raises(ValueError):
             segment_long(self.long_seq(10), max_len=1)

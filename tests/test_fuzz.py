@@ -75,13 +75,12 @@ FLAG_VALUES = {
     "--folds": ["1", "0,0", "5", "x", "1,2", ""],
     "--all-folds": [],
     "--no-attention": [],
-    "--strict-truncate": [],
     "--no-timestamp": [],
     "--data": ["missing.txt"],
     "--out": ["."],
 }
 COMMAND_FLAGS = {
-    "prepare": ["--max-seq-len", "--strict-truncate"],
+    "prepare": ["--max-seq-len"],
     "train": ["--seed", "--fold", "--no-attention", "--no-timestamp"],
     "eval": ["--fold", "--all-folds", "--split"],
     "sweep": ["--seed", "--epsilons", "--betas", "--folds", "--no-attention"],
@@ -217,10 +216,11 @@ def mutate_checkpoint(rng: random.Random, doc: dict) -> tuple[dict | list | str,
 def mutate_argv(rng: random.Random, argv: list[str]) -> list[str]:
     """Mostly one of the command's flags with a plausible value; otherwise a raw token edit."""
     argv = list(argv)
+    flags = COMMAND_FLAGS[argv[0]]  # looked up once: the first edit may delete the command
     for _ in range(rng.randint(1, 2)):
         op = rng.randrange(8)
         if op >= 3:
-            flag = rng.choice(COMMAND_FLAGS[argv[0]])
+            flag = rng.choice(flags)
             argv += [flag] + ([rng.choice(FLAG_VALUES[flag])] if FLAG_VALUES[flag] else [])
         elif op == 0:
             del argv[rng.randrange(len(argv))]

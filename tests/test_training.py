@@ -62,7 +62,7 @@ class TestConfig:
         assert cfg.lr_decay == 0.5 and cfg.lr_decay_every == 50
         assert cfg.max_epochs == 150 and cfg.patience == 20
         assert cfg.max_seq_len == 500
-        assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+        assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_beta_requires_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -87,8 +87,7 @@ class TestConfig:
         [("seed", True), ("seed", 1.0), ("batch_size", "8"), ("lr", "0.1"), ("lr", float("inf")),
          ("beta", float("nan")), ("beta", None), ("grad_clip", float("nan")), ("attention", 1),
          ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0),
-         ("seed", -1), ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
-         ("adam_eps", 0.0), ("adam_eps", -1e-8), ("beta", -0.5)],
+         ("seed", -1), ("beta", -0.5)],
     )
     def test_validate_rejects_bad_type_or_range(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -111,7 +110,7 @@ class TestAdam:
         p = model.init_params(3, 4, 2, 3, 3, Rng(0).split("init"))
         before = params_bytes(p)
         grads = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
-        adam_step(p, grads, AdamState.for_params(p), lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(p, grads, AdamState.for_params(p), lr=0.001)
         assert params_bytes(p) == before
 
     def test_first_step_moves_by_lr(self):
@@ -121,7 +120,7 @@ class TestAdam:
         theta0 = float(p.head_b[0])
         grads = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
         grads["head_b"][0] = 1.0
-        adam_step(p, grads, AdamState.for_params(p), lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(p, grads, AdamState.for_params(p), lr=0.001)
         assert p.head_b[0] == pytest.approx(theta0 - 0.001, abs=1e-10)
 
     def test_in_place_update_equals_allocating_oracle(self):
@@ -134,8 +133,9 @@ class TestAdam:
         for step in range(5):
             grads = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-6, 3)
                      for name, arr in p.named_arrays()}
-            adam_step(p, grads, state, lr=0.001 * (step + 1), beta1=0.9, beta2=0.999, eps=1e-8)
-            reference_adam_step(want, grads, ref_state, lr=0.001 * (step + 1), beta1=0.9, beta2=0.999, eps=1e-8)
+            adam_step(p, grads, state, lr=0.001 * (step + 1))
+            reference_adam_step(want, grads, ref_state, lr=0.001 * (step + 1), beta1=training.ADAM_BETA1,
+                                beta2=training.ADAM_BETA2, eps=training.ADAM_EPS)
         assert state.step == ref_state.step == 5
         for name, arr in p.named_arrays():
             assert np.array_equal(arr, getattr(want, name)), name
