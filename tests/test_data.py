@@ -17,6 +17,7 @@ from atkt.data import (
     make_batches,
     make_folds,
     parse_triple_line,
+    segment_dataset,
     segment_long,
     serialize_triple_line,
 )
@@ -268,6 +269,18 @@ class TestSegment:
     def test_trailing_singleton_dropped(self):
         parts = segment_long(self.long_seq(501), max_len=500)
         assert [len(p) for p in parts] == [500]
+
+    def test_dataset_keeps_every_chunk_in_order(self):
+        short = seq("short", [1, 2, 3], [0, 1, 0])
+        ds = Dataset(sequences=(self.long_seq(1200), short, self.long_seq(501)), num_skills=7)
+        out = segment_dataset(ds, max_len=500)
+        assert out.num_skills == 7
+        assert [(s.student_id, len(s)) for s in out.sequences] == [
+            ("long/0", 500), ("long/1", 500), ("long/2", 200), ("short", 3), ("long/0", 500)]
+        assert out.sequences[3] is short
+        np.testing.assert_array_equal(
+            np.concatenate([s.responses for s in out.sequences[:3]]), self.long_seq(1200).responses
+        )
 
     def test_max_len_validation(self):
         with pytest.raises(ValueError):
