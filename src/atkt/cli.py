@@ -20,8 +20,6 @@ import numpy as np
 
 from . import model, svg
 from .data import (
-    DEFAULT_MAX_SEQ_LEN,
-    MIN_SEQ_LEN,
     DataFormatError,
     Dataset,
     load_dataset,
@@ -29,7 +27,6 @@ from .data import (
     make_folds,
     parse_triple_line,
     read_text,
-    segment_dataset,
     serialize_triple_line,
 )
 from .linalg import ShapeError, sigmoid
@@ -163,8 +160,6 @@ def config_from_echo(echo: dict, params: model.ModelParams) -> TrainConfig:
 
 
 def cmd_prepare(args) -> int:
-    if args.max_seq_len < MIN_SEQ_LEN:
-        raise UsageError(f"--max-seq-len must be >= {MIN_SEQ_LEN}, got {args.max_seq_len}")
     text = read_text(args.data)
     if not text.strip():
         raise DataFormatError(1, "empty input file")
@@ -173,14 +168,8 @@ def cmd_prepare(args) -> int:
         f"{len(dataset.sequences):,} students, {dataset.num_skills:,} KSs, "
         f"{dataset.num_responses:,} responses"
     )
-    normalized = segment_dataset(dataset, max_len=args.max_seq_len)
-    if len(normalized.sequences) != len(dataset.sequences):
-        print(
-            f"segmented into {len(normalized.sequences):,} sequences "
-            f"(max length {args.max_seq_len})"
-        )
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_triple_line(normalized))
+        fh.write(serialize_triple_line(dataset))
     return EXIT_OK
 
 
@@ -415,7 +404,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="validate, filter and normalize a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-seq-len", type=int, default=DEFAULT_MAX_SEQ_LEN)
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train one fold and write run artifacts")

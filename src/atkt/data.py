@@ -364,13 +364,6 @@ def segment_long(seq: InteractionSequence, max_len: int = DEFAULT_MAX_SEQ_LEN) -
     return out
 
 
-def segment_dataset(dataset: Dataset, max_len: int = DEFAULT_MAX_SEQ_LEN) -> Dataset:
-    out: list[InteractionSequence] = []
-    for seq in dataset.sequences:
-        out.extend(segment_long(seq, max_len=max_len))
-    return Dataset(sequences=tuple(out), num_skills=dataset.num_skills)
-
-
 def make_batches(
     sequences: list[InteractionSequence],
     num_skills: int,

@@ -37,19 +37,23 @@ N valid cells (step t of row b, for t < seq_len - 1) in packed order: step
 by step, and within a step longest row first, as
 ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows alive at step
 t + 1 are then a prefix of those alive at step t, so each step of the
-recurrence, and of attention's running prefix sums, reads and writes
-contiguous slices. Only the ``embeddings=`` override and
+recurrence, and of attention's prefix sums, reads and writes contiguous
+slices. Only the ``embeddings=`` override and
 ``GradientSet.d_embed`` are [n, B, d_in], with zeros at padded steps.
 
-Each step of the recurrence allocates nothing: its recurrent term is a GEMM
-with one contiguous copy of lstm_u^T into a preallocated buffer, and its
-gate rows are activated in place, the whole [m, 4H] block as 1/(1 + e^-z)
-with the candidate's tanh put back after. That form agrees with the
-two-branch logistic to rounding; below z = -709, e^-z overflows to inf and
-the gate is exactly its limit 0, silently. The head's probabilities still
-use ``linalg.sigmoid``. The backward step takes all four gate derivatives
-from the activations a as one expression, a (s - a) + (1 - s), with s = 1
-on the sigmoid blocks and 0 on the candidate's.
+Each step of the recurrence is twelve numpy calls and allocates nothing. The
+gate buffer holds the negated pre-activations -z: the input projection is
+negated once per call, and each step subtracts its recurrent term, a GEMM
+with one contiguous copy of lstm_u^T into a preallocated buffer. The whole
+[m, 4H] block is then activated in place as 1/(1 + e^-z), and the
+candidate is put back as tanh z = -tanh(-z), numpy's tanh being exactly
+odd. Negation is exact, so this is bit for bit the arithmetic on z. The
+logistic form agrees with the two-branch one to rounding; below z = -709,
+e^-z overflows to inf and the gate is exactly its limit 0, silently. The
+head's probabilities still use ``linalg.sigmoid``. The backward step takes
+all four gate derivatives from the activations a as one expression,
+a (s - a) + (1 - s), with s = 1 on the sigmoid blocks and 0 on the
+candidate's. Every time loop slices with Python-int step bounds.
 
 A looked-up input embedding depends only on its (response, skill) pair, of
 which there are at most 2S, and a batch holds far fewer pairs than cells.
@@ -316,16 +320,61 @@ def _pack(seq_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _prefix_sums(x: np.ndarray, starts: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Each packed row's sum of ``x`` over the earlier (``reverse``: later) steps of its batch row.
 
-    Walks the steps as the recurrence does: step t's rows are a prefix of a running sum.
+    Walks the steps as the recurrence does, one addition per step: step t's
+    sums are step t - 1's sums plus step t - 1's x, over the rows still
+    alive at t, and step 0's are zero. In reverse, step t's sums are step
+    t + 1's plus step t + 1's x, and the rows that end at t keep their zeros.
+    Either way each row's terms are added one at a time, nearest step last.
     """
-    out = np.empty_like(x)
-    running = np.zeros((starts[1],) + x.shape[1:], dtype=x.dtype)
-    steps = range(len(starts) - 1)
-    for t in reversed(steps) if reverse else steps:
-        lo, hi = starts[t], starts[t + 1]
-        out[lo:hi] = running[: hi - lo]
-        running[: hi - lo] += x[lo:hi]
+    out = np.zeros(x.shape, dtype=x.dtype)
+    bounds = starts.tolist()
+    if reverse:
+        for t in range(len(bounds) - 3, -1, -1):
+            lo, nxt, end = bounds[t], bounds[t + 1], bounds[t + 2]
+            np.add(out[nxt:end], x[nxt:end], out=out[lo : lo + end - nxt])
+    else:
+        for t in range(1, len(bounds) - 1):
+            prev, lo, hi = bounds[t - 1], bounds[t], bounds[t + 1]
+            np.add(out[prev : prev + hi - lo], x[prev : prev + hi - lo], out=out[lo:hi])
     return out
+
+
+def _recurrence(gates: np.ndarray, cell: np.ndarray, hidden: np.ndarray, starts: np.ndarray,
+                lstm_u: np.ndarray) -> None:
+    """Run the LSTM over the packed steps, in place.
+
+    ``gates`` holds each valid cell's negated input pre-activation -(e W^T + b)
+    on entry and its activations on exit; ``cell`` and ``hidden`` are filled.
+    A step's rows are a prefix of the step before's, so its previous h and c
+    are the first rows of that step's, and step 0's are zero.
+    """
+    hd = cell.shape[1]
+    bounds = starts.tolist()
+    u_t = np.ascontiguousarray(lstm_u.T)  # [H, 4H]: a plain GEMM per step
+    rec = np.empty((bounds[1], 4 * hd), dtype=FLOAT)
+    tmp = np.empty((bounds[1], hd), dtype=FLOAT)
+    h = c = np.zeros((bounds[1], hd), dtype=FLOAT)
+    # Twelve calls a step, each writing into preallocated rows. All four gate
+    # blocks are activated in place as 1/(1 + e^-z) from the stored -z, and
+    # the candidate is put back as tanh z = -tanh(-z) (numpy's tanh is odd).
+    # A gate with z < -709 overflows e^-z to inf and gets exactly its limit
+    # 0, so that overflow is not reported.
+    gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+    with np.errstate(over="ignore"):
+        for t in range(len(bounds) - 1):
+            lo, hi = bounds[t], bounds[t + 1]
+            m = hi - lo
+            z = gates[lo:hi]
+            z -= np.matmul(h[:m], u_t, out=rec[:m])
+            cand = np.tanh(gg[lo:hi], out=tmp[:m])
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            np.negative(cand, out=gg[lo:hi])
+            c = np.multiply(gf[lo:hi], c[:m], out=cell[lo:hi])
+            c += np.multiply(gi[lo:hi], gg[lo:hi], out=tmp[:m])
+            h = np.tanh(c, out=hidden[lo:hi])
+            h *= go[lo:hi]
 
 
 def forward(
@@ -359,47 +408,23 @@ def forward(
     cell = np.empty((len(cells), hd), dtype=FLOAT)
     hidden = np.empty((len(cells), hd), dtype=FLOAT)
 
-    # The input contributions of all valid cells go straight into the gate
-    # buffer; each step adds its recurrent term and activates its rows in
-    # place. The rows alive at a step are the first ones of the step before,
-    # so its previous h and c are prefixes of that step's.
+    # The negated input contributions -(e W^T + b) of all valid cells go
+    # straight into the gate buffer; _recurrence subtracts each step's
+    # recurrent term and activates the rows in place.
     if embeddings is None:
         pairs, pair_of_cell = _distinct_pairs(batch, cells)
         proj = _pair_embeddings(params, pairs) @ params.lstm_w.T
         proj += params.lstm_b
+        np.negative(proj, out=proj)
         np.take(proj, pair_of_cell, axis=0, out=gates, mode="clip")  # "clip" writes unbuffered
     else:
         emb_rows = embeddings.reshape(n * b, params.input_dim)
+        neg_w_t = -params.lstm_w.T
         for lo in range(0, len(cells), _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
-            np.matmul(emb_rows[cells[block]], params.lstm_w.T, out=gates[block])
-        gates += params.lstm_b
-    # Each step writes only into preallocated rows. All four gate blocks are
-    # activated in place as 1/(1 + e^-z), and the candidate's tanh, kept
-    # aside, is put back. A gate with z < -709 overflows e^-z to inf and gets
-    # exactly its limit 0, so that overflow is not reported.
-    u_t = np.ascontiguousarray(params.lstm_u.T)  # [H, 4H]: a plain GEMM per step
-    rec = np.empty((b, 4 * hd), dtype=FLOAT)
-    tmp = np.empty((b, hd), dtype=FLOAT)
-    h = c = np.zeros((b, hd), dtype=FLOAT)
-    with np.errstate(over="ignore"):
-        for t in range(len(starts) - 1):
-            lo, hi = starts[t], starts[t + 1]
-            m = hi - lo
-            z = gates[lo:hi]
-            z += np.matmul(h[:m], u_t, out=rec[:m])
-            cand = np.tanh(z[:, 2 * hd : 3 * hd], out=tmp[:m])
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.reciprocal(z, out=z)
-            gi, gf, gg, go = (z[:, k * hd : (k + 1) * hd] for k in range(4))
-            gg[...] = cand
-            c = np.multiply(gf, c[:m], out=cell[lo:hi])
-            c += np.multiply(gi, gg, out=tmp[:m])
-            h = np.tanh(c, out=hidden[lo:hi])
-            h *= go
-    del h, c  # views of the last step's rows
+            np.matmul(emb_rows[cells[block]], neg_w_t, out=gates[block])
+        gates -= params.lstm_b
+    _recurrence(gates, cell, hidden, starts, params.lstm_u)
 
     steps, rows = np.divmod(cells, b)
     attn_hidden = attn_exp = attn_norm = None
@@ -504,38 +529,39 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     s = np.ones(4 * hd, dtype=FLOAT)
     s[2 * hd : 3 * hd] = 0.0
     one_minus_s = 1.0 - s
-    width = starts[1]  # step 0 has every row
+    bounds = starts.tolist()
+    width = bounds[1]  # step 0 has every row
     deriv = np.empty((width, 4 * hd), dtype=FLOAT)
     tanh_c = np.empty((width, hd), dtype=FLOAT)
     dc_buf, dc_next, dh_next = (np.empty((width, hd), dtype=FLOAT) for _ in range(3))
     c_zero = np.zeros((width, hd), dtype=FLOAT)
     dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
     dh = dc = c_zero[:0]
-    for t in range(len(starts) - 2, -1, -1):
-        lo, hi = starts[t], starts[t + 1]
+    gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
         m = hi - lo
         dh_t = dh_rows[lo:hi]
         dh_t[: len(dh)] += dh
         a = gates[lo:hi]
-        gi, gf, gg, go = (a[:, k * hd : (k + 1) * hd] for k in range(4))
         tc = np.tanh(cell[lo:hi], out=tanh_c[:m])
         dc_t = np.multiply(tc, tc, out=dc_buf[:m])
         np.subtract(1.0, dc_t, out=dc_t)
-        dc_t *= go
+        dc_t *= go[lo:hi]
         dc_t *= dh_t
         dc_t[: len(dc)] += dc
-        c_prev = cell[starts[t - 1] : starts[t - 1] + m] if t > 0 else c_zero[:m]
+        c_prev = cell[bounds[t - 1] : bounds[t - 1] + m] if t > 0 else c_zero[:m]
         dz_t = dz[lo:hi]
-        np.multiply(gg, dc_t, out=dz_t[:, :hd])
+        np.multiply(gg[lo:hi], dc_t, out=dz_t[:, :hd])
         np.multiply(c_prev, dc_t, out=dz_t[:, hd : 2 * hd])
-        np.multiply(gi, dc_t, out=dz_t[:, 2 * hd : 3 * hd])
+        np.multiply(gi[lo:hi], dc_t, out=dz_t[:, 2 * hd : 3 * hd])
         np.multiply(tc, dh_t, out=dz_t[:, 3 * hd :])
         d = np.subtract(s, a, out=deriv[:m])
         d *= a
         d += one_minus_s
         dz_t *= d
         dh = np.matmul(dz_t, params.lstm_u, out=dh_next[:m])
-        dc = np.multiply(gf, dc_t, out=dc_next[:m])
+        dc = np.multiply(gf[lo:hi], dc_t, out=dc_next[:m])
     del dh_rows, dh_t  # dh_t is a view of step 0's rows
 
     # Cells that consumed the same (response, skill) read the same table rows,
@@ -606,9 +632,10 @@ def _attention_forward(params, hidden, starts, rows):
     attn_exp = np.exp(logits - peak[rows])
     attn_norm = _prefix_sums(attn_exp, starts)
     numer = _prefix_sums(attn_exp[:, None] * hidden, starts)
-    agg = np.full_like(numer, np.nan)
+    # An empty window has N_k = D_k = 0, so 0 / 0 gives its NaN.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        agg = np.divide(numer, attn_norm[:, None])
     agg[: starts[1]] = 0.0  # step 0's window is empty
-    np.divide(numer, attn_norm[:, None], out=agg, where=attn_norm[:, None] > 0)
     return attn_hidden, attn_exp, attn_norm, agg
 
 

@@ -137,26 +137,31 @@ def _type_ok(kind: type, value) -> bool:
 # Adam's moment decays and denominator offset, the values of Kingma & Ba (2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Adam updates each array this many elements at a time, so that the slice's
+# fourteen in-place passes run in cache rather than over the whole array.
+_ADAM_BLOCK = 32768
+
 
 @dataclass
 class AdamState:
     """First/second moment estimates mirroring the parameter arrays.
 
-    ``work`` holds two scratch rows as long as the largest array, so that an
+    ``work`` holds two scratch rows as long as the largest slice, so that an
     update allocates nothing.
     """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    work: np.ndarray  # [2, largest array size]
+    work: np.ndarray  # [2, min(_ADAM_BLOCK, largest array size)]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
+        largest = max(arr.size for _, arr in params.named_arrays())
         return cls(
             m={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.named_arrays()},
             v={name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.named_arrays()},
-            work=np.empty((2, max(arr.size for _, arr in params.named_arrays()))),
+            work=np.empty((2, min(_ADAM_BLOCK, largest))),
         )
 
 
@@ -166,25 +171,31 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     Per array: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and
     the parameter moves by lr m_hat / (sqrt(v_hat) + eps), each product and
     sum rounded in that order; beta1, beta2 and eps are the ``ADAM_*`` constants.
+    Each array is walked in flat slices of ``_ADAM_BLOCK`` elements, which are
+    views only of C-contiguous arrays, as ``ModelParams`` and ``AdamState``
+    build them.
     """
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for name, arr in params.named_arrays():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        a, b = (row[: arr.size].reshape(arr.shape) for row in state.work)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        v *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, g, out=a)
-        a *= g
-        v += a
-        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
-        a *= lr
-        np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        arr -= a
+        flat = [x.reshape(-1) for x in (arr, grads[name], state.m[name], state.v[name])]
+        for lo in range(0, arr.size, _ADAM_BLOCK):
+            p, g, m, v = (x[lo : lo + _ADAM_BLOCK] for x in flat)
+            a, b = state.work[:, : len(p)]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

@@ -21,6 +21,9 @@ along the step axis, ``exclusive_cumsum``); ``loop_attention_forward`` and
 time, O(n^2) per sequence, as drop-in replacements for those two;
 ``masked_attention_forward`` is ``model._attention_forward`` with the support
 mask that zeroed each row's last a_j, a drop-in replacement for it;
+``running_prefix_sums`` and ``thirteen_call_recurrence`` are
+``model._prefix_sums`` and ``model._recurrence`` as they were before each
+step took fewer numpy calls, drop-in replacements for them;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
 ``reference_train_batch`` is the training step that holds the clean pass's
 arrays through the adversarial pass; ``l2_norm`` measures perturbation
@@ -322,6 +325,50 @@ def masked_attention_forward(params, hidden, starts, rows):
     agg[: starts[1]] = 0.0
     np.divide(numer, attn_norm[:, None], out=agg, where=attn_norm[:, None] > 0)
     return attn_hidden, attn_exp, attn_norm, agg
+
+
+def running_prefix_sums(x, starts, reverse=False):
+    """``model._prefix_sums`` as a running sum: two calls a step, on np.int64 bounds."""
+    out = np.empty_like(x)
+    running = np.zeros((starts[1],) + x.shape[1:], dtype=x.dtype)
+    steps = range(len(starts) - 1)
+    for t in reversed(steps) if reverse else steps:
+        lo, hi = starts[t], starts[t + 1]
+        out[lo:hi] = running[: hi - lo]
+        running[: hi - lo] += x[lo:hi]
+    return out
+
+
+def thirteen_call_recurrence(gates, cell, hidden, starts, lstm_u):
+    """``model._recurrence`` as it ran on z: thirteen calls a step, on np.int64 bounds.
+
+    It takes the same negated pre-activations and negates them back first.
+    Each step then adds its recurrent term, keeps the candidate's tanh aside,
+    negates the whole block for e^-z and copies the tanh back.
+    """
+    np.negative(gates, out=gates)
+    b, hd = starts[1], cell.shape[1]
+    u_t = np.ascontiguousarray(lstm_u.T)
+    rec = np.empty((b, 4 * hd), dtype=FLOAT)
+    tmp = np.empty((b, hd), dtype=FLOAT)
+    h = c = np.zeros((b, hd), dtype=FLOAT)
+    with np.errstate(over="ignore"):
+        for t in range(len(starts) - 1):
+            lo, hi = starts[t], starts[t + 1]
+            m = hi - lo
+            z = gates[lo:hi]
+            z += np.matmul(h[:m], u_t, out=rec[:m])
+            cand = np.tanh(z[:, 2 * hd : 3 * hd], out=tmp[:m])
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            gi, gf, gg, go = (z[:, k * hd : (k + 1) * hd] for k in range(4))
+            gg[...] = cand
+            c = np.multiply(gf, c[:m], out=cell[lo:hi])
+            c += np.multiply(gi, gg, out=tmp[:m])
+            h = np.tanh(c, out=hidden[lo:hi])
+            h *= go
 
 
 def stepwise_backward(params, trace):

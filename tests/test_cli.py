@@ -124,14 +124,17 @@ class TestPrepare:
         assert "2 students, 6 KSs, 5 responses" in stdout
         assert out.read_text() == "3\n1,2,1\n1,0,1\n2\n0,3\n0,1\n"
 
-    def test_segments_long_sequences(self, tmp_path, capsys):
+    def test_long_sequences_are_written_whole(self, tmp_path, capsys):
+        # train, eval and sweep segment after the student-level split; a
+        # segmented file would let the folds split one student's chunks.
         raw = tmp_path / "raw.txt"
-        skills = ",".join(["1"] * 8)
-        resps = ",".join(["1", "0"] * 4)
-        raw.write_text(f"8\n{skills}\n{resps}\n")
+        skills = ",".join(["1"] * 1200)
+        resps = ",".join(["1", "0"] * 600)
+        raw.write_text(f"1200\n{skills}\n{resps}\n")
         out = tmp_path / "norm.txt"
-        assert run_cli("prepare", "--data", raw, "--out", out, "--max-seq-len", 3) == 0
-        assert "segmented into 3 sequences" in capsys.readouterr().out
+        assert run_cli("prepare", "--data", raw, "--out", out) == 0
+        assert capsys.readouterr().out == "1 students, 2 KSs, 1,200 responses\n"
+        assert out.read_text() == raw.read_text()
 
     def test_only_short_students_reports_zero(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -154,14 +157,16 @@ class TestPrepare:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("prepare", "--data", tmp_path / "nope.txt", "--out", tmp_path / "x.txt") == 2
 
-    def test_too_short_max_seq_len_exits_1_before_reading(self, tmp_path, capsys):
+    def test_max_seq_len_flag_is_gone(self, tmp_path, capsys):
+        # prepare no longer segments; train, eval and sweep read max_seq_len from the config.
         raw = tmp_path / "raw.txt"
         raw.write_text("3\n1,2,1\n1,0,1\n")
         out = tmp_path / "norm.txt"
-        assert run_cli("prepare", "--data", raw, "--out", out, "--max-seq-len", 1) == 1
+        assert run_cli("prepare", "--data", raw, "--out", out, "--max-seq-len", 500) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["--max-seq-len must be >= 2, got 1"]
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "unrecognized arguments: --max-seq-len 500" in lines[0], lines
         assert not out.exists()
 
     def test_strict_truncate_flag_is_gone(self, tmp_path, capsys):

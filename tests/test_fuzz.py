@@ -69,7 +69,6 @@ FLAG_VALUES = {
     "--student": ["student-3", "nobody"],
     "--skills": ["0,3", "0,9", "-1", "x", "2,2"],
     "--split": ["train", "val", "test", "bogus"],
-    "--max-seq-len": ["1", "2", "5", "1000"],
     "--epsilons": ["0", "2", "-1", "x", "nan", "1,2"],
     "--betas": ["0", "1", "-1", "x", "inf", "0,0"],
     "--folds": ["1", "0,0", "5", "x", "1,2", ""],
@@ -80,7 +79,7 @@ FLAG_VALUES = {
     "--out": ["."],
 }
 COMMAND_FLAGS = {
-    "prepare": ["--max-seq-len"],
+    "prepare": ["--data", "--out"],
     "train": ["--seed", "--fold", "--no-attention", "--no-timestamp"],
     "eval": ["--fold", "--all-folds", "--split"],
     "sweep": ["--seed", "--epsilons", "--betas", "--folds", "--no-attention"],
@@ -252,8 +251,7 @@ class Inputs:
         data, config = data or self.data, config or self.config
         checkpoint = checkpoint or self.checkpoint
         return {
-            "prepare": ["prepare", "--data", data, "--out", self.root / "prepared.txt",
-                        "--max-seq-len", "5"],
+            "prepare": ["prepare", "--data", data, "--out", self.root / "prepared.txt"],
             "train": ["train", "--config", config, "--data", data, "--out", self.out, "--no-timestamp"],
             "eval": ["eval", "--checkpoint", checkpoint, "--data", data, "--out", self.root / "log.csv"],
             "sweep": ["sweep", "--config", config, "--data", data, "--out", self.out,

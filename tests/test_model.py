@@ -732,6 +732,54 @@ class TestPacking:
         np.testing.assert_array_equal(trace.starts, [0, 3, 5, 7, 8, 9, 10])
 
 
+class TestFewerCallsPerStep:
+    """The one-call prefix walks and the twelve-call step against the walks they replaced."""
+
+    LENGTHS = {
+        "all_500": (500,) * 4,
+        # Length-2 rows end after step 0; the others end at scattered steps.
+        "ragged": (2, 500, 37, 2, 211, 9, 2, 118, 3, 64),
+        "single_row": (500,),
+    }
+
+    @staticmethod
+    def outputs(p, batch, attention, override):
+        trace, loss = model.forward(p, batch, attention, embeddings=override)
+        grads = model.backward(p, trace)
+        out = {"loss": np.array(loss), "pred": trace.pred, "agg_hidden": trace.agg_hidden,
+               "attn_norm": trace.attn_norm, "d_embed": grads.d_embed}
+        out.update(grads.params)
+        return out
+
+    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_bit_identical_to_old_walks(self, monkeypatch, lengths, attention, embeddings):
+        _, batch = random_batch(60, lengths=self.LENGTHS[lengths])
+        p = tiny_params(seed=60, hidden_dim=8, attn_dim=5)
+        override = None
+        if embeddings == "overridden":
+            shape = (batch.max_len - 1, batch.size, p.input_dim)
+            override = Rng(60).split("override").normal(size=shape)
+        got = self.outputs(p, batch, attention, override)
+        monkeypatch.setattr(model, "_prefix_sums", reference_impl.running_prefix_sums)
+        monkeypatch.setattr(model, "_recurrence", reference_impl.thirteen_call_recurrence)
+        want = self.outputs(p, batch, attention, override)
+        assert (want["attn_norm"] is None) == (not attention)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_prefix_sums_match_running_walk(self, reverse):
+        # Rows of lengths 9, 8, ..., 2: one row ends at every step.
+        _, starts = model._pack(np.arange(9, 1, -1))
+        x = Rng(61).split("x").normal(size=(starts[-1], 3))
+        for values in (x, np.ascontiguousarray(x[:, 0])):
+            got = model._prefix_sums(values, starts, reverse)
+            want = reference_impl.running_prefix_sums(values, starts, reverse)
+            np.testing.assert_array_equal(got, want)
+
+
 def embedding_shape(params, trace):
     """[n, B, d_in]: the shape of the batch's input embeddings and of ``d_embed``."""
     return (trace.batch.max_len - 1, trace.batch.size, params.input_dim)

@@ -7,12 +7,12 @@ import pytest
 
 from atkt import model, training
 from atkt.data import (
+    Dataset,
     FoldSplit,
     InteractionSequence,
     generate_synthetic,
     make_batches,
     make_folds,
-    segment_dataset,
 )
 from atkt.linalg import Rng
 from atkt.training import (
@@ -345,9 +345,10 @@ class TestGradCheckHarness:
 class TestCollectPredictions:
     def test_matches_per_target_loop(self):
         # Segments of length 9, 9, 2 per student: every batch mixes long and short rows.
-        ds = segment_dataset(tiny_dataset(num_students=9, seq_len=20, seed=4), max_len=9)
+        ds = tiny_dataset(num_students=9, seq_len=20, seed=4)
+        seqs = training.prepare_split_sequences(ds, range(9), tiny_config(max_seq_len=9))
         params = model.init_params(ds.num_skills, 6, 3, 5, 5, Rng(2).split("init"))
-        for batch in make_batches(list(ds.sequences), ds.num_skills, 4, rng=None):
+        for batch in make_batches(seqs, ds.num_skills, 4, rng=None):
             trace, _ = model.forward(params, batch)
             log = collect_predictions(trace)
             pred = on_grid(trace, trace.pred)
@@ -378,6 +379,22 @@ class TestCheckpointRoundTrip:
         _, auc_after, _ = evaluate(reloaded, val_seqs, cfg, ds.num_skills)
         assert abs(auc_before - auc_after) <= 1e-12
         assert auc_before == result.record.epochs[result.record.best_epoch].val_auc
+
+
+class TestSplitSequences:
+    def test_segments_each_picked_student_in_order(self):
+        # Segmentation runs after the student-level split, so every chunk of a
+        # student lands in the split that picked the student.
+        def student(sid, n):
+            return InteractionSequence(student_id=sid, skills=np.arange(n) % 4, responses=np.arange(n) % 2)
+
+        long, short, odd = student("long", 1200), student("short", 3), student("odd", 501)
+        ds = Dataset(sequences=(short, long, odd, student("unpicked", 900)), num_skills=4)
+        out = training.prepare_split_sequences(ds, (1, 0, 2), TrainConfig(max_seq_len=500))
+        assert [(s.student_id, len(s)) for s in out] == [
+            ("long/0", 500), ("long/1", 500), ("long/2", 200), ("short", 3), ("odd/0", 500)]
+        assert out[3] is short
+        np.testing.assert_array_equal(np.concatenate([s.responses for s in out[:3]]), long.responses)
 
 
 class TestValSplitUsage:
