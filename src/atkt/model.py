@@ -26,10 +26,11 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
 The loss is the mean over sequences of the per-sequence mean BCE over its
 T-1 targets, taken from each target's logit z as softplus(z) - a z, which is
 exact at any logit. ``backward`` returns exact gradients for every parameter
-array and for the input embeddings (the hook adversarial training perturbs);
-everything is float64 and validated against central finite differences
-(the oracle is ``tests/grad_oracle.py``). The trace stores each value once:
-readers recompute tanh(cell), and concatenate the composite from its halves.
+array, and ``input_gradient`` those for the input embeddings (the hook
+adversarial training perturbs); everything is float64 and validated against
+central finite differences (the oracle is ``tests/grad_oracle.py``). The
+trace stores each value once: readers recompute tanh(cell), and concatenate
+the composite from its halves.
 
 Batches are padded to their longest row, but the network works only on
 real steps: every per-cell array, from the recurrence to the loss, holds the
@@ -38,8 +39,8 @@ by step, and within a step longest row first, as
 ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows alive at step
 t + 1 are then a prefix of those alive at step t, so each step of the
 recurrence, and of attention's prefix sums, reads and writes contiguous
-slices. Only the ``embeddings=`` override and
-``GradientSet.d_embed`` are [n, B, d_in], with zeros at padded steps.
+slices. Only the ``embeddings=`` override and the input gradient are
+[n, B, d_in], with zeros at padded steps.
 
 Each step of the recurrence is twelve numpy calls and allocates nothing. The
 gate buffer holds the negated pre-activations -z: the input projection is
@@ -67,9 +68,10 @@ gradient, as products over the valid cells, a block of rows at a time.
 The backward time loop runs only the recurrence and keeps every valid
 cell's gate gradient dz. After it, lstm_u's gradient is one pass of block
 GEMMs; the head rows and the embedding tables are sorted segment sums, per
-target skill and per (response, skill) of the consumed interactions; and
-the input gradient, dz @ lstm_w, is built only when ``GradientSet.d_embed``
-is read.
+target skill and per (response, skill) of the consumed interactions.
+``backward`` returns dz with the parameter gradients, and the input
+gradient, dz @ lstm_w, is built only by ``input_gradient``, which training
+calls only in the clean pass of an adversarial step.
 """
 
 from __future__ import annotations
@@ -151,36 +153,15 @@ class ModelParams:
 PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
+@dataclass
 class GradientSet:
-    """Array-for-array mirror of ModelParams plus input-embedding gradients.
+    """What ``backward`` computed: the parameter gradients and the gate gradients.
 
-    ``d_embed`` is built on first read from the kept gate gradients of the
-    valid cells, as dz @ lstm_w, and the gate gradients are released then.
-    It uses ``lstm_w`` as it is at that read, so read it before the
-    parameters are updated; training reads it only in the clean pass of an
-    adversarial step, where FGSM needs it.
+    ``input_gradient`` builds the input embeddings' gradient from these.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], gate_grads: np.ndarray, lstm_w: np.ndarray,
-                 cells: np.ndarray, grid: tuple[int, int]):
-        self.params = params
-        self._gate_grads = gate_grads  # [N, 4H], packed like ForwardTrace.gates
-        self._lstm_w = lstm_w
-        self._cells = cells
-        self._grid = grid  # (n, B)
-        self._d_embed: np.ndarray | None = None
-
-    @property
-    def d_embed(self) -> np.ndarray:
-        """[L-1, B, input_dim]; exact zeros at padded steps."""
-        if self._d_embed is None:
-            dz, cells = self._gate_grads, self._cells
-            self._d_embed = np.zeros(self._grid + (self._lstm_w.shape[1],), dtype=FLOAT)
-            out = self._d_embed.reshape(-1, self._lstm_w.shape[1])
-            for lo in range(0, len(cells), _ROW_BLOCK):
-                out[cells[lo : lo + _ROW_BLOCK]] = dz[lo : lo + _ROW_BLOCK] @ self._lstm_w
-            self._gate_grads = self._lstm_w = self._cells = None
-        return self._d_embed
+    params: dict[str, np.ndarray]  # array-for-array mirror of ModelParams
+    gate_grads: np.ndarray  # dz, [N, 4H], packed like ForwardTrace.gates
 
 
 @dataclass
@@ -493,7 +474,7 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
 
 
 def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
-    """Exact gradients of the traced batch's loss for all parameters and embeddings."""
+    """Exact gradients of the traced batch's loss for all parameters, and its gate gradients."""
     batch = trace.batch
     b = batch.size
     hd = params.hidden_dim
@@ -579,12 +560,25 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     _gathered_outer(dz[first:], trace.hidden, prev, grads["lstm_u"])
     np.sum(dz, axis=0, out=grads["lstm_b"])
     _embedding_backward(params, keys, pair_dz, grads)
-    return GradientSet(grads, dz, params.lstm_w, cells, (batch.max_len - 1, b))
+    return GradientSet(grads, dz)
+
+
+def input_gradient(params: ModelParams, trace: ForwardTrace, gate_grads: np.ndarray) -> np.ndarray:
+    """The loss gradient w.r.t. the input embeddings, [n, B, d_in]; exact zeros at padded steps.
+
+    Each valid cell's row is its gate gradient @ lstm_w, so ``params`` must be
+    the parameters the trace was run with, before any update.
+    """
+    out = np.zeros((trace.batch.max_len - 1, trace.batch.size, params.input_dim), dtype=FLOAT)
+    rows = out.reshape(-1, params.input_dim)
+    cells = trace.cells
+    for lo in range(0, len(cells), _ROW_BLOCK):
+        rows[cells[lo : lo + _ROW_BLOCK]] = gate_grads[lo : lo + _ROW_BLOCK] @ params.lstm_w
+    return out
 
 
 def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """out = left.T @ right[rows], gathering at most ``_ROW_BLOCK`` rows at a time."""
-    out[...] = 0.0
+    """Adds left.T @ right[rows] to ``out``, gathering at most ``_ROW_BLOCK`` rows at a time."""
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         out += left[block].T @ right[rows[block]]
@@ -606,12 +600,11 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray):
     for lo in range(0, len(keys), _ROW_BLOCK):
         seg = segment[lo : lo + _ROW_BLOCK]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        # A block's segments are consecutive; its first may have begun in the
-        # block before, so that part is added back after the block's sums.
-        carry = sums[seg[0]].copy()
-        block = sums[seg[0] : seg[0] + len(starts)]
-        np.add.reduceat(values[order[lo : lo + _ROW_BLOCK]], starts, axis=0, out=block)
-        block[0] += carry
+        # A block's segments are consecutive, and its first may have begun
+        # in the block before, so the block's sums are added on.
+        sums[seg[0] : seg[0] + len(starts)] += np.add.reduceat(
+            values[order[lo : lo + _ROW_BLOCK]], starts, axis=0
+        )
     return keys[first], sums
 
 

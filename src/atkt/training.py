@@ -5,9 +5,9 @@ so every config the loop sees is valid; derive variants with
 ``dataclasses.replace``, which checks them again.
 
 Each epoch runs, per batch, a clean forward/backward, then — when
-adversarial training is enabled — reads the clean pass's embedding gradient
-(built only then), builds the perturbed embeddings and runs a second
-forward/backward on them. One Adam update is applied to the gradient of
+adversarial training is enabled — builds the clean pass's embedding gradient
+(``model.input_gradient``, only then) and the perturbed embeddings, and runs
+a second forward/backward on them. One Adam update is applied to the gradient of
 ``clean_loss + beta * adv_loss``; ``train_batch`` writes that objective and
 its gradient sum. Early stopping watches the validation loss, whose running
 minimum is ``RunRecord.best_val_loss``; the checkpoint that is kept
@@ -318,13 +318,14 @@ def train_batch(
     trace, clean_loss = model.forward(params, batch, config.attention)
     clean = model.backward(params, trace)
     grads, objective = clean.params, clean_loss
-    if run_adversarial and not (math.isfinite(clean_loss) and np.all(np.isfinite(clean.d_embed))):
+    if run_adversarial and math.isfinite(clean_loss):
+        d_embed = model.input_gradient(params, trace, clean.gate_grads)
+        del clean  # the gate gradients go as soon as the input gradient is built
+    if run_adversarial and not (math.isfinite(clean_loss) and np.all(np.isfinite(d_embed))):
         objective = math.nan
     elif run_adversarial:
-        pert = adversarial.fgsm_perturbation(
-            clean.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
-        )
-        del trace, clean  # only the clean parameter gradients outlive the clean pass
+        pert = adversarial.fgsm_perturbation(d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope)
+        del trace, d_embed  # only the clean parameter gradients outlive the clean pass
         adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
         del pert
         adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)

@@ -120,7 +120,7 @@ def analytic_gradients(
     trace, _ = model.forward(params, batch, attention_enabled=config.attention)
     grads = model.backward(params, trace)
     out = dict(grads.params)
-    out["d_embed"] = grads.d_embed
+    out["d_embed"] = model.input_gradient(params, trace, grads.gate_grads)
     return out
 
 

@@ -24,6 +24,8 @@ mask that zeroed each row's last a_j, a drop-in replacement for it;
 ``running_prefix_sums`` and ``thirteen_call_recurrence`` are
 ``model._prefix_sums`` and ``model._recurrence`` as they were before each
 step took fewer numpy calls, drop-in replacements for them;
+``carried_segment_sum`` is ``model._segment_sum`` as it was before each row
+block's sums were added on, with the carried partial sum copied aside;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
 ``reference_train_batch`` is the training step that holds the clean pass's
 arrays through the adversarial pass; ``l2_norm`` measures perturbation
@@ -371,6 +373,29 @@ def thirteen_call_recurrence(gates, cell, hidden, starts, lstm_u):
             h *= go
 
 
+def carried_segment_sum(keys, values):
+    """``model._segment_sum`` as it was with a carry: each block's sums are
+    written over their rows of ``sums``, and the part of the block's first
+    segment that the block before had summed is copied aside and added back.
+    It reads ``model._ROW_BLOCK`` at each call.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    segment = np.cumsum(first) - 1
+    sums = np.zeros((int(first.sum()),) + values.shape[1:], dtype=FLOAT)
+    row_block = model._ROW_BLOCK
+    for lo in range(0, len(keys), row_block):
+        seg = segment[lo : lo + row_block]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        carry = sums[seg[0]].copy()
+        block = sums[seg[0] : seg[0] + len(starts)]
+        np.add.reduceat(values[order[lo : lo + row_block]], starts, axis=0, out=block)
+        block[0] += carry
+    return keys[first], sums
+
+
 def stepwise_backward(params, trace):
     """Gradients of the traced loss: (dict of the ten parameter gradients, d_embed).
 
@@ -473,17 +498,19 @@ def _window_weights(logits, k):
 def reference_train_batch(params, batch, config, run_adversarial):
     """``training.train_batch`` with every reference held to the end.
 
-    The clean trace, its ``d_embed`` and the perturbation stay alive through
-    the adversarial forward and backward, as they did before the training
-    step freed them early; the outputs must not change.
+    The clean trace, its gate gradients, its input gradient and the
+    perturbation stay alive through the adversarial forward and backward, as
+    they did before the training step freed them early; the outputs must not
+    change.
     """
     trace, clean_loss = model.forward(params, batch, attention_enabled=config.attention)
     clean_grads = model.backward(params, trace)
     total = clean_grads.params
     objective = clean_loss
     if run_adversarial:
+        d_embed = model.input_gradient(params, trace, clean_grads.gate_grads)
         pert = adversarial.fgsm_perturbation(
-            clean_grads.d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
+            d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
         )
         adv_inputs = adversarial.make_adversarial(build_embeddings(params, batch), pert)
         adv_trace, adv_loss = model.forward(

@@ -2,9 +2,9 @@
 tolerance, printing one PASS/FAIL line per criterion.
 
 The long-running regularization comparison (criterion 6) trains ten models
-in a process pool, one worker per core; on a 2-core machine it took 256 s
-(631 s when the runs were serial, with the per-step backward pass).
-Everything else finishes in seconds. Run with
+in a process pool, one worker per core; on a 2-core VM it took 146-232 s in
+four runs within one hour, and 78 s on a quieter day, so the host's load
+moves it more than the code does. Everything else finishes in seconds. Run with
 ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
 """
 
@@ -100,12 +100,12 @@ def test_c2_fgsm_properties():
         batch = make_batches(list(data.sequences), 4, 3, rng=None)[0]
         params = model.init_params(4, 5, 3, 4, 4, rng.split("init"))
         trace, base_loss = model.forward(params, batch)
-        grads = model.backward(params, trace)
+        d_embed = model.input_gradient(params, trace, model.backward(params, trace).gate_grads)
         emb = model.build_embeddings(params, batch)
         eps = 1e-3 * l2_norm(emb)
-        adv = make_adversarial(emb, fgsm_perturbation(grads.d_embed, eps))
+        adv = make_adversarial(emb, fgsm_perturbation(d_embed, eps))
         _, adv_loss = model.forward(params, batch, embeddings=adv)
-        rho = rng.split("direction").normal(size=grads.d_embed.shape)
+        rho = rng.split("direction").normal(size=d_embed.shape)
         for b in range(batch.size):
             rho[:, b, :] *= eps / l2_norm(rho[:, b, :])
         _, rand_loss = model.forward(params, batch, embeddings=emb + rho)

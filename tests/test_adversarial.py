@@ -126,13 +126,13 @@ class TestAttackQuality:
             batch = make_batches(list(ds.sequences), 4, 3, rng=None)[0]
             params = model.init_params(4, 5, 3, 4, 4, rng.split("init"))
             trace, base_loss = model.forward(params, batch)
-            grads = model.backward(params, trace)
+            d_embed = model.input_gradient(params, trace, model.backward(params, trace).gate_grads)
             emb = model.build_embeddings(params, batch)
             eps = 1e-3 * l2_norm(emb)
-            adv = make_adversarial(emb, fgsm_perturbation(grads.d_embed, eps))
+            adv = make_adversarial(emb, fgsm_perturbation(d_embed, eps))
             _, adv_loss = model.forward(params, batch, embeddings=adv)
 
-            rho = rng.split("rho").normal(size=grads.d_embed.shape)
+            rho = rng.split("rho").normal(size=d_embed.shape)
             for b in range(batch.size):
                 rho[:, b, :] *= eps / l2_norm(rho[:, b, :])
             _, rand_loss = model.forward(params, batch, embeddings=emb + rho)
@@ -145,9 +145,9 @@ class TestAttackQuality:
         batch = make_batches(list(ds.sequences), 4, 4, rng=None)[0]
         params = model.init_params(4, 5, 3, 4, 4, Rng(77).split("init"))
         trace, base_loss = model.forward(params, batch)
-        grads = model.backward(params, trace)
+        d_embed = model.input_gradient(params, trace, model.backward(params, trace).gate_grads)
         emb = model.build_embeddings(params, batch)
         eps = 1e-4 * l2_norm(emb)
-        adv = make_adversarial(emb, fgsm_perturbation(grads.d_embed, eps))
+        adv = make_adversarial(emb, fgsm_perturbation(d_embed, eps))
         _, adv_loss = model.forward(params, batch, embeddings=adv)
         assert adv_loss > base_loss

@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -467,6 +468,28 @@ class TestTrace:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         first = rows[0].split(",")
         assert first[1] == "0.5" and first[2] == "0.5"
+
+    def test_rows_match_eval_predictions(self, tmp_path, data_file):
+        # The student is shorter than max_seq_len, so eval runs it whole as
+        # trace does. Row k at the skill attempted at step k is eval's
+        # prediction for step k; the full head sums in another order.
+        cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
+        params = model.init_params(4, 6, 3, 5, 5, Rng(3).split("init"))
+        ckpt = tmp_path / "init.json"
+        model.save_checkpoint(ckpt, params, dict(cfg.to_dict(), fold=0), timestamp=False)
+        log, out = tmp_path / "preds.csv", tmp_path / "trace"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data_file, "--all-folds", "--out", log) == 0
+        assert run_cli("trace", "--checkpoint", ckpt, "--data", data_file, "--student", "student-3",
+                       "--skills", "0,1,2,3", "--out", out) == 0
+        with open(out / "trace.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(log, encoding="utf-8") as fh:
+            preds = {int(r["step"]): float(r["prob"])
+                     for r in csv.DictReader(fh) if r["student_id"] == "student-3"}
+        assert sorted(preds) == list(range(1, len(rows)))
+        for k, want in preds.items():
+            got = float(rows[k][f"skill_{rows[k]['attempt_skill']}"])
+            assert abs(got - want) <= 1e-12, (k, got, want)
 
     def test_repeated_correct_answers_raise_that_skill(self, tmp_path):
         ckpt, data_path = self.overfit_checkpoint(tmp_path)

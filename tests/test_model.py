@@ -257,7 +257,9 @@ class TestForward:
         g2 = model.backward(p, t2)
         for name in g1.params:
             np.testing.assert_array_equal(g1.params[name], g2.params[name])
-        np.testing.assert_array_equal(g1.d_embed, g2.d_embed)
+        np.testing.assert_array_equal(
+            model.input_gradient(p, t1, g1.gate_grads), model.input_gradient(p, t2, g2.gate_grads)
+        )
 
 
 class TestGateActivation:
@@ -322,7 +324,8 @@ class TestMaskingOpacity:
         assert loss == loss2
         for name in grads.params:
             np.testing.assert_array_equal(grads.params[name], grads2.params[name])
-        np.testing.assert_array_equal(grads.d_embed, grads2.d_embed)
+        d_embed = model.input_gradient(p, trace, grads.gate_grads)
+        np.testing.assert_array_equal(d_embed, model.input_gradient(p, trace2, grads2.gate_grads))
 
     def test_gradients_vanish_on_padded_steps(self):
         _, batch = random_batch(11, lengths=(6, 2))
@@ -330,7 +333,7 @@ class TestMaskingOpacity:
         trace, _ = model.forward(p, batch)
         grads = model.backward(p, trace)
         padded = ~valid_cells(trace)
-        assert np.all(grads.d_embed[padded] == 0.0)
+        assert np.all(model.input_gradient(p, trace, grads.gate_grads)[padded] == 0.0)
 
 
 class TestCausality:
@@ -464,7 +467,7 @@ class TestPrefixSumAttention:
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
-            ("d_embed", grads.d_embed, ref_d_embed),
+            ("d_embed", model.input_gradient(p, trace, grads.gate_grads), ref_d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
@@ -549,7 +552,8 @@ class TestGatheredHead:
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", trace.pred, ref_trace.pred),
-            ("d_embed", grads.d_embed, ref_grads.d_embed),
+            ("d_embed", model.input_gradient(p, trace, grads.gate_grads),
+             model.input_gradient(p, ref_trace, ref_grads.gate_grads)),
         ]
         pairs += [(name, grads.params[name], ref_grads.params[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
@@ -613,39 +617,30 @@ class TestStepwiseBackward:
         padded_trace, _ = padded_forward(p, batch, enabled, embeddings=override)
         want, want_d_embed = stepwise_backward(p, padded_trace)
         pairs = [(name, grads.params[name], want[name]) for name in model.PARAM_NAMES]
-        pairs.append(("d_embed", grads.d_embed, want_d_embed))
+        pairs.append(("d_embed", model.input_gradient(p, trace, grads.gate_grads), want_d_embed))
         for name, got, ref in pairs:
             assert got.shape == ref.shape, name
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
-    def test_d_embed_is_built_only_when_read(self):
+    def test_backward_holds_no_input_gradient(self):
         _, batch = random_batch(41)
         p = tiny_params(seed=41)
         trace, _ = model.forward(p, batch)
         grads = model.backward(p, trace)
         shape = embedding_shape(p, trace)
-        assert not holds_array_of_shape(grads, shape)
-        d_embed = grads.d_embed
-        assert d_embed.shape == shape
-        assert grads.d_embed is d_embed  # built once
+        assert shape not in [a.shape for a in [grads.gate_grads, *grads.params.values()]]
+        assert model.input_gradient(p, trace, grads.gate_grads).shape == shape
 
     @pytest.mark.parametrize("run_adversarial", [False, True])
-    def test_train_batch_builds_d_embed_only_for_fgsm(self, monkeypatch, run_adversarial):
+    def test_train_batch_builds_input_gradient_only_for_fgsm(self, monkeypatch, run_adversarial):
         _, batch = random_batch(42)
         p = tiny_params(seed=42)
         cfg = tiny_config(beta=0.5 if run_adversarial else 0.0, epsilon=1.0)
-        made = []
-
-        def recording_backward(params, trace):
-            made.append((model_backward(params, trace), embedding_shape(params, trace)))
-            return made[-1][0]
-
-        model_backward = model.backward
-        monkeypatch.setattr(model, "backward", recording_backward)
+        calls, input_gradient = [], model.input_gradient
+        monkeypatch.setattr(model, "input_gradient", lambda *args: calls.append(args) or input_gradient(*args))
         training.train_batch(p, batch, cfg, run_adversarial)
-        built = [holds_array_of_shape(grads, shape) for grads, shape in made]
-        # FGSM reads the clean pass's embedding gradient; nothing else does.
-        assert built == ([True, False] if run_adversarial else [False])
+        # FGSM reads the clean pass's input gradient; nothing else builds one.
+        assert len(calls) == (1 if run_adversarial else 0)
 
 
 class TestPacking:
@@ -707,13 +702,13 @@ class TestPacking:
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
             ("hidden", on_grid(trace, trace.hidden)[valid], ref_trace.hidden[valid]),
-            ("d_embed", grads.d_embed, ref_d_embed),
+            ("d_embed", model.input_gradient(p, trace, grads.gate_grads), ref_d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-        np.testing.assert_array_equal(grads.d_embed[~valid], 0.0)
+        np.testing.assert_array_equal(model.input_gradient(p, trace, grads.gate_grads)[~valid], 0.0)
 
     def test_trace_keeps_only_valid_cells(self):
         _, batch = random_batch(51, lengths=(7, 2, 4))
@@ -747,7 +742,7 @@ class TestFewerCallsPerStep:
         trace, loss = model.forward(p, batch, attention, embeddings=override)
         grads = model.backward(p, trace)
         out = {"loss": np.array(loss), "pred": trace.pred, "agg_hidden": trace.agg_hidden,
-               "attn_norm": trace.attn_norm, "d_embed": grads.d_embed}
+               "attn_norm": trace.attn_norm, "d_embed": model.input_gradient(p, trace, grads.gate_grads)}
         out.update(grads.params)
         return out
 
@@ -780,28 +775,55 @@ class TestFewerCallsPerStep:
             np.testing.assert_array_equal(got, want)
 
 
+class TestSegmentSum:
+    """The block sums that are added on against the carried segment sum they replaced."""
+
+    @staticmethod
+    def keys(case, r):
+        if case == "single_key":
+            return np.full(3 * r + 1, 5)  # three blocks, then one row
+        # Sorted, key 3 starts one row into block 0 and spans three blocks, and
+        # keys 4 and 8 cross block boundaries; 4r + 1 rows leave one in the last block.
+        counts = {1: 1, 3: 2 * r + 1, 4: r + 1, 8: r - 2}
+        keys = np.repeat(list(counts), list(counts.values()))
+        return Rng(70).split("order").permutation(keys)
+
+    @pytest.mark.parametrize("row_block", [3, 7, 2048])
+    @pytest.mark.parametrize("case", ["mixed", "single_key"])
+    def test_matches_carried_segment_sum(self, monkeypatch, case, row_block):
+        monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+        keys = self.keys(case, row_block)
+        assert len(keys) % row_block == 1
+        values = Rng(70).split("values").normal(size=(len(keys), 3))
+        got_keys, got = model._segment_sum(keys, values)
+        want_keys, want = reference_impl.carried_segment_sum(keys, values)
+        assert np.array_equal(got_keys, want_keys)
+        assert np.array_equal(got, want)
+
+
 def embedding_shape(params, trace):
-    """[n, B, d_in]: the shape of the batch's input embeddings and of ``d_embed``."""
+    """[n, B, d_in]: the shape of the batch's input embeddings and of their gradient."""
     return (trace.batch.max_len - 1, trace.batch.size, params.input_dim)
 
 
-def holds_array_of_shape(obj, shape):
-    return any(isinstance(v, np.ndarray) and v.shape == shape for v in vars(obj).values())
-
-
 class TestMemory:
-    """tracemalloc peaks of one pass at 24 x 200 with the reference dimensions.
+    """tracemalloc peaks with the reference dimensions.
 
-    The backward bound is the figure of the per-step backward with its
-    separate input-projection buffer (39.20 MB above the trace); keeping the
-    gate gradients and building ``d_embed`` on demand brought it to 19.4 MB.
-    The forward bound is its measured 35.2 MB plus 10%: projecting each
-    (response, skill) pair once builds no [n, B, d_in] embedding, which took
-    the peak from 48.0 MB and the trace it keeps from 36.3 to 23.5 MB.
+    Of one pass at 24 x 200: the backward bound is the figure of the per-step
+    backward with its separate input-projection buffer (39.20 MB above the
+    trace); keeping the gate gradients and building the input gradient only
+    for FGSM brought it to 19.4 MB. The forward bound is its measured 35.2 MB
+    plus 10%: projecting each (response, skill) pair once builds no
+    [n, B, d_in] embedding, which took the peak from 48.0 MB and the trace it
+    keeps from 36.3 to 23.5 MB.
+
+    Of one adversarial training step at 24 x 500, the shapes of the
+    train-adv-long benchmark: the bound is the measured 131.26 MB plus 10%.
     """
 
     FORWARD_PEAK_MB = 38.7
     BACKWARD_PEAK_MB = 39.20
+    ADVERSARIAL_STEP_PEAK_MB = 144.4
 
     def test_forward_and_backward_peaks(self):
         ds = generate_synthetic(24, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)
@@ -819,6 +841,19 @@ class TestMemory:
             tracemalloc.stop()
         assert forward_peak <= self.FORWARD_PEAK_MB * 2**20, forward_peak / 2**20
         assert backward_peak <= self.BACKWARD_PEAK_MB * 2**20, backward_peak / 2**20
+
+    def test_adversarial_step_peak(self):
+        ds = generate_synthetic(24, 110, 500, learn_rate=0.1, guess=0.25, slip=0.1, seed=18)
+        batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
+        p = init_params(ds.num_skills, 256, 96, 80, 80, Rng(18).split("init"))
+        cfg = TrainConfig(beta=0.2, epsilon=10.0)
+        tracemalloc.start()
+        try:
+            training.train_batch(p, batch, cfg, run_adversarial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.ADVERSARIAL_STEP_PEAK_MB * 2**20, peak / 2**20
 
 
 class TestCheckpoint:

@@ -470,7 +470,8 @@ class TestTrainBatch:
         assert loss == want_loss
         for name in ("pred", "agg_hidden", "attn_norm"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(want_trace, name), err_msg=name)
-        np.testing.assert_array_equal(grads.d_embed, want_grads.d_embed)
+        np.testing.assert_array_equal(model.input_gradient(params, trace, grads.gate_grads),
+                                      model.input_gradient(params, want_trace, want_grads.gate_grads))
         for name in model.PARAM_NAMES:
             np.testing.assert_array_equal(grads.params[name], want_grads.params[name], err_msg=name)
         steps, rows = np.divmod(trace.cells, batch.size)
@@ -478,7 +479,7 @@ class TestTrainBatch:
         np.testing.assert_array_equal(trace.attn_exp != want_trace.attn_exp, last)
 
     def test_adversarial_step_peaks_no_higher_than_clean(self, monkeypatch):
-        # The clean trace, its d_embed and the perturbation are freed before
+        # The clean trace, its input gradient and the perturbation are freed before
         # the adversarial pass, so that pass reuses the clean pass's memory.
         # The adversarial forward reads a dense [n, B, d_in] input, which the
         # clean forward does not build, so the baseline is a clean step whose
@@ -508,11 +509,14 @@ class TestTrainBatch:
         clean = peak(False)
         assert adv <= 1.1 * clean, (adv, clean)
 
-    def test_non_finite_clean_pass_gives_nan_objective_without_fgsm(self):
+    def test_non_finite_clean_pass_gives_nan_objective_without_fgsm(self, monkeypatch):
         # fgsm_perturbation would raise on the NaN embedding gradient.
         batch = self.batch("mixed")
         cfg = tiny_config(beta=0.5, epsilon=1.0)
         params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
         params.head_b[:] = np.nan
+        calls, input_gradient = [], model.input_gradient
+        monkeypatch.setattr(model, "input_gradient", lambda *args: calls.append(args) or input_gradient(*args))
         _, objective, _ = train_batch(params, batch, cfg, run_adversarial=True)
         assert np.isnan(objective)
+        assert calls == []  # a non-finite clean loss builds no input gradient
