@@ -59,7 +59,6 @@ class Dataset:
 class FoldSplit:
     """Disjoint train/val/test indices into ``Dataset.sequences`` (3:1:1)."""
 
-    fold_index: int
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
@@ -335,7 +334,6 @@ def make_folds(dataset: Dataset, seed: int) -> list[FoldSplit]:
         train = np.concatenate(train_parts)
         folds.append(
             FoldSplit(
-                fold_index=k,
                 train=tuple(int(i) for i in train),
                 val=tuple(int(i) for i in val),
                 test=tuple(int(i) for i in test),

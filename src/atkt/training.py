@@ -71,7 +71,6 @@ class TrainConfig:
     attention: bool = True
     fgsm_scope: str = "per_sequence"
     seed: int = 0
-    grad_clip: float | None = None
 
     def __post_init__(self) -> None:
         for name, (kind, optional) in FIELD_TYPES.items():
@@ -99,8 +98,6 @@ class TrainConfig:
         for name in ("lr", "lr_decay"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be > 0 or none")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or none")
 
@@ -203,24 +200,6 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    """Scale all gradients by max_norm / their global L2 norm when it exceeds max_norm.
-
-    The norm is taken of the gradients times 2**-k, which puts the largest
-    entry in [0.5, 1): squares of entries near 1e200 would overflow. The
-    power of two is exact, so wherever the unscaled squares neither overflow
-    nor underflow, the result is bit for bit the unscaled formula's.
-    """
-    _, k = math.frexp(max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values()))
-    norm = math.sqrt(sum(float(np.sum(np.ldexp(g, -k) ** 2)) for g in grads.values()))
-    with np.errstate(over="ignore"):  # a bound beyond the float range clips nothing
-        bound = np.ldexp(max_norm, -k)
-    if norm > bound:
-        scale = math.ldexp(max_norm / norm, -k)
-        for g in grads.values():
-            g *= scale
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -312,29 +291,29 @@ def train_batch(
     """One clean (and optionally adversarial) pass over a batch.
 
     Returns the clean loss, the training objective (clean + beta * adv), and
-    the gradient of that objective. A non-finite clean pass gives FGSM no
-    direction: the adversarial pass is skipped and the objective is NaN.
+    the gradient of that objective. A non-finite clean loss or input gradient
+    gives FGSM no direction: the adversarial pass is skipped and the objective
+    is NaN.
     """
     trace, clean_loss = model.forward(params, batch, config.attention)
     clean = model.backward(params, trace)
-    grads, objective = clean.params, clean_loss
-    if run_adversarial and math.isfinite(clean_loss):
-        d_embed = model.input_gradient(params, trace, clean.gate_grads)
-        del clean  # the gate gradients go as soon as the input gradient is built
-    if run_adversarial and not (math.isfinite(clean_loss) and np.all(np.isfinite(d_embed))):
-        objective = math.nan
-    elif run_adversarial:
-        pert = adversarial.fgsm_perturbation(d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope)
-        del trace, d_embed  # only the clean parameter gradients outlive the clean pass
-        adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
-        del pert
-        adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)
-        adv = model.backward(params, adv_trace).params
-        grads = {name: g + config.beta * adv[name] for name, g in grads.items()}
-        objective = clean_loss + config.beta * adv_loss
-    if config.grad_clip is not None:
-        clip_gradients(grads, config.grad_clip)
-    return clean_loss, objective, grads
+    grads = clean.params
+    if not run_adversarial:
+        return clean_loss, clean_loss, grads
+    if not math.isfinite(clean_loss):
+        return clean_loss, math.nan, grads
+    d_embed = model.input_gradient(params, trace, clean.gate_grads)
+    del clean  # the gate gradients go as soon as the input gradient is built
+    if not np.all(np.isfinite(d_embed)):
+        return clean_loss, math.nan, grads
+    pert = adversarial.fgsm_perturbation(d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope)
+    del trace, d_embed  # only the clean parameter gradients outlive the clean pass
+    adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
+    del pert
+    adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)
+    adv = model.backward(params, adv_trace).params
+    grads = {name: g + config.beta * adv[name] for name, g in grads.items()}
+    return clean_loss, clean_loss + config.beta * adv_loss, grads
 
 
 # Every non-finite objective and loss is raised as a DivergenceError below;

@@ -34,8 +34,7 @@ branch per sign, and ``stepwise_backward`` the backward pass with per-step
 weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
 ``model.backward`` computed them before its gradients were hoisted out of the
 time loop. ``adam_step`` is the Adam update that allocates new moment arrays
-at every step, and ``unscaled_clip_gradients`` the global-norm clip that
-squares unscaled gradients (its norm overflows to inf above ~1e154).
+at every step.
 ``per_token_parse_triple_line`` is ``data.parse_triple_line`` as it was
 before it converted files in the plain grammar in bulk: one walk over the
 groups, one ``int()`` per token, each token checked against the README's
@@ -53,7 +52,6 @@ from atkt import adversarial, data, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid
 from atkt.data import MAX_SKILLS, MIN_SEQ_LEN, Batch, DataFormatError, Dataset
 from atkt.model import build_embeddings
-from atkt.training import clip_gradients
 
 # The oracles' losses clamp probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
 # before any log, as ``model.forward`` did before it took the BCE from the logit.
@@ -522,8 +520,6 @@ def reference_train_batch(params, batch, config, run_adversarial):
         adv_params = model.backward(params, adv_trace).params
         objective = float(clean_loss) + float(config.beta) * float(adv_loss)
         total = {name: total[name] + config.beta * adv_params[name] for name in total}
-    if config.grad_clip is not None:
-        clip_gradients(total, config.grad_clip)
     return clean_loss, objective, total
 
 
@@ -734,15 +730,6 @@ def adam_step(params, grads, state, lr, beta1, beta2, eps):
         m_hat = state.m[name] / (1.0 - beta1**t)
         v_hat = state.v[name] / (1.0 - beta2**t)
         arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def unscaled_clip_gradients(grads, max_norm):
-    """Global-norm clip with the norm of the unscaled squares."""
-    total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def readme_int(tok):

@@ -141,7 +141,7 @@ def test_c3_auc_oracle():
 def test_c4_capacity():
     data = generate_synthetic(8, 5, 20, learn_rate=0.3, guess=0.2, slip=0.1, seed=5)
     idx = tuple(range(8))
-    split = FoldSplit(fold_index=0, train=idx, val=idx, test=idx)
+    split = FoldSplit(train=idx, val=idx, test=idx)
     config = TrainConfig(
         skill_dim=16, resp_dim=8, hidden_dim=16, attn_dim=16, batch_size=8,
         lr=0.01, lr_decay=1.0, lr_decay_every=1000, max_epochs=500, patience=None, seed=9,

@@ -73,10 +73,10 @@ class TestConfigParsing:
         assert cfg.beta == 0.5 and cfg.epsilon == 10.0
 
     def test_optional_and_bool_values(self):
-        cfg = parse_config_text("patience = none\nattention = false\ngrad_clip = 5.0\n")
+        cfg = parse_config_text("patience = none\nattention = false\nepsilon = 5.0\n")
         assert cfg.patience is None
         assert cfg.attention is False
-        assert cfg.grad_clip == 5.0
+        assert cfg.epsilon == 5.0
 
     @pytest.mark.parametrize(
         "key, raw, want",
@@ -87,8 +87,7 @@ class TestConfigParsing:
             ("patience", "OFF", None),
             ("epsilon", "None", None),
             ("epsilon", "off", None),
-            ("grad_clip", "NONE", None),
-            ("grad_clip", "off", None),
+            ("epsilon", "NONE", None),
             ("epsilon", "10", 10.0),
             ("patience", "7", 7),
         ],
@@ -265,12 +264,12 @@ class TestEval:
 
     def test_causal_window_echo_evaluates_as_without_it(self, tmp_path, data_file):
         # Older checkpoints echo retired keys: attention_window and strict_truncate
-        # at the one value still run, and Adam's three constants, which
-        # evaluation never reads, at any value.
+        # at the one value still run, and Adam's three constants and grad_clip,
+        # which evaluation never reads, at any value.
         cfg = TrainConfig(skill_dim=6, resp_dim=3, hidden_dim=5, attn_dim=5, seed=11)
         params = model.init_params(4, 6, 3, 5, 5, Rng(0).split("init"))
         old = {"attention_window": "causal", "strict_truncate": False,
-               "adam_beta1": 0.5, "adam_beta2": 0.9, "adam_eps": 1e-3}
+               "adam_beta1": 0.5, "adam_beta2": 0.9, "adam_eps": 1e-3, "grad_clip": 5.0}
         logs = []
         for name, extra in [("new", {}), ("old", old)]:
             ckpt = tmp_path / f"{name}.json"
@@ -442,7 +441,7 @@ class TestTrace:
             skill_dim=8, resp_dim=4, hidden_dim=8, attn_dim=8, batch_size=4,
             max_epochs=200, patience=None, lr=0.02, lr_decay=1.0, lr_decay_every=1000, seed=5,
         )
-        result = train(cfg, ds, FoldSplit(0, idx, idx, idx))
+        result = train(cfg, ds, FoldSplit(idx, idx, idx))
         ckpt = tmp_path / "toy.json"
         model.save_checkpoint(ckpt, result.params, dict(cfg.to_dict(), fold=0), timestamp=False)
         return ckpt, data_path
@@ -563,7 +562,7 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg, "--data", data_file, "--out", tmp_path / "o") == 1
 
     @pytest.mark.parametrize(
-        "line", ["lr = nan", "beta = nan", "epsilon = inf", "grad_clip = -1", "lr_decay = -1",
+        "line", ["lr = nan", "beta = nan", "epsilon = inf", "epsilon = -1", "lr_decay = -1",
                  "seed = -1"]
     )
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, data_file, capsys, line):
@@ -578,7 +577,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line", ["attention_window = causal", "strict_truncate = false", "adam_beta1 = 0.9",
-                 "adam_beta2 = 0.999", "adam_eps = 1e-8"]
+                 "adam_beta2 = 0.999", "adam_eps = 1e-8", "grad_clip = 5"]
     )
     def test_retired_key_exits_1_as_unknown(self, tmp_path, data_file, capsys, line):
         cfg = tmp_path / "old.txt"

@@ -507,7 +507,7 @@ class TestPrefixSumAttention:
         seqs, _ = random_batch(30, lengths=self.LENGTHS)
         data = Dataset(sequences=tuple(seqs), num_skills=4)
         idx = tuple(range(len(seqs)))
-        split = FoldSplit(fold_index=0, train=idx, val=idx, test=idx)
+        split = FoldSplit(train=idx, val=idx, test=idx)
         cfg = tiny_config(batch_size=len(seqs), max_epochs=1)
         with pytest.raises(training.DivergenceError):
             training.train(cfg, data, split, initial_params=self.params(attn_u_l1=683.5))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from atkt import model, training
+from atkt import adversarial, model, training
 from atkt.data import (
     Dataset,
     FoldSplit,
@@ -20,7 +20,6 @@ from atkt.training import (
     DivergenceError,
     TrainConfig,
     adam_step,
-    clip_gradients,
     collect_predictions,
     lr_at,
     sweep,
@@ -31,7 +30,6 @@ from atkt.training import (
 from grad_oracle import compare_gradients, grad_check
 from reference_impl import masked_attention_forward, on_grid, reference_train_batch
 from reference_impl import adam_step as reference_adam_step
-from reference_impl import unscaled_clip_gradients
 
 
 def tiny_dataset(num_students=20, num_skills=4, seq_len=8, seed=0):
@@ -85,8 +83,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", True), ("seed", 1.0), ("batch_size", "8"), ("lr", "0.1"), ("lr", float("inf")),
-         ("beta", float("nan")), ("beta", None), ("grad_clip", float("nan")), ("attention", 1),
-         ("max_epochs", None), ("lr_decay", -1.0), ("grad_clip", -1.0), ("grad_clip", 0.0),
+         ("beta", float("nan")), ("beta", None), ("epsilon", float("nan")), ("attention", 1),
+         ("max_epochs", None), ("lr_decay", -1.0), ("epsilon", -1.0), ("lr", 0.0),
          ("seed", -1), ("beta", -0.5)],
     )
     def test_validate_rejects_bad_type_or_range(self, key, value):
@@ -98,7 +96,7 @@ class TestConfig:
             TrainConfig(max_seq_len=1)
 
     def test_int_is_a_valid_float(self):
-        TrainConfig(lr=1, beta=1, epsilon=10, grad_clip=5)
+        TrainConfig(lr=1, beta=1, epsilon=10)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -183,38 +181,6 @@ class TestEarlyStop:
         record = self.run(monkeypatch, [float(i) for i in range(6)], patience=None, max_epochs=6).record
         assert len(record.epochs) == 6
         assert record.best_val_loss == 0.0
-
-
-class TestGradientHelpers:
-    def test_clip_rescales_to_max_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        clip_gradients(grads, max_norm=1.0)
-        total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.1])}
-        clip_gradients(grads, max_norm=1.0)
-        np.testing.assert_array_equal(grads["a"], [0.1])
-
-    def test_clip_survives_an_overflowing_norm(self):
-        # The squared norm is 1e400: the unscaled formula clips everything to 0.
-        grads = {"a": np.array([1e200, 1.0]), "b": np.array([2.0])}
-        clip_gradients(grads, max_norm=5.0)
-        assert grads["a"][0] == pytest.approx(5.0, rel=1e-15)
-        assert grads["a"][1] == pytest.approx(5e-200, rel=1e-15)
-        assert grads["b"][0] == pytest.approx(1e-199, rel=1e-15)
-
-    @pytest.mark.parametrize("exponent", [-150, -8, 0, 3, 140])
-    def test_clip_equals_unscaled_formula_where_finite(self, exponent):
-        rng = Rng(exponent + 200).split("grads")
-        grads = {name: rng.normal(size=(7, 5)) * 10.0**exponent for name in "abc"}
-        want = {name: g.copy() for name, g in grads.items()}
-        for max_norm in (1e-160, 1e-3, 1.0, 1e150):
-            clip_gradients(grads, max_norm)
-            unscaled_clip_gradients(want, max_norm)
-            for name in grads:
-                assert np.array_equal(grads[name], want[name]), (name, max_norm)
 
 
 class TestTrain:
@@ -401,7 +367,7 @@ class TestValSplitUsage:
     def test_train_and_val_can_share_indices_for_capacity_runs(self):
         ds = tiny_dataset(num_students=8, seed=13)
         idx = tuple(range(8))
-        split = FoldSplit(fold_index=0, train=idx, val=idx, test=idx)
+        split = FoldSplit(train=idx, val=idx, test=idx)
         result = train(tiny_config(max_epochs=2), ds, split)
         assert len(result.record.epochs) == 2
 
@@ -422,17 +388,14 @@ class TestTrainBatch:
         return make_batches(seqs, ds.num_skills, batch_size=len(seqs), rng=None)[0]
 
     @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
-    @pytest.mark.parametrize("grad_clip", [None, 0.05])
     @pytest.mark.parametrize("scope", ["per_sequence", "global"])
     @pytest.mark.parametrize("lengths", LENGTHS)
     @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("run_adversarial", [True, False])
-    def test_bit_identical_to_reference(self, run_adversarial, attention, lengths, scope, grad_clip,
-                                        responses):
+    def test_bit_identical_to_reference(self, run_adversarial, attention, lengths, scope, responses):
         batch = self.batch(responses, lengths)
         assert np.all(batch.seq_lens == self.LENGTHS[lengths])
-        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, fgsm_scope=scope,
-                          grad_clip=grad_clip)
+        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, fgsm_scope=scope)
         params = model.init_params(
             batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
             Rng(3).split("init"),
@@ -520,3 +483,24 @@ class TestTrainBatch:
         _, objective, _ = train_batch(params, batch, cfg, run_adversarial=True)
         assert np.isnan(objective)
         assert calls == []  # a non-finite clean loss builds no input gradient
+
+    def test_non_finite_input_gradient_gives_nan_objective_without_fgsm(self, monkeypatch):
+        # The clean loss is finite, but one inf in the input gradient leaves FGSM no direction.
+        batch = self.batch("mixed")
+        cfg = tiny_config(beta=0.5, epsilon=1.0)
+        params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
+        input_gradient = model.input_gradient
+
+        def with_inf(*args):
+            d_embed = input_gradient(*args)
+            d_embed[0, 0, 0] = np.inf
+            return d_embed
+
+        calls, fgsm = [], adversarial.fgsm_perturbation
+        monkeypatch.setattr(model, "input_gradient", with_inf)
+        monkeypatch.setattr(adversarial, "fgsm_perturbation",
+                            lambda *args, **kw: calls.append(args) or fgsm(*args, **kw))
+        clean_loss, objective, grads = train_batch(params, batch, cfg, run_adversarial=True)
+        assert np.isfinite(clean_loss) and np.isnan(objective)
+        assert calls == []
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
