@@ -387,15 +387,28 @@ class TestTrainBatch:
             seqs.append(InteractionSequence(s.student_id, s.skills[:n], resp))
         return make_batches(seqs, ds.num_skills, batch_size=len(seqs), rng=None)[0]
 
+    # (run_adversarial, beta, epsilon): a plain run's clean step; a clean step
+    # under an adversarial config; the adversarial step; a zero-radius ball,
+    # whose adversarial pass repeats the clean one; and the forced adversarial
+    # step at beta 0 with no epsilon, whose passes must not reach the update.
+    STEPS = {
+        "plain": (False, 0.0, None),
+        "clean_only": (False, 0.7, 2.0),
+        "adversarial": (True, 0.7, 2.0),
+        "zero_ball": (True, 0.7, 0.0),
+        "forced_beta0": (True, 0.0, None),
+    }
+
     @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
     @pytest.mark.parametrize("scope", ["per_sequence", "global"])
     @pytest.mark.parametrize("lengths", LENGTHS)
     @pytest.mark.parametrize("attention", [True, False])
-    @pytest.mark.parametrize("run_adversarial", [True, False])
-    def test_bit_identical_to_reference(self, run_adversarial, attention, lengths, scope, responses):
+    @pytest.mark.parametrize("step", STEPS)
+    def test_bit_identical_to_reference(self, step, attention, lengths, scope, responses):
         batch = self.batch(responses, lengths)
         assert np.all(batch.seq_lens == self.LENGTHS[lengths])
-        cfg = tiny_config(beta=0.7, epsilon=2.0, attention=attention, fgsm_scope=scope)
+        run_adversarial, beta, epsilon = self.STEPS[step]
+        cfg = tiny_config(beta=beta, epsilon=epsilon, attention=attention, fgsm_scope=scope)
         params = model.init_params(
             batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
             Rng(3).split("init"),
