@@ -26,11 +26,11 @@ Architecture per sequence (s_1,a_1)..(s_T,a_T):
 The loss is the mean over sequences of the per-sequence mean BCE over its
 T-1 targets, taken from each target's logit z as softplus(z) - a z, which is
 exact at any logit. ``backward`` returns exact gradients for every parameter
-array, and ``input_gradient`` those for the input embeddings (the hook
-adversarial training perturbs); everything is float64 and validated against
-central finite differences (the oracle is ``tests/grad_oracle.py``). The
-trace stores each value once: readers recompute tanh(cell), and concatenate
-the composite from its halves.
+array, together with the gate gradients dz from which the input embeddings'
+gradient dz @ lstm_w follows (the hook adversarial training perturbs);
+everything is float64 and validated against central finite differences (the
+oracle is ``tests/grad_oracle.py``). The trace stores each value once:
+readers recompute tanh(cell), and concatenate the composite from its halves.
 
 Batches are padded to their longest row, but the network works only on
 real steps: every per-cell array, from the recurrence to the loss, holds the
@@ -39,8 +39,7 @@ by step, and within a step longest row first, as
 ``torch.nn.utils.rnn.pack_padded_sequence`` does. The rows alive at step
 t + 1 are then a prefix of those alive at step t, so each step of the
 recurrence, and of attention's prefix sums, reads and writes contiguous
-slices. Only the ``embeddings=`` override and the input gradient are
-[n, B, d_in], with zeros at padded steps.
+slices. No array is laid out on the padded [n, B] grid.
 
 Each step of the recurrence is twelve numpy calls and allocates nothing. The
 gate buffer holds the negated pre-activations -z: the input projection is
@@ -58,20 +57,19 @@ candidate's. Every time loop slices with Python-int step bounds.
 
 A looked-up input embedding depends only on its (response, skill) pair, of
 which there are at most 2S, and a batch holds far fewer pairs than cells.
-Clean and evaluation passes therefore project each pair present once and
-gather one row of the projection per cell; no [n, B, d_in] embedding is
-built, and lstm_w's gradient is (dz summed per pair)^T @ the pair
-embeddings. Only an ``embeddings=`` override (the adversarial pass's e + r,
-which is dense) is kept in the trace; it is projected, and enters lstm_w's
-gradient, as products over the valid cells, a block of rows at a time.
+Every pass therefore projects each pair present once and gathers one row of
+the projection per cell; no [n, B, d_in] embedding is built, and lstm_w's
+gradient is (dz summed per pair)^T @ the pair embeddings. The adversarial
+pass adds a perturbation r to the looked-up embeddings; it comes as an
+``InputShift`` held in the gates' space, r = direction @ lstm_w per valid
+cell, with its projection r @ lstm_w^T precomputed. The pass adds the pair
+projection to that [N, 4H] projection in place and runs on it, and r's
+share of lstm_w's gradient is (dz^T @ direction) @ lstm_w.
 
 The backward time loop runs only the recurrence and keeps every valid
 cell's gate gradient dz. After it, lstm_u's gradient is one pass of block
 GEMMs; the head rows and the embedding tables are sorted segment sums, per
 target skill and per (response, skill) of the consumed interactions.
-``backward`` returns dz with the parameter gradients, and the input
-gradient, dz @ lstm_w, is built only by ``input_gradient``, which training
-calls only in the clean pass of an adversarial step.
 """
 
 from __future__ import annotations
@@ -157,7 +155,8 @@ PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 class GradientSet:
     """What ``backward`` computed: the parameter gradients and the gate gradients.
 
-    ``input_gradient`` builds the input embeddings' gradient from these.
+    The input embeddings' gradient is gate_grads @ lstm_w at each valid cell;
+    FGSM takes its direction from the gate gradients without building it.
     """
 
     params: dict[str, np.ndarray]  # array-for-array mirror of ModelParams
@@ -165,17 +164,32 @@ class GradientSet:
 
 
 @dataclass
+class InputShift:
+    """A perturbation r of a batch's looked-up input embeddings, in the gates' space.
+
+    Both arrays hold the N valid cells in packed order (see ``ForwardTrace``):
+    r = direction @ lstm_w at each cell, and ``projection`` is r @ lstm_w^T,
+    r's share of the gate pre-activations. ``forward`` takes ``projection``
+    over as its gate buffer and sets the field to None, so a shift serves one
+    pass; ``backward`` reads ``direction`` for lstm_w's gradient.
+    """
+
+    direction: np.ndarray  # [N, 4H]
+    projection: np.ndarray | None  # [N, 4H]
+
+
+@dataclass
 class ForwardTrace:
     """Everything the backward pass and ``skill_probs`` need, per batch, once.
 
-    Every array but the ``embeddings`` override holds the N valid cells in
-    packed order: row r is the cell with flat index ``cells[r]`` = t * B + b
-    (input step t, target t + 1), and step t's rows are
-    ``starts[t]:starts[t + 1]``, longest batch row first. The head's
-    composite input is not stored: readers concatenate [agg_hidden | hidden].
+    Every array holds the N valid cells in packed order: row r is the cell
+    with flat index ``cells[r]`` = t * B + b (input step t, target t + 1),
+    and step t's rows are ``starts[t]:starts[t + 1]``, longest batch row
+    first. The head's composite input is not stored: readers concatenate
+    [agg_hidden | hidden].
     """
 
-    embeddings: np.ndarray | None  # [n, B, d_in], the override if one was given
+    shift: InputShift | None  # the perturbation of the input embeddings, if one was given
     gates: np.ndarray  # [N, 4H] post-activation, gate blocks per GATE_ORDER
     cell: np.ndarray  # [N, H]
     cells: np.ndarray  # int64 [N]
@@ -239,19 +253,6 @@ def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def build_embeddings(params: ModelParams, batch: Batch) -> np.ndarray:
-    """Embed the consumed interactions of a batch, [n, B, d_in]; padded steps are zero.
-
-    ``forward`` never builds this array; the adversarial step does, to add
-    its perturbation to it.
-    """
-    cells, _ = _pack(batch.seq_lens)
-    pairs, pair_of_cell = _distinct_pairs(batch, cells)
-    out = np.zeros((batch.max_len - 1, batch.size, params.input_dim), dtype=FLOAT)
-    out.reshape(-1, params.input_dim)[cells] = _pair_embeddings(params, pairs)[pair_of_cell]
-    return out
-
-
 def _cell_keys(batch: Batch, cells: np.ndarray) -> np.ndarray:
     """Key response * S + skill of the interaction each cell t * B + b consumes."""
     t, b = np.divmod(cells, batch.size)
@@ -282,7 +283,7 @@ def _pair_embeddings(params: ModelParams, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(seq_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pack_cells(seq_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The valid cells in packed order: (flat indices t * B + b, step starts).
 
     Step t of row b is valid, a consumed input with a real target, iff
@@ -362,49 +363,52 @@ def forward(
     params: ModelParams,
     batch: Batch,
     attention_enabled: bool = True,
-    embeddings: np.ndarray | None = None,
+    embeddings: InputShift | None = None,
 ) -> tuple[ForwardTrace, float]:
     """Run the full network over a batch; returns the trace and the loss.
 
-    ``embeddings`` overrides the table lookup (used for adversarial inputs)
-    and is kept in the trace; gradients w.r.t. the embedding tables still
-    flow through the lookup indices on the backward pass. Without it, each
-    (response, skill) pair of the batch is projected once.
+    ``embeddings``, the adversarial pass's perturbation r, is added to the
+    looked-up embeddings; its projection becomes this pass's gate buffer,
+    and the shift is kept in the trace. Gradients w.r.t. the embedding tables
+    flow through the lookup indices either way.
     """
     if batch.num_skills != params.num_skills:
         raise ShapeError(
             f"batch built for {batch.num_skills} skills, model has {params.num_skills}"
         )
-    n = batch.max_len - 1
     b = batch.size
     hd = params.hidden_dim
-    if embeddings is not None and embeddings.shape != (n, b, params.input_dim):
-        raise ShapeError(
-            f"embedding override has shape {embeddings.shape}, "
-            f"expected {(n, b, params.input_dim)}"
-        )
-
-    cells, starts = _pack(batch.seq_lens)
-    gates = np.empty((len(cells), 4 * hd), dtype=FLOAT)
-    cell = np.empty((len(cells), hd), dtype=FLOAT)
-    hidden = np.empty((len(cells), hd), dtype=FLOAT)
+    cells, starts = pack_cells(batch.seq_lens)
+    if embeddings is not None:
+        if embeddings.projection is None:
+            raise ValueError("this input shift has already been used by a forward pass")
+        want = (len(cells), 4 * hd)
+        if embeddings.projection.shape != want or embeddings.direction.shape != want:
+            raise ShapeError(
+                f"input shift has shapes {embeddings.direction.shape} and "
+                f"{embeddings.projection.shape}, expected {want}"
+            )
 
     # The negated input contributions -(e W^T + b) of all valid cells go
-    # straight into the gate buffer; _recurrence subtracts each step's
-    # recurrent term and activates the rows in place.
+    # straight into the gate buffer, each (response, skill) pair projected
+    # once; _recurrence subtracts each step's recurrent term and activates
+    # the rows in place. A shift's projection r W^T is the buffer, and the
+    # pairs' rows are added to it a block at a time.
+    pairs, pair_of_cell = _distinct_pairs(batch, cells)
+    proj = _pair_embeddings(params, pairs) @ params.lstm_w.T
+    proj += params.lstm_b
+    np.negative(proj, out=proj)
     if embeddings is None:
-        pairs, pair_of_cell = _distinct_pairs(batch, cells)
-        proj = _pair_embeddings(params, pairs) @ params.lstm_w.T
-        proj += params.lstm_b
-        np.negative(proj, out=proj)
+        gates = np.empty((len(cells), 4 * hd), dtype=FLOAT)
         np.take(proj, pair_of_cell, axis=0, out=gates, mode="clip")  # "clip" writes unbuffered
     else:
-        emb_rows = embeddings.reshape(n * b, params.input_dim)
-        neg_w_t = -params.lstm_w.T
+        gates, embeddings.projection = embeddings.projection, None
+        np.negative(gates, out=gates)
         for lo in range(0, len(cells), _ROW_BLOCK):
-            block = slice(lo, lo + _ROW_BLOCK)
-            np.matmul(emb_rows[cells[block]], neg_w_t, out=gates[block])
-        gates -= params.lstm_b
+            block = gates[lo : lo + _ROW_BLOCK]
+            block += proj[pair_of_cell[lo : lo + _ROW_BLOCK]]
+    cell = np.empty((len(cells), hd), dtype=FLOAT)
+    hidden = np.empty((len(cells), hd), dtype=FLOAT)
     _recurrence(gates, cell, hidden, starts, params.lstm_u)
 
     steps, rows = np.divmod(cells, b)
@@ -438,7 +442,7 @@ def forward(
     loss = float(per_seq.mean())
 
     trace = ForwardTrace(
-        embeddings=embeddings,
+        shift=embeddings,
         gates=gates,
         cell=cell,
         cells=cells,
@@ -549,10 +553,10 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     # so their gate gradients are summed once per pair; a looked-up input's
     # share of lstm_w's gradient is then one product over the pairs.
     keys, pair_dz = _segment_sum(_cell_keys(batch, cells), dz)
-    if trace.embeddings is None:
-        np.matmul(pair_dz.T, _pair_embeddings(params, keys), out=grads["lstm_w"])
-    else:
-        _gathered_outer(dz, trace.embeddings.reshape(-1, params.input_dim), cells, grads["lstm_w"])
+    np.matmul(pair_dz.T, _pair_embeddings(params, keys), out=grads["lstm_w"])
+    if trace.shift is not None:
+        # r = direction @ lstm_w is a constant of the pass, so its share is dz^T r.
+        grads["lstm_w"] += (dz.T @ trace.shift.direction) @ params.lstm_w
     # A cell's previous hidden state is the same batch row's at the step
     # before, as many packed rows earlier as that step has; step 0's is h_0 = 0.
     first = starts[1]
@@ -561,20 +565,6 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     np.sum(dz, axis=0, out=grads["lstm_b"])
     _embedding_backward(params, keys, pair_dz, grads)
     return GradientSet(grads, dz)
-
-
-def input_gradient(params: ModelParams, trace: ForwardTrace, gate_grads: np.ndarray) -> np.ndarray:
-    """The loss gradient w.r.t. the input embeddings, [n, B, d_in]; exact zeros at padded steps.
-
-    Each valid cell's row is its gate gradient @ lstm_w, so ``params`` must be
-    the parameters the trace was run with, before any update.
-    """
-    out = np.zeros((trace.batch.max_len - 1, trace.batch.size, params.input_dim), dtype=FLOAT)
-    rows = out.reshape(-1, params.input_dim)
-    cells = trace.cells
-    for lo in range(0, len(cells), _ROW_BLOCK):
-        rows[cells[lo : lo + _ROW_BLOCK]] = gate_grads[lo : lo + _ROW_BLOCK] @ params.lstm_w
-    return out
 
 
 def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:

@@ -5,9 +5,10 @@ so every config the loop sees is valid; derive variants with
 ``dataclasses.replace``, which checks them again.
 
 Each epoch runs, per batch, a clean forward/backward, then — when
-adversarial training is enabled — builds the clean pass's embedding gradient
-(``model.input_gradient``, only then) and the perturbed embeddings, and runs
-a second forward/backward on them. One Adam update is applied to the gradient of
+adversarial training is enabled — scales the clean pass's embedding gradient
+to the FGSM budget, from its gate gradients, and runs a second
+forward/backward on the perturbed embeddings. Neither pass builds an
+[n, B, d_in] array. One Adam update is applied to the gradient of
 ``clean_loss + beta * adv_loss``; ``train_batch`` writes that objective and
 its gradient sum. Early stopping watches the validation loss, whose running
 minimum is ``RunRecord.best_val_loss``; the checkpoint that is kept
@@ -291,7 +292,7 @@ def train_batch(
     """One clean (and optionally adversarial) pass over a batch.
 
     Returns the clean loss, the training objective (clean + beta * adv), and
-    the gradient of that objective. A non-finite clean loss or input gradient
+    the gradient of that objective. A non-finite clean loss or gate gradient
     gives FGSM no direction: the adversarial pass is skipped and the objective
     is NaN.
     """
@@ -300,15 +301,16 @@ def train_batch(
     grads = clean.params
     if not run_adversarial:
         return clean_loss, clean_loss, grads
+    del trace  # FGSM reads only the gate gradients and the batch's layout
     if not math.isfinite(clean_loss):
         return clean_loss, math.nan, grads
-    d_embed = model.input_gradient(params, trace, clean.gate_grads)
-    del clean  # the gate gradients go as soon as the input gradient is built
-    if not np.all(np.isfinite(d_embed)):
+    if not np.all(np.isfinite(clean.gate_grads)):
         return clean_loss, math.nan, grads
-    pert = adversarial.fgsm_perturbation(d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope)
-    del trace, d_embed  # only the clean parameter gradients outlive the clean pass
-    adv_inputs = adversarial.make_adversarial(model.build_embeddings(params, batch), pert)
+    pert = adversarial.fgsm_perturbation(
+        clean.gate_grads, params.lstm_w, batch, float(config.epsilon or 0.0), scope=config.fgsm_scope
+    )
+    del clean  # only the clean parameter gradients outlive the clean pass
+    adv_inputs = adversarial.make_adversarial(batch, pert)
     del pert
     adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)
     adv = model.backward(params, adv_trace).params

@@ -3,7 +3,9 @@
 ``grad_check`` builds a tiny model and a tiny mixed-length batch, takes the
 analytic gradients (``model.backward``) and central finite differences of the
 batch loss for every parameter coordinate and every input-embedding
-coordinate, and reports the worst relative error per array. The settings
+coordinate, and reports the worst relative error per array. The input
+embeddings' gradient is ``reference_impl.input_gradient`` from the gate
+gradients. The settings
 (step 1e-5, tolerance 1e-4, floor 1e-8) are the release gate and are not to
 be loosened.
 """
@@ -19,6 +21,8 @@ from atkt.data import Batch, InteractionSequence, make_batches
 from atkt.linalg import Rng
 from atkt.model import ModelParams
 from atkt.training import TrainConfig
+
+from reference_impl import input_gradient
 
 GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_TOLERANCE = 1e-4
@@ -85,32 +89,42 @@ def numeric_gradients(
     coordinate and every input-embedding coordinate.
 
     A parameter coordinate is perturbed in place and the embeddings are
-    rebuilt from the tables; a ``d_embed`` coordinate is perturbed in an
-    embedding override tensor.
+    looked up from the tables. Moving coordinate j of a valid cell's input
+    embedding by h moves that cell's gate pre-activations by h lstm_w[:, j],
+    which ``model.forward`` takes as an input shift; padded cells' embeddings
+    reach nothing, and their entries stay zero.
     """
 
-    def loss_now(embeddings) -> float:
-        _, loss = model.forward(
-            params, batch, attention_enabled=config.attention, embeddings=embeddings
-        )
-        return loss
+    def loss_now(shift=None) -> float:
+        return model.forward(params, batch, attention_enabled=config.attention, embeddings=shift)[1]
 
-    base = model.build_embeddings(params, batch)
     numeric: dict[str, np.ndarray] = {}
-    for name, arr in params.named_arrays() + [("d_embed", base)]:
-        override = base if name == "d_embed" else None
+    for name, arr in params.named_arrays():
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
         for idx in range(flat.shape[0]):
             original = flat[idx]
             flat[idx] = original + step
-            up = loss_now(override)
+            up = loss_now()
             flat[idx] = original - step
-            down = loss_now(override)
+            down = loss_now()
             flat[idx] = original
             gflat[idx] = (up - down) / (2.0 * step)
         numeric[name] = g
+
+    cells, _ = model.pack_cells(batch.seq_lens)
+    d_embed = np.zeros((batch.max_len - 1) * batch.size * params.input_dim)
+    w = params.lstm_w
+    for row, cell in enumerate(cells):
+        for j in range(params.input_dim):
+            losses = []
+            for h in (step, -step):
+                projection = np.zeros((len(cells), w.shape[0]))
+                projection[row] = h * w[:, j]
+                losses.append(loss_now(model.InputShift(np.zeros_like(projection), projection)))
+            d_embed[cell * params.input_dim + j] = (losses[0] - losses[1]) / (2.0 * step)
+    numeric["d_embed"] = d_embed.reshape(batch.max_len - 1, batch.size, params.input_dim)
     return numeric
 
 
@@ -120,7 +134,7 @@ def analytic_gradients(
     trace, _ = model.forward(params, batch, attention_enabled=config.attention)
     grads = model.backward(params, trace)
     out = dict(grads.params)
-    out["d_embed"] = model.input_gradient(params, trace, grads.gate_grads)
+    out["d_embed"] = input_gradient(params, trace, grads.gate_grads)
     return out
 
 

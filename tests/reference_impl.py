@@ -26,10 +26,17 @@ mask that zeroed each row's last a_j, a drop-in replacement for it;
 step took fewer numpy calls, drop-in replacements for them;
 ``carried_segment_sum`` is ``model._segment_sum`` as it was before each row
 block's sums were added on, with the carried partial sum copied aside;
-``two_branch_fgsm`` is the FGSM scaling with one code path per scope;
-``reference_train_batch`` is the training step that holds the clean pass's
-arrays through the adversarial pass; ``l2_norm`` measures perturbation
-budgets. ``two_branch_sigmoid`` is the logistic function with one masked
+``two_branch_fgsm`` is the FGSM scaling with one code path per scope.
+The dense adversarial path, as ``src`` ran it before FGSM worked from the
+gate gradients: ``build_embeddings`` lays the looked-up embeddings onto the
+[n, B, d_in] grid, one ``embed_interaction`` per valid cell;
+``input_gradient`` is their gradient, gate gradients @ lstm_w, on that grid;
+``dense_fgsm`` scales it to the budget, each ball first scaled by a power of
+two; and ``reference_train_batch`` is the training step run on
+``padded_forward`` and ``padded_backward``, whose adversarial pass reads
+e + r. ``shift_for_direction`` builds ``model.forward``'s input shift for a
+given direction, with its projection taken through the dense r.
+``l2_norm`` measures perturbation budgets. ``two_branch_sigmoid`` is the logistic function with one masked
 branch per sign, and ``stepwise_backward`` the backward pass with per-step
 weight GEMMs, an eager ``d_embed`` and ``np.add.at`` scatters, as
 ``model.backward`` computed them before its gradients were hoisted out of the
@@ -48,10 +55,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from atkt import adversarial, data, model
+from atkt import data, model
 from atkt.linalg import FLOAT, ShapeError, sigmoid
 from atkt.data import MAX_SKILLS, MIN_SEQ_LEN, Batch, DataFormatError, Dataset
-from atkt.model import build_embeddings
 
 # The oracles' losses clamp probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
 # before any log, as ``model.forward`` did before it took the BCE from the logit.
@@ -81,6 +87,51 @@ def two_branch_fgsm(d_embed, epsilon, scope):
         return d_embed * scale[None, :, None]
     norm = float(np.sqrt(np.sum(d_embed**2)))
     return d_embed * (epsilon / norm) if norm > 0 else np.zeros_like(d_embed)
+
+
+def dense_fgsm(d_embed, epsilon, scope):
+    """r = epsilon g / ||g|| per ball of the dense [n, B, d_in] gradient g, at any finite scale.
+
+    Each ball's gradient is first scaled by the power of two that puts its
+    largest entry in [0.5, 1), so that no square overflows or underflows.
+    """
+    axes = (0, 2) if scope == "per_sequence" else None
+    peak = np.max(np.abs(d_embed), axis=axes, keepdims=True)
+    _, k = np.frexp(peak)
+    scaled = np.ldexp(d_embed, -k)
+    norms = np.sqrt(np.sum(scaled**2, axis=axes, keepdims=True))
+    return scaled * np.divide(epsilon, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def build_embeddings(params, batch):
+    """The looked-up input embeddings on the [n, B, d_in] grid; zeros at padded steps."""
+    out = np.zeros((batch.max_len - 1, batch.size, params.input_dim), dtype=FLOAT)
+    for b in range(batch.size):
+        for t in range(int(batch.seq_lens[b]) - 1):
+            out[t, b] = embed_interaction(params, int(batch.skills[b, t]), int(batch.responses[b, t]))
+    return out
+
+
+def input_gradient(params, trace, gate_grads):
+    """The loss gradient w.r.t. the input embeddings of a packed trace, on the [n, B, d_in] grid.
+
+    Each valid cell's row is its gate gradient @ lstm_w; padded steps are zero.
+    """
+    return on_grid(trace, gate_grads @ params.lstm_w)
+
+
+def shift_for_direction(params, batch, direction):
+    """(``model.InputShift``, dense r) for r = direction @ lstm_w at the batch's valid cells.
+
+    ``direction`` holds the cells in packed order. The shift's projection is
+    r @ lstm_w^T, taken from the dense r laid out on the [n, B, d_in] grid.
+    """
+    cells, _ = model.pack_cells(batch.seq_lens)
+    n, b, d = batch.max_len - 1, batch.size, params.input_dim
+    r = np.zeros((n * b, d), dtype=FLOAT)
+    r[cells] = direction @ params.lstm_w
+    projection = r[cells] @ params.lstm_w.T
+    return model.InputShift(direction=direction.copy(), projection=projection), r.reshape(n, b, d)
 
 
 def two_branch_sigmoid(x):
@@ -494,33 +545,24 @@ def _window_weights(logits, k):
 
 
 def reference_train_batch(params, batch, config, run_adversarial):
-    """``training.train_batch`` with every reference held to the end.
+    """``training.train_batch`` on the dense padded path.
 
-    The clean trace, its gate gradients, its input gradient and the
-    perturbation stay alive through the adversarial forward and backward, as
-    they did before the training step freed them early; the outputs must not
-    change.
+    Returns (clean loss, objective, gradients, the adversarial pass's [n, B]
+    predictions or None). Both passes run ``padded_forward`` and
+    ``padded_backward``; the adversarial one reads e + r, with r the
+    ``dense_fgsm`` scaling of the clean pass's [n, B, d_in] input gradient.
     """
-    trace, clean_loss = model.forward(params, batch, attention_enabled=config.attention)
-    clean_grads = model.backward(params, trace)
-    total = clean_grads.params
-    objective = clean_loss
-    if run_adversarial:
-        d_embed = model.input_gradient(params, trace, clean_grads.gate_grads)
-        pert = adversarial.fgsm_perturbation(
-            d_embed, float(config.epsilon or 0.0), scope=config.fgsm_scope
-        )
-        adv_inputs = adversarial.make_adversarial(build_embeddings(params, batch), pert)
-        adv_trace, adv_loss = model.forward(
-            params,
-            batch,
-            attention_enabled=config.attention,
-            embeddings=adv_inputs,
-        )
-        adv_params = model.backward(params, adv_trace).params
-        objective = float(clean_loss) + float(config.beta) * float(adv_loss)
-        total = {name: total[name] + config.beta * adv_params[name] for name in total}
-    return clean_loss, objective, total
+    trace, clean_loss = padded_forward(params, batch, attention_enabled=config.attention)
+    grads, d_embed = padded_backward(params, trace)
+    if not run_adversarial:
+        return clean_loss, clean_loss, grads, None
+    r = dense_fgsm(d_embed, float(config.epsilon or 0.0), config.fgsm_scope)
+    adv_trace, adv_loss = padded_forward(
+        params, batch, attention_enabled=config.attention, embeddings=trace.embeddings + r
+    )
+    adv_grads, _ = padded_backward(params, adv_trace)
+    total = {name: grads[name] + config.beta * adv_grads[name] for name in grads}
+    return clean_loss, clean_loss + config.beta * adv_loss, total, adv_trace.pred
 
 
 @dataclass

@@ -33,7 +33,7 @@ from atkt.metrics import PredictionLog, auc, auc_bruteforce
 from atkt.training import TrainConfig, evaluate, train
 
 from grad_oracle import grad_check
-from reference_impl import l2_norm, on_grid, plain_lstm_forward, valid_cells
+from reference_impl import build_embeddings, l2_norm, on_grid, padded_forward, plain_lstm_forward, valid_cells
 
 
 def criterion(number, title):
@@ -86,10 +86,12 @@ def test_c1_gradient_oracle():
 
 @criterion(2, "FGSM norm exact to 1e-9 and beats random directions in >=95/100 trials")
 def test_c2_fgsm_properties():
+    # Gate gradients of 6 steps in each of 3 rows, 4H = 16 units over d_in = 4.
     norm_rng = Rng(2024).split("norms")
+    rows = make_batches(list(generate_synthetic(3, 2, 7, 0.3, 0.3, 0.2, seed=1).sequences), 2, 3, rng=None)[0]
     for _ in range(50):
-        g = norm_rng.normal(size=(6, 3, 4))
-        pert = fgsm_perturbation(g, epsilon=10.0)
+        dz, w = norm_rng.normal(size=(18, 16)), norm_rng.normal(size=(16, 4))
+        pert = fgsm_perturbation(dz, w, rows, epsilon=10.0)
         for b in range(3):
             assert abs(l2_norm(pert.r[:, b, :]) - 10.0) <= 1e-9
 
@@ -100,15 +102,14 @@ def test_c2_fgsm_properties():
         batch = make_batches(list(data.sequences), 4, 3, rng=None)[0]
         params = model.init_params(4, 5, 3, 4, 4, rng.split("init"))
         trace, base_loss = model.forward(params, batch)
-        d_embed = model.input_gradient(params, trace, model.backward(params, trace).gate_grads)
-        emb = model.build_embeddings(params, batch)
+        emb = build_embeddings(params, batch)
         eps = 1e-3 * l2_norm(emb)
-        adv = make_adversarial(emb, fgsm_perturbation(d_embed, eps))
-        _, adv_loss = model.forward(params, batch, embeddings=adv)
-        rho = rng.split("direction").normal(size=d_embed.shape)
+        pert = fgsm_perturbation(model.backward(params, trace).gate_grads, params.lstm_w, batch, eps)
+        _, adv_loss = model.forward(params, batch, embeddings=make_adversarial(batch, pert))
+        rho = rng.split("direction").normal(size=emb.shape)
         for b in range(batch.size):
             rho[:, b, :] *= eps / l2_norm(rho[:, b, :])
-        _, rand_loss = model.forward(params, batch, embeddings=emb + rho)
+        _, rand_loss = padded_forward(params, batch, embeddings=emb + rho)
         if adv_loss - base_loss >= rand_loss - base_loss:
             wins += 1
     print(f"  fgsm beat a random same-norm direction in {wins}/100 trials")
@@ -207,7 +208,7 @@ def test_c6_regularization_effect(monkeypatch):
     )
     probe_params = model.init_params(5, 64, 32, 64, 64, Rng(1).split("init"))
     probe = make_batches(list(data.sequences[:4]), 5, 4, rng=None)[0]
-    emb = model.build_embeddings(probe_params, probe)
+    emb = build_embeddings(probe_params, probe)
     per_seq = [l2_norm(emb[:, b, :]) for b in range(4)]
     print(
         f"  per-sequence input norm at init ~{np.mean(per_seq):.1f}; "

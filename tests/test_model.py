@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from atkt import model, training
+from atkt import adversarial, model, training
 from atkt.data import Dataset, FoldSplit, InteractionSequence, generate_synthetic, make_batches
 from atkt.linalg import Rng, ShapeError
 from atkt.model import (
@@ -29,9 +29,11 @@ from grad_oracle import (
 import reference_impl
 from reference_impl import (
     attend_history,
+    build_embeddings,
     compose,
     embed_interaction,
     full_head_forward,
+    input_gradient,
     loop_attention_backward,
     loop_attention_forward,
     lstm_step,
@@ -41,6 +43,7 @@ from reference_impl import (
     plain_lstm_forward,
     predict_step,
     sequence_forward,
+    shift_for_direction,
     stepwise_backward,
     two_branch_sigmoid,
     valid_cells,
@@ -93,15 +96,6 @@ class TestEmbedInteraction:
             embed_interaction(tiny_params(), 4, 1)
         with pytest.raises(ValueError):
             embed_interaction(tiny_params(), 0, 2)
-
-    def test_build_embeddings_matches_stacked_rows(self):
-        seqs, batch = random_batch(3, lengths=(7, 2, 5, 4))
-        p = tiny_params(seed=3)
-        want = np.zeros((batch.max_len - 1, batch.size, p.input_dim))
-        for b, seq in enumerate(seqs):
-            for t in range(len(seq) - 1):
-                want[t, b] = embed_interaction(p, int(seq.skills[t]), int(seq.responses[t]))
-        assert np.array_equal(model.build_embeddings(p, poison_padding(batch)), want)
 
 
 class TestLstmStep:
@@ -241,10 +235,11 @@ class TestForward:
                         assert pred[k, b] == pytest.approx(want, abs=1e-12)
                 assert loss == pytest.approx(np.mean(ref_losses), abs=1e-12)
 
-    def test_rejects_wrong_override_shape(self):
-        _, batch = random_batch(6)
-        with pytest.raises(ShapeError):
-            model.forward(tiny_params(), batch, embeddings=np.zeros((1, 1, 5)))
+    def test_rejects_wrong_shift_shape(self):
+        _, batch = random_batch(6)  # 10 valid cells, 4H = 12
+        for shape in ((10, 11), (9, 12)):
+            with pytest.raises(ShapeError):
+                model.forward(tiny_params(), batch, embeddings=model.InputShift(np.zeros(shape), np.zeros(shape)))
 
     def test_deterministic_bitwise(self):
         _, batch = random_batch(7)
@@ -257,9 +252,7 @@ class TestForward:
         g2 = model.backward(p, t2)
         for name in g1.params:
             np.testing.assert_array_equal(g1.params[name], g2.params[name])
-        np.testing.assert_array_equal(
-            model.input_gradient(p, t1, g1.gate_grads), model.input_gradient(p, t2, g2.gate_grads)
-        )
+        np.testing.assert_array_equal(g1.gate_grads, g2.gate_grads)
 
 
 class TestGateActivation:
@@ -324,29 +317,33 @@ class TestMaskingOpacity:
         assert loss == loss2
         for name in grads.params:
             np.testing.assert_array_equal(grads.params[name], grads2.params[name])
-        d_embed = model.input_gradient(p, trace, grads.gate_grads)
-        np.testing.assert_array_equal(d_embed, model.input_gradient(p, trace2, grads2.gate_grads))
+        np.testing.assert_array_equal(grads.gate_grads, grads2.gate_grads)
 
     def test_gradients_vanish_on_padded_steps(self):
+        # The gate gradients cover the valid cells only, and FGSM's r is zero
+        # at every padded step of the grid.
         _, batch = random_batch(11, lengths=(6, 2))
         p = tiny_params(seed=12)
         trace, _ = model.forward(p, batch)
         grads = model.backward(p, trace)
-        padded = ~valid_cells(trace)
-        assert np.all(model.input_gradient(p, trace, grads.gate_grads)[padded] == 0.0)
+        assert grads.gate_grads.shape == (len(trace.cells), 4 * p.hidden_dim)
+        r = adversarial.fgsm_perturbation(grads.gate_grads, p.lstm_w, batch, 1.0).r
+        assert np.all(r[~valid_cells(trace)] == 0.0) and np.any(r != 0.0)
 
 
 class TestCausality:
     def test_influence_is_strictly_upper_triangular(self):
+        # One row, so packed row t is step t; each step's input embedding in
+        # turn moves by 0.05 in every coordinate, through an input shift.
         seqs, batch = random_batch(13, lengths=(7,))
         p = tiny_params(seed=13)
-        base = model.build_embeddings(p, batch)
-        trace, _ = model.forward(p, batch, embeddings=base)
+        trace, _ = model.forward(p, batch)
         pred = on_grid(trace, trace.pred)[:, 0]
-        for t0 in range(base.shape[0]):
-            bumped = base.copy()
-            bumped[t0, 0, :] += 0.05
-            trace2, _ = model.forward(p, batch, embeddings=bumped)
+        for t0 in range(len(trace.cells)):
+            projection = np.zeros_like(trace.gates)
+            projection[t0] = 0.05 * p.lstm_w.sum(axis=1)
+            shift = model.InputShift(np.zeros_like(projection), projection)
+            trace2, _ = model.forward(p, batch, embeddings=shift)
             pred2 = on_grid(trace2, trace2.pred)[:, 0]
             np.testing.assert_array_equal(pred2[:t0], pred[:t0])
             later = np.abs(pred2[t0:] - pred[t0:])
@@ -354,7 +351,7 @@ class TestCausality:
 
     @pytest.mark.parametrize("attention", [True, False])
     def test_flipped_response_moves_no_earlier_prediction(self, attention):
-        # Through the pair projection, no override: flipping interaction k's
+        # Through the pair projection, no shift: flipping interaction k's
         # response leaves the predictions of interactions 1..k (packed steps
         # before k) alone. Attention shifts a row's scores by its largest, which
         # later states can move; N_k and D_k then change by one factor, so the
@@ -467,7 +464,7 @@ class TestPrefixSumAttention:
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
-            ("d_embed", model.input_gradient(p, trace, grads.gate_grads), ref_d_embed),
+            ("d_embed", input_gradient(p, trace, grads.gate_grads), ref_d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
@@ -552,8 +549,8 @@ class TestGatheredHead:
         pairs = [
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", trace.pred, ref_trace.pred),
-            ("d_embed", model.input_gradient(p, trace, grads.gate_grads),
-             model.input_gradient(p, ref_trace, ref_grads.gate_grads)),
+            ("d_embed", input_gradient(p, trace, grads.gate_grads),
+             input_gradient(p, ref_trace, ref_grads.gate_grads)),
         ]
         pairs += [(name, grads.params[name], ref_grads.params[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
@@ -598,7 +595,7 @@ class TestStepwiseBackward:
     ATTENTION = {"causal": True, "off": False}
 
     @pytest.mark.parametrize("row_block", [None, 5])
-    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
     @pytest.mark.parametrize("attention", ATTENTION)
     def test_matches_stepwise_oracle(self, monkeypatch, attention, embeddings, row_block):
         if row_block:  # segments and d_embed's GEMM then span several blocks
@@ -608,16 +605,13 @@ class TestStepwiseBackward:
         batch = poison_padding(batch)
         p = tiny_params(seed=40)
         enabled = self.ATTENTION[attention]
-        override = None
-        if embeddings == "overridden":
-            shape = (batch.max_len - 1, batch.size, p.input_dim)
-            override = Rng(40).split("override").normal(size=shape)  # padded rows too
-        trace, _ = model.forward(p, batch, enabled, embeddings=override)
+        shift, dense = shifted_inputs(p, batch, embeddings, seed=40)
+        trace, _ = model.forward(p, batch, enabled, embeddings=shift)
         grads = model.backward(p, trace)
-        padded_trace, _ = padded_forward(p, batch, enabled, embeddings=override)
+        padded_trace, _ = padded_forward(p, batch, enabled, embeddings=dense)
         want, want_d_embed = stepwise_backward(p, padded_trace)
         pairs = [(name, grads.params[name], want[name]) for name in model.PARAM_NAMES]
-        pairs.append(("d_embed", model.input_gradient(p, trace, grads.gate_grads), want_d_embed))
+        pairs.append(("d_embed", input_gradient(p, trace, grads.gate_grads), want_d_embed))
         for name, got, ref in pairs:
             assert got.shape == ref.shape, name
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
@@ -627,20 +621,20 @@ class TestStepwiseBackward:
         p = tiny_params(seed=41)
         trace, _ = model.forward(p, batch)
         grads = model.backward(p, trace)
-        shape = embedding_shape(p, trace)
+        shape = (batch.max_len - 1, batch.size, p.input_dim)
         assert shape not in [a.shape for a in [grads.gate_grads, *grads.params.values()]]
-        assert model.input_gradient(p, trace, grads.gate_grads).shape == shape
 
-    @pytest.mark.parametrize("run_adversarial", [False, True])
-    def test_train_batch_builds_input_gradient_only_for_fgsm(self, monkeypatch, run_adversarial):
+    @pytest.mark.parametrize("scope", ["per_sequence", "global"])
+    def test_train_batch_never_reads_dense_r(self, monkeypatch, scope):
+        # FGSM's r reaches the adversarial pass in the gates' space; only
+        # inspection lays it onto the [n, B, d_in] grid.
         _, batch = random_batch(42)
         p = tiny_params(seed=42)
-        cfg = tiny_config(beta=0.5 if run_adversarial else 0.0, epsilon=1.0)
-        calls, input_gradient = [], model.input_gradient
-        monkeypatch.setattr(model, "input_gradient", lambda *args: calls.append(args) or input_gradient(*args))
-        training.train_batch(p, batch, cfg, run_adversarial)
-        # FGSM reads the clean pass's input gradient; nothing else builds one.
-        assert len(calls) == (1 if run_adversarial else 0)
+        cfg = tiny_config(beta=0.5, epsilon=1.0, fgsm_scope=scope)
+        reads = []
+        monkeypatch.setattr(adversarial.Perturbation, "r", property(lambda pert: reads.append(pert)))
+        _, objective, _ = training.train_batch(p, batch, cfg, True)
+        assert np.isfinite(objective) and reads == []
 
 
 class TestPacking:
@@ -678,7 +672,7 @@ class TestPacking:
         return poison_padding(batch)
 
     @pytest.mark.parametrize("row_block", [None, 5])
-    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
     @pytest.mark.parametrize("attention", ATTENTION)
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_matches_padded_oracle(self, monkeypatch, lengths, attention, embeddings, row_block):
@@ -687,13 +681,10 @@ class TestPacking:
         batch = self.batch(lengths)
         p = tiny_params(seed=50, num_skills=batch.num_skills)
         enabled = self.ATTENTION[attention]
-        override = None
-        if embeddings == "overridden":
-            shape = (batch.max_len - 1, batch.size, p.input_dim)
-            override = Rng(50).split("override").normal(size=shape)  # padded rows too
-        trace, loss = model.forward(p, batch, enabled, embeddings=override)
+        shift, dense = shifted_inputs(p, batch, embeddings, seed=50)
+        trace, loss = model.forward(p, batch, enabled, embeddings=shift)
         grads = model.backward(p, trace)
-        ref_trace, ref_loss = padded_forward(p, batch, enabled, embeddings=override)
+        ref_trace, ref_loss = padded_forward(p, batch, enabled, embeddings=dense)
         ref_grads, ref_d_embed = padded_backward(p, ref_trace)
 
         valid = ref_trace.step_mask
@@ -702,19 +693,18 @@ class TestPacking:
             ("loss", np.array(loss), np.array(ref_loss)),
             ("pred", on_grid(trace, trace.pred)[valid], ref_trace.pred[valid]),
             ("hidden", on_grid(trace, trace.hidden)[valid], ref_trace.hidden[valid]),
-            ("d_embed", model.input_gradient(p, trace, grads.gate_grads), ref_d_embed),
+            ("d_embed", input_gradient(p, trace, grads.gate_grads), ref_d_embed),
         ]
         pairs += [(name, grads.params[name], ref_grads[name]) for name in model.PARAM_NAMES]
         for name, got, want in pairs:
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-        np.testing.assert_array_equal(model.input_gradient(p, trace, grads.gate_grads)[~valid], 0.0)
 
     def test_trace_keeps_only_valid_cells(self):
         _, batch = random_batch(51, lengths=(7, 2, 4))
         p = tiny_params(seed=51)
         trace, _ = model.forward(p, batch)
-        assert trace.embeddings is None  # the lookup is projected per pair, never per cell
+        assert trace.shift is None  # the lookup is projected per pair, never per cell
         n_valid = int(np.sum(batch.seq_lens - 1))
         assert trace.gates.shape == (n_valid, 4 * p.hidden_dim)
         assert trace.cell.shape == (n_valid, p.hidden_dim)
@@ -738,28 +728,25 @@ class TestFewerCallsPerStep:
     }
 
     @staticmethod
-    def outputs(p, batch, attention, override):
-        trace, loss = model.forward(p, batch, attention, embeddings=override)
+    def outputs(p, batch, attention, embeddings):
+        shift, _ = shifted_inputs(p, batch, embeddings, seed=60)
+        trace, loss = model.forward(p, batch, attention, embeddings=shift)
         grads = model.backward(p, trace)
         out = {"loss": np.array(loss), "pred": trace.pred, "agg_hidden": trace.agg_hidden,
-               "attn_norm": trace.attn_norm, "d_embed": model.input_gradient(p, trace, grads.gate_grads)}
+               "attn_norm": trace.attn_norm, "gate_grads": grads.gate_grads}
         out.update(grads.params)
         return out
 
-    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
     @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_bit_identical_to_old_walks(self, monkeypatch, lengths, attention, embeddings):
         _, batch = random_batch(60, lengths=self.LENGTHS[lengths])
         p = tiny_params(seed=60, hidden_dim=8, attn_dim=5)
-        override = None
-        if embeddings == "overridden":
-            shape = (batch.max_len - 1, batch.size, p.input_dim)
-            override = Rng(60).split("override").normal(size=shape)
-        got = self.outputs(p, batch, attention, override)
+        got = self.outputs(p, batch, attention, embeddings)
         monkeypatch.setattr(model, "_prefix_sums", reference_impl.running_prefix_sums)
         monkeypatch.setattr(model, "_recurrence", reference_impl.thirteen_call_recurrence)
-        want = self.outputs(p, batch, attention, override)
+        want = self.outputs(p, batch, attention, embeddings)
         assert (want["attn_norm"] is None) == (not attention)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -767,7 +754,7 @@ class TestFewerCallsPerStep:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_prefix_sums_match_running_walk(self, reverse):
         # Rows of lengths 9, 8, ..., 2: one row ends at every step.
-        _, starts = model._pack(np.arange(9, 1, -1))
+        _, starts = model.pack_cells(np.arange(9, 1, -1))
         x = Rng(61).split("x").normal(size=(starts[-1], 3))
         for values in (x, np.ascontiguousarray(x[:, 0])):
             got = model._prefix_sums(values, starts, reverse)
@@ -801,9 +788,18 @@ class TestSegmentSum:
         assert np.array_equal(got, want)
 
 
-def embedding_shape(params, trace):
-    """[n, B, d_in]: the shape of the batch's input embeddings and of their gradient."""
-    return (trace.batch.max_len - 1, trace.batch.size, params.input_dim)
+def shifted_inputs(params, batch, embeddings, seed):
+    """(input shift or None, dense inputs or None) for the ``embeddings`` case of a test.
+
+    "shifted" perturbs every valid cell along a random gate-space direction:
+    the production pass reads the shift, the padded oracles e + r.
+    """
+    if embeddings == "clean":
+        return None, None
+    cells = int(np.sum(batch.seq_lens - 1))
+    direction = Rng(seed).split("direction").normal(size=(cells, 4 * params.hidden_dim))
+    shift, r = shift_for_direction(params, batch, direction)
+    return shift, build_embeddings(params, batch) + r
 
 
 class TestMemory:
@@ -818,12 +814,14 @@ class TestMemory:
     keeps from 36.3 to 23.5 MB.
 
     Of one adversarial training step at 24 x 500, the shapes of the
-    train-adv-long benchmark: the bound is the measured 131.26 MB plus 10%.
+    train-adv-long benchmark: the bound is the measured 128.33 MB plus 10%.
+    Taking FGSM and the adversarial pass from the gate gradients, with no
+    [n, B, d_in] array, brought the peak from 131.26 MB.
     """
 
     FORWARD_PEAK_MB = 38.7
     BACKWARD_PEAK_MB = 39.20
-    ADVERSARIAL_STEP_PEAK_MB = 144.4
+    ADVERSARIAL_STEP_PEAK_MB = 141.2
 
     def test_forward_and_backward_peaks(self):
         ds = generate_synthetic(24, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)

@@ -28,7 +28,12 @@ from atkt.training import (
 )
 
 from grad_oracle import compare_gradients, grad_check
-from reference_impl import masked_attention_forward, on_grid, reference_train_batch
+from reference_impl import (
+    masked_attention_forward,
+    on_grid,
+    reference_train_batch,
+    shift_for_direction,
+)
 from reference_impl import adam_step as reference_adam_step
 
 
@@ -373,7 +378,7 @@ class TestValSplitUsage:
 
 
 class TestTrainBatch:
-    """The step that frees the clean pass early against the one that holds it."""
+    """The training step against its clean pass and against the dense oracle step."""
 
     # "ragged" mixes in padding; "equal" has none, so every packed step spans
     # the whole batch; with one row, FGSM's two scopes cover the same ball.
@@ -387,40 +392,74 @@ class TestTrainBatch:
             seqs.append(InteractionSequence(s.student_id, s.skills[:n], resp))
         return make_batches(seqs, ds.num_skills, batch_size=len(seqs), rng=None)[0]
 
-    # (run_adversarial, beta, epsilon): a plain run's clean step; a clean step
-    # under an adversarial config; the adversarial step; a zero-radius ball,
-    # whose adversarial pass repeats the clean one; and the forced adversarial
-    # step at beta 0 with no epsilon, whose passes must not reach the update.
-    STEPS = {
-        "plain": (False, 0.0, None),
-        "clean_only": (False, 0.7, 2.0),
-        "adversarial": (True, 0.7, 2.0),
-        "zero_ball": (True, 0.7, 0.0),
-        "forced_beta0": (True, 0.0, None),
+    # (run_adversarial, beta, epsilon, the adversarial pass's weight when it
+    # repeats the clean one): a plain run's clean step; a clean step under an
+    # adversarial config; a zero-radius ball, whose adversarial pass repeats
+    # the clean one; and the forced adversarial step at beta 0 with no
+    # epsilon, whose passes must not reach the update.
+    CLEAN_STEPS = {
+        "plain": (False, 0.0, None, None),
+        "clean_only": (False, 0.7, 2.0, None),
+        "zero_ball": (True, 0.7, 0.0, 0.7),
+        "forced_beta0": (True, 0.0, None, 0.0),
     }
+    # The adversarial step against the dense oracle: relative to each array's
+    # largest entry, or to the value for the losses.
+    ADVERSARIAL_RTOL = 1e-12
+
+    def setup(self, lengths, responses, **config):
+        batch = self.batch(responses, lengths)
+        assert np.all(batch.seq_lens == self.LENGTHS[lengths])
+        cfg = tiny_config(**config)
+        params = model.init_params(
+            batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
+            Rng(3).split("init"),
+        )
+        return batch, cfg, params
 
     @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
     @pytest.mark.parametrize("scope", ["per_sequence", "global"])
     @pytest.mark.parametrize("lengths", LENGTHS)
     @pytest.mark.parametrize("attention", [True, False])
-    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("step", CLEAN_STEPS)
     def test_bit_identical_to_reference(self, step, attention, lengths, scope, responses):
-        batch = self.batch(responses, lengths)
-        assert np.all(batch.seq_lens == self.LENGTHS[lengths])
-        run_adversarial, beta, epsilon = self.STEPS[step]
-        cfg = tiny_config(beta=beta, epsilon=epsilon, attention=attention, fgsm_scope=scope)
-        params = model.init_params(
-            batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
-            Rng(3).split("init"),
-        )
+        # The reference is the clean pass, and with a zero ball or beta 0 the
+        # clean pass weighed in a second time.
+        run_adversarial, beta, epsilon, repeat = self.CLEAN_STEPS[step]
+        batch, cfg, params = self.setup(lengths, responses, beta=beta, epsilon=epsilon,
+                                        attention=attention, fgsm_scope=scope)
         got = train_batch(params, batch, cfg, run_adversarial)
-        want = reference_train_batch(params, batch, cfg, run_adversarial)
+        trace, loss = model.forward(params, batch, attention)
+        grads = model.backward(params, trace).params
+        want = (loss, loss, grads)
+        if repeat is not None:
+            want = (loss, loss + repeat * loss, {name: g + repeat * g for name, g in grads.items()})
         assert got[:2] == want[:2]
         assert got[2].keys() == want[2].keys()
         for name in model.PARAM_NAMES:
             np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
 
-    @pytest.mark.parametrize("embeddings", ["clean", "overridden"])
+    @pytest.mark.parametrize("responses", ["mixed", "all_correct", "all_wrong"])
+    @pytest.mark.parametrize("scope", ["per_sequence", "global"])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_adversarial_step_matches_dense_oracle(self, monkeypatch, attention, lengths, scope, responses):
+        batch, cfg, params = self.setup(lengths, responses, beta=0.7, epsilon=2.0,
+                                        attention=attention, fgsm_scope=scope)
+        traces, forward = [], model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **kw: traces.append(forward(*a, **kw)) or traces[-1])
+        got = train_batch(params, batch, cfg, True)
+        want = reference_train_batch(params, batch, cfg, True)
+        rtol = self.ADVERSARIAL_RTOL
+        assert got[0] == pytest.approx(want[0], rel=rtol, abs=0)
+        assert got[1] == pytest.approx(want[1], rel=rtol, abs=0)
+        for name in model.PARAM_NAMES:
+            assert np.max(np.abs(got[2][name] - want[2][name])) <= rtol * np.max(np.abs(want[2][name])), name
+        adv_trace = traces[-1][0]
+        valid = on_grid(adv_trace, np.ones(len(adv_trace.cells), dtype=bool))
+        np.testing.assert_allclose(on_grid(adv_trace, adv_trace.pred)[valid], want[3][valid], rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_attention_bit_identical_to_masked_oracle(self, monkeypatch, lengths, embeddings):
         # No window reads a row's last state, so the mask that zeroed its a_j
@@ -431,13 +470,11 @@ class TestTrainBatch:
             batch.num_skills, cfg.skill_dim, cfg.resp_dim, cfg.hidden_dim, cfg.attn_dim,
             Rng(3).split("init"),
         )
-        override = None
-        if embeddings == "overridden":
-            shape = (batch.max_len - 1, batch.size, params.input_dim)
-            override = Rng(17).split("override").normal(size=shape)
+        direction = Rng(17).split("direction").normal(size=(int(np.sum(batch.seq_lens - 1)), 4 * cfg.hidden_dim))
 
         def run():
-            trace, loss = model.forward(params, batch, embeddings=override)
+            shift = shift_for_direction(params, batch, direction)[0] if embeddings == "shifted" else None
+            trace, loss = model.forward(params, batch, embeddings=shift)
             return trace, loss, model.backward(params, trace)
 
         trace, loss, grads = run()
@@ -446,20 +483,18 @@ class TestTrainBatch:
         assert loss == want_loss
         for name in ("pred", "agg_hidden", "attn_norm"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(want_trace, name), err_msg=name)
-        np.testing.assert_array_equal(model.input_gradient(params, trace, grads.gate_grads),
-                                      model.input_gradient(params, want_trace, want_grads.gate_grads))
+        np.testing.assert_array_equal(grads.gate_grads, want_grads.gate_grads)
         for name in model.PARAM_NAMES:
             np.testing.assert_array_equal(grads.params[name], want_grads.params[name], err_msg=name)
         steps, rows = np.divmod(trace.cells, batch.size)
         last = steps == batch.seq_lens[rows] - 2
         np.testing.assert_array_equal(trace.attn_exp != want_trace.attn_exp, last)
 
-    def test_adversarial_step_peaks_no_higher_than_clean(self, monkeypatch):
-        # The clean trace, its input gradient and the perturbation are freed before
-        # the adversarial pass, so that pass reuses the clean pass's memory.
-        # The adversarial forward reads a dense [n, B, d_in] input, which the
-        # clean forward does not build, so the baseline is a clean step whose
-        # forward is handed the dense embeddings as an override.
+    def test_adversarial_step_peaks_one_gate_array_above_clean(self):
+        # The clean trace and gate gradients are freed before FGSM, and FGSM's
+        # arrays before the adversarial backward, so that pass reuses the
+        # clean pass's memory. Its trace holds one array more, FGSM's [N, 4H]
+        # direction, which lstm_w's gradient reads after the time loop.
         ds = generate_synthetic(24, 50, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=16)
         batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
         cfg = TrainConfig(skill_dim=32, resp_dim=16, hidden_dim=24, attn_dim=24, beta=0.5, epsilon=1.0)
@@ -473,44 +508,38 @@ class TestTrainBatch:
             finally:
                 tracemalloc.stop()
 
-        adv = peak(True)
-        forward = model.forward
-
-        def dense_forward(params, batch, *args, embeddings=None):
-            if embeddings is None:
-                embeddings = model.build_embeddings(params, batch)
-            return forward(params, batch, *args, embeddings=embeddings)
-
-        monkeypatch.setattr(model, "forward", dense_forward)
-        clean = peak(False)
-        assert adv <= 1.1 * clean, (adv, clean)
+        direction = 8 * int(np.sum(batch.seq_lens - 1)) * 4 * cfg.hidden_dim
+        adv, clean = peak(True), peak(False)
+        assert adv <= 1.1 * (clean + direction), (adv, clean, direction)
 
     def test_non_finite_clean_pass_gives_nan_objective_without_fgsm(self, monkeypatch):
-        # fgsm_perturbation would raise on the NaN embedding gradient.
+        # fgsm_perturbation would raise on the NaN gate gradients.
         batch = self.batch("mixed")
         cfg = tiny_config(beta=0.5, epsilon=1.0)
         params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
         params.head_b[:] = np.nan
-        calls, input_gradient = [], model.input_gradient
-        monkeypatch.setattr(model, "input_gradient", lambda *args: calls.append(args) or input_gradient(*args))
+        calls, fgsm = [], adversarial.fgsm_perturbation
+        monkeypatch.setattr(adversarial, "fgsm_perturbation",
+                            lambda *args, **kw: calls.append(args) or fgsm(*args, **kw))
         _, objective, _ = train_batch(params, batch, cfg, run_adversarial=True)
         assert np.isnan(objective)
-        assert calls == []  # a non-finite clean loss builds no input gradient
+        assert calls == []
 
     def test_non_finite_input_gradient_gives_nan_objective_without_fgsm(self, monkeypatch):
-        # The clean loss is finite, but one inf in the input gradient leaves FGSM no direction.
+        # The clean loss is finite, but one inf among the gate gradients, and
+        # so in the input gradient, leaves FGSM no direction.
         batch = self.batch("mixed")
         cfg = tiny_config(beta=0.5, epsilon=1.0)
         params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
-        input_gradient = model.input_gradient
+        backward = model.backward
 
         def with_inf(*args):
-            d_embed = input_gradient(*args)
-            d_embed[0, 0, 0] = np.inf
-            return d_embed
+            grads = backward(*args)
+            grads.gate_grads[0, 0] = np.inf
+            return grads
 
         calls, fgsm = [], adversarial.fgsm_perturbation
-        monkeypatch.setattr(model, "input_gradient", with_inf)
+        monkeypatch.setattr(model, "backward", with_inf)
         monkeypatch.setattr(adversarial, "fgsm_perturbation",
                             lambda *args, **kw: calls.append(args) or fgsm(*args, **kw))
         clean_loss, objective, grads = train_batch(params, batch, cfg, run_adversarial=True)
