@@ -14,8 +14,9 @@ times lstm_w, so with G = W W^T:
   * a ball's squared norm ||dz W||^2 is the quadratic form sum (dz G) * dz;
   * r = s dz W for the ball's scale s, which ``model.forward`` reads as
     an ``InputShift``: direction s dz, and projection r W^T = s (dz G).
-Only [N, 4H] arrays over the valid cells are made. ``Perturbation.r`` lays r
-onto the [n, B, d_in] grid on demand, for inspection.
+The gate gradients are scaled in place into the direction, so the one
+[N, 4H] array made is the projection. ``Perturbation.r`` lays r onto the
+[n, B, d_in] grid on demand, for inspection.
 
 The budget holds at any finite gradient magnitude: each ball's dz and W are
 first scaled by powers of two, which is exact, so that no square overflows
@@ -74,8 +75,10 @@ def fgsm_perturbation(
     """Scale the embedding gradient gate_grads @ lstm_w to L2 norm epsilon.
 
     ``gate_grads`` are the clean pass's dz over ``batch``'s valid cells, in
-    packed order. A ball whose gradient is zero gets a zero perturbation
-    rather than an error: there is no ascent direction to follow.
+    packed order, as a float64 array. Once the arguments are checked, it is
+    overwritten: it becomes the perturbation's ``shift.direction``. A ball
+    whose gradient is zero gets a zero perturbation rather than an error:
+    there is no ascent direction to follow.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -102,7 +105,8 @@ def fgsm_perturbation(
     _, k = np.frexp(peak)
     _, kw = np.frexp(np.max(np.abs(lstm_w)))
     w = np.ldexp(lstm_w, -kw)
-    dz = np.ldexp(gate_grads, -k[ball, None])
+    dz = gate_grads  # scaled in place from here on, into the direction
+    _scale_rows_by_powers_of_two(dz, -k, ball)
     # dz w w^T a block of rows at a time, as model's products over the cells
     # run: one product over all N rows leaves BLAS's packing buffer resident.
     gram = w @ w.T
@@ -141,6 +145,24 @@ def fgsm_perturbation(
         grid=(batch.max_len - 1, batch.size),
         epsilon=float(epsilon),
     )
+
+
+def _scale_rows_by_powers_of_two(x: np.ndarray, e: np.ndarray, ball: np.ndarray) -> None:
+    """Multiply each row of ``x`` in place by 2**e of its ball, rounding as
+    ``np.ldexp(x, e[ball, None])`` does.
+
+    A product with a power of two rounds only where it leaves the normal
+    range, and then once, as ldexp does. 2**e is a normal double for
+    |e| <= 1022; beyond, the rows take 2**(e - c) first and then 2**c, with
+    c = +-1022. Scaling up, neither product rounds. Scaling down (frexp's
+    exponents of a double give e >= -1024), the first rounds only where the
+    second then gives 0 either way.
+    """
+    c = np.clip(e, -1022, 1022)
+    if np.any(e != c):
+        rows = np.flatnonzero((e != c)[ball])
+        x[rows] *= np.ldexp(1.0, e - c)[ball[rows], None]
+    x *= np.ldexp(1.0, c)[ball, None]
 
 
 def make_adversarial(batch: Batch, perturbation: Perturbation) -> model.InputShift:

@@ -30,7 +30,8 @@ array, together with the gate gradients dz from which the input embeddings'
 gradient dz @ lstm_w follows (the hook adversarial training perturbs);
 everything is float64 and validated against central finite differences (the
 oracle is ``tests/grad_oracle.py``). The trace stores each value once:
-readers recompute tanh(cell), and concatenate the composite from its halves.
+readers recompute tanh(cell), and read the head's composite input as its two
+halves.
 
 Batches are padded to their longest row, but the network works only on
 real steps: every per-cell array, from the recurrence to the loss, holds the
@@ -66,10 +67,13 @@ cell, with its projection r @ lstm_w^T precomputed. The pass adds the pair
 projection to that [N, 4H] projection in place and runs on it, and r's
 share of lstm_w's gradient is (dz^T @ direction) @ lstm_w.
 
-The backward time loop runs only the recurrence and keeps every valid
-cell's gate gradient dz. After it, lstm_u's gradient is one pass of block
-GEMMs; the head rows and the embedding tables are sorted segment sums, per
-target skill and per (response, skill) of the consumed interactions.
+The backward time loop runs only the recurrence. Each step reads its
+cells' gate activations for the last time, so it writes their gate
+gradients dz over them: one [N, 4H] buffer holds the activations, then dz,
+and a trace serves one backward pass. After the loop, lstm_u's gradient is
+one pass of block GEMMs; the head rows and the embedding tables are sorted
+segment sums, per target skill and per (response, skill) of the consumed
+interactions, read straight from the trace and dz.
 """
 
 from __future__ import annotations
@@ -156,11 +160,13 @@ class GradientSet:
     """What ``backward`` computed: the parameter gradients and the gate gradients.
 
     The input embeddings' gradient is gate_grads @ lstm_w at each valid cell;
-    FGSM takes its direction from the gate gradients without building it.
+    FGSM takes its direction from the gate gradients without building it,
+    scaling them in place. ``gate_grads`` is the buffer that held the
+    trace's gate activations.
     """
 
     params: dict[str, np.ndarray]  # array-for-array mirror of ModelParams
-    gate_grads: np.ndarray  # dz, [N, 4H], packed like ForwardTrace.gates
+    gate_grads: np.ndarray  # dz, [N, 4H], packed like the trace's gates
 
 
 @dataclass
@@ -185,12 +191,13 @@ class ForwardTrace:
     Every array holds the N valid cells in packed order: row r is the cell
     with flat index ``cells[r]`` = t * B + b (input step t, target t + 1),
     and step t's rows are ``starts[t]:starts[t + 1]``, longest batch row
-    first. The head's composite input is not stored: readers concatenate
-    [agg_hidden | hidden].
+    first. The head's composite input is not stored: readers take
+    [agg_hidden | hidden] as its two halves. A trace serves one ``backward``,
+    which writes the gate gradients over ``gates`` and sets it to None.
     """
 
     shift: InputShift | None  # the perturbation of the input embeddings, if one was given
-    gates: np.ndarray  # [N, 4H] post-activation, gate blocks per GATE_ORDER
+    gates: np.ndarray | None  # [N, 4H] post-activation, gate blocks per GATE_ORDER; None after backward
     cell: np.ndarray  # [N, H]
     cells: np.ndarray  # int64 [N]
     starts: np.ndarray  # int64 [n + 1]
@@ -418,18 +425,8 @@ def forward(
     else:
         agg = np.zeros_like(hidden)
 
-    # The loss reads one skill per target, so only its head row is applied:
-    # O(N*2H) rather than O(N*S*2H) for the full head (see skill_probs).
     target_skills = batch.skills[rows, steps + 1]
-    if attention_enabled:
-        composite = np.concatenate([agg, hidden], axis=1)
-        logit = np.einsum("nh,nh->n", composite, params.head_w[target_skills])
-    else:
-        # The aggregate half is identically zero; skipping it keeps the
-        # ablated model bit-identical to a plain LSTM with the right-half
-        # head columns.
-        logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
-    logit += params.head_b[target_skills]
+    logit = _head_logit(params, hidden, agg, target_skills, attention_enabled)
     pred = sigmoid(logit)
 
     # BCE from the logit z: -log p = softplus(-z) and -log(1 - p) = softplus(z),
@@ -460,6 +457,23 @@ def forward(
     return trace, loss
 
 
+def _head_logit(params, hidden, agg, target_skills, attention_enabled) -> np.ndarray:
+    """Each target's logit, [N], from its attempted skill's head row alone.
+
+    The loss reads one skill per target, so O(N*2H) rather than O(N*S*2H) for
+    the full head (see skill_probs). The row's two halves are gathered and
+    applied one at a time, with no [N, 2H] composite. With attention off the
+    aggregate half is identically zero; skipping it keeps the ablated model
+    bit-identical to a plain LSTM with the right-half head columns.
+    """
+    hd = params.hidden_dim
+    logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
+    if attention_enabled:
+        logit += np.einsum("nh,nh->n", agg, params.head_w[target_skills, :hd])
+    logit += params.head_b[target_skills]
+    return logit
+
+
 def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
     """Every skill's mastery probability at every valid cell, [N, S], packed like ``trace.pred``.
 
@@ -478,11 +492,19 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
 
 
 def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
-    """Exact gradients of the traced batch's loss for all parameters, and its gate gradients."""
+    """Exact gradients of the traced batch's loss for all parameters, and its gate gradients.
+
+    The gate gradients are written over the trace's gate activations, which
+    the trace then gives up: a trace serves one backward pass.
+    """
+    gates = trace.gates
+    if gates is None:
+        raise ValueError("this trace has already been used by a backward pass")
+    trace.gates = None
     batch = trace.batch
     b = batch.size
     hd = params.hidden_dim
-    cells, starts, gates, cell = trace.cells, trace.starts, trace.gates, trace.cell
+    cells, starts, cell = trace.cells, trace.starts, trace.cell
     steps, rows = np.divmod(cells, b)
     grads = zero_gradients(params)
 
@@ -491,36 +513,35 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     dlogit = (trace.pred - batch.responses[rows, steps + 1]) * weight[rows]
 
     # The head reads [agg_hidden | hidden | 1] (the 1 for head_b) at each
-    # target. With attention off the aggregate half is exact zeros, so its
+    # target; each part's gradient is summed per target skill straight from
+    # the trace. With attention off the aggregate half is exact zeros, so its
     # head gradients are too.
-    head_in = np.concatenate(
-        [trace.agg_hidden, trace.hidden, np.ones((len(cells), 1), dtype=FLOAT)], axis=1
-    )
-    head_in *= dlogit[:, None]
-    head_rows, sums = _segment_sum(trace.target_skills, head_in)
-    del head_in
-    grads["head_w"][head_rows] = sums[:, :-1]
-    grads["head_b"][head_rows] = sums[:, -1]
-    dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
+    head_rows, sums = _segment_sum(trace.target_skills, trace.hidden, weights=dlogit)
+    grads["head_w"][head_rows, hd:] = sums
+    grads["head_b"][head_rows] = _segment_sum(trace.target_skills, dlogit)[1]
+    dh_rows = params.head_w[trace.target_skills, hd:]
+    dh_rows *= dlogit[:, None]
     if trace.attention_enabled:
+        _, sums = _segment_sum(trace.target_skills, trace.agg_hidden, weights=dlogit)
+        grads["head_w"][head_rows, :hd] = sums
         _attention_backward(params, trace, dlogit, dh_rows, grads)
 
     # LSTM backward through time over the packed cells: the loop runs only
-    # the recurrence and keeps every cell's gate gradient; the weights'
-    # gradients are block GEMMs after it. The rows alive at t + 1 are the
-    # first len(dh) rows at t; the others end at t, with dh = dc = 0.
-    # With s = 1 on the sigmoid blocks and 0 on the candidate's, a (s - a) + (1 - s)
-    # is every gate's derivative from its activation a: a (1 - a), or 1 - a^2.
+    # the recurrence and writes every cell's gate gradient over its gate
+    # activations; the weights' gradients are block GEMMs after it. The rows
+    # alive at t + 1 are the first len(dh) rows at t; the others end at t,
+    # with dh = dc = 0. With s = 1 on the sigmoid blocks and 0 on the
+    # candidate's, a (s - a) + (1 - s) is every gate's derivative from its
+    # activation a: a (1 - a), or 1 - a^2.
     s = np.ones(4 * hd, dtype=FLOAT)
     s[2 * hd : 3 * hd] = 0.0
     one_minus_s = 1.0 - s
     bounds = starts.tolist()
     width = bounds[1]  # step 0 has every row
     deriv = np.empty((width, 4 * hd), dtype=FLOAT)
-    tanh_c = np.empty((width, hd), dtype=FLOAT)
+    tanh_c, swap = (np.empty((width, hd), dtype=FLOAT) for _ in range(2))
     dc_buf, dc_next, dh_next = (np.empty((width, hd), dtype=FLOAT) for _ in range(3))
     c_zero = np.zeros((width, hd), dtype=FLOAT)
-    dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
     dh = dc = c_zero[:0]
     gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
     for t in range(len(bounds) - 2, -1, -1):
@@ -536,18 +557,21 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
         dc_t *= dh_t
         dc_t[: len(dc)] += dc
         c_prev = cell[bounds[t - 1] : bounds[t - 1] + m] if t > 0 else c_zero[:m]
-        dz_t = dz[lo:hi]
-        np.multiply(gg[lo:hi], dc_t, out=dz_t[:, :hd])
-        np.multiply(c_prev, dc_t, out=dz_t[:, hd : 2 * hd])
-        np.multiply(gi[lo:hi], dc_t, out=dz_t[:, 2 * hd : 3 * hd])
-        np.multiply(tc, dh_t, out=dz_t[:, 3 * hd :])
         d = np.subtract(s, a, out=deriv[:m])
         d *= a
         d += one_minus_s
-        dz_t *= d
-        dh = np.matmul(dz_t, params.lstm_u, out=dh_next[:m])
         dc = np.multiply(gf[lo:hi], dc_t, out=dc_next[:m])
+        # The step has read its activations for the last time; dz_t takes
+        # their rows, the input and candidate blocks swapping through a buffer.
+        i_from_g = np.multiply(gg[lo:hi], dc_t, out=swap[:m])
+        np.multiply(gi[lo:hi], dc_t, out=gg[lo:hi])
+        np.copyto(gi[lo:hi], i_from_g)
+        np.multiply(c_prev, dc_t, out=gf[lo:hi])
+        np.multiply(tc, dh_t, out=go[lo:hi])
+        a *= d
+        dh = np.matmul(a, params.lstm_u, out=dh_next[:m])
     del dh_rows, dh_t  # dh_t is a view of step 0's rows
+    dz = gates
 
     # Cells that consumed the same (response, skill) read the same table rows,
     # so their gate gradients are summed once per pair; a looked-up input's
@@ -574,12 +598,14 @@ def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: 
         out += left[block].T @ right[rows[block]]
 
 
-def _segment_sum(keys: np.ndarray, values: np.ndarray):
+def _segment_sum(keys: np.ndarray, values: np.ndarray, weights: np.ndarray | None = None):
     """Sums of the rows of ``values`` per key: (ascending distinct keys, sums).
 
     The rows are gathered in stable key order, at most ``_ROW_BLOCK`` at a
-    time, and each run of equal keys is summed with ``np.add.reduceat``; no
-    sorted copy of all the rows is made at once.
+    time, each multiplied by its entry of ``weights`` if given (``values``
+    then a matrix), and each run of equal keys is summed with
+    ``np.add.reduceat``; no sorted or weighted copy of all the rows is made
+    at once.
     """
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -590,11 +616,13 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray):
     for lo in range(0, len(keys), _ROW_BLOCK):
         seg = segment[lo : lo + _ROW_BLOCK]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        rows = order[lo : lo + _ROW_BLOCK]
+        block = values[rows]
+        if weights is not None:
+            block *= weights[rows, None]
         # A block's segments are consecutive, and its first may have begun
         # in the block before, so the block's sums are added on.
-        sums[seg[0] : seg[0] + len(starts)] += np.add.reduceat(
-            values[order[lo : lo + _ROW_BLOCK]], starts, axis=0
-        )
+        sums[seg[0] : seg[0] + len(starts)] += np.add.reduceat(block, starts, axis=0)
     return keys[first], sums
 
 
@@ -605,7 +633,9 @@ def _attention_forward(params, hidden, starts, rows):
     step 0 whose exponentials all underflow has D_k = 0 and gets a NaN
     aggregate, which the loss carries to every caller.
     """
-    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
+    attn_hidden = hidden @ params.attn_w.T
+    attn_hidden += params.attn_b
+    np.tanh(attn_hidden, out=attn_hidden)
     logits = attn_hidden @ params.attn_u  # l_j
     # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
     # row's largest score every a_j >= exp(-2 ||attn_u||_1) stays a normal
@@ -625,22 +655,30 @@ def _attention_forward(params, hidden, starts, rows):
 def _attention_backward(params, trace, dlogit, dhidden, grads) -> None:
     # The aggregate is the head input's first half. Through agg_k = N_k / D_k:
     # dN_k = dagg_k / D_k and dD_k = -(dagg_k . agg_k) / D_k. State j enters
-    # N_k and D_k for every later k of its row.
-    dagg = dlogit[:, None] * params.head_w[trace.target_skills, : params.hidden_dim]
-    norm = trace.attn_norm[:, None]
-    dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
-    del dagg
-    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=1)
+    # N_k and D_k for every later k of its row. Step 0's windows are empty
+    # and pass nothing back.
+    first = trace.starts[1]
+    dnumer = params.head_w[trace.target_skills, : params.hidden_dim]
+    dnumer *= dlogit[:, None]  # dagg
+    dnumer[:first] = 0.0
+    np.divide(dnumer[first:], trace.attn_norm[first:, None], out=dnumer[first:])
+    neg_dnorm = np.einsum("nh,nh->n", dnumer, trace.agg_hidden)  # -dD_k
     dnumer_after = _prefix_sums(dnumer, trace.starts, reverse=True)
     del dnumer
-    dnorm_sum = _prefix_sums(dnorm, trace.starts, reverse=True)
+    neg_dnorm_after = _prefix_sums(neg_dnorm, trace.starts, reverse=True)
     a = trace.attn_exp
-    dhidden += a[:, None] * dnumer_after
-    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
+    dlogits = np.einsum("nh,nh->n", trace.hidden, dnumer_after)
+    dlogits -= neg_dnorm_after
+    dlogits *= a
+    dnumer_after *= a[:, None]
+    dhidden += dnumer_after
+    del dnumer_after
     u = trace.attn_hidden
     grads["attn_u"] += dlogits @ u
-    dpre = dlogits[:, None] * params.attn_u
-    dpre *= 1.0 - u * u
+    dpre = np.multiply(u, u)
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= params.attn_u
+    dpre *= dlogits[:, None]
     grads["attn_w"] += dpre.T @ trace.hidden
     grads["attn_b"] += dpre.sum(axis=0)
     dhidden += dpre @ params.attn_w

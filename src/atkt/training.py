@@ -8,7 +8,9 @@ Each epoch runs, per batch, a clean forward/backward, then — when
 adversarial training is enabled — scales the clean pass's embedding gradient
 to the FGSM budget, from its gate gradients, and runs a second
 forward/backward on the perturbed embeddings. Neither pass builds an
-[n, B, d_in] array. One Adam update is applied to the gradient of
+[n, B, d_in] array, and one [N, 4H] buffer carries the clean pass's gate
+activations, then its gate gradients, then FGSM's direction, which the
+adversarial pass keeps. One Adam update is applied to the gradient of
 ``clean_loss + beta * adv_loss``; ``train_batch`` writes that objective and
 its gradient sum. Early stopping watches the validation loss, whose running
 minimum is ``RunRecord.best_val_loss``; the checkpoint that is kept
@@ -301,20 +303,24 @@ def train_batch(
     grads = clean.params
     if not run_adversarial:
         return clean_loss, clean_loss, grads
-    del trace  # FGSM reads only the gate gradients and the batch's layout
+    del trace  # its gate buffer now holds the gate gradients; FGSM reads only them
     if not math.isfinite(clean_loss):
         return clean_loss, math.nan, grads
     if not np.all(np.isfinite(clean.gate_grads)):
         return clean_loss, math.nan, grads
+    # FGSM scales the gate gradients in place into its direction, which the
+    # adversarial pass keeps; only the clean parameter gradients outlive the
+    # clean pass.
     pert = adversarial.fgsm_perturbation(
         clean.gate_grads, params.lstm_w, batch, float(config.epsilon or 0.0), scope=config.fgsm_scope
     )
-    del clean  # only the clean parameter gradients outlive the clean pass
+    del clean
     adv_inputs = adversarial.make_adversarial(batch, pert)
     del pert
     adv_trace, adv_loss = model.forward(params, batch, config.attention, embeddings=adv_inputs)
     adv = model.backward(params, adv_trace).params
-    grads = {name: g + config.beta * adv[name] for name, g in grads.items()}
+    for name, g in grads.items():
+        g += np.multiply(adv[name], config.beta, out=adv[name])
     return clean_loss, clean_loss + config.beta * adv_loss, grads
 
 

@@ -26,6 +26,13 @@ mask that zeroed each row's last a_j, a drop-in replacement for it;
 step took fewer numpy calls, drop-in replacements for them;
 ``carried_segment_sum`` is ``model._segment_sum`` as it was before each row
 block's sums were added on, with the carried partial sum copied aside;
+``separate_buffer_backward`` is ``model.backward`` as it was before the gate
+gradients were written over the trace's activations, with the head's input
+built in one [N, 2H + 1] array; ``composite_head_logit`` and
+``buffered_attention_backward`` are ``model._head_logit`` and
+``model._attention_backward`` as they were before they gave up their
+[N, 2H] composite and [N, H] products, drop-in replacements for them;
+``ldexp_scale_rows`` is FGSM's scaling by powers of two as ``np.ldexp``;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope.
 The dense adversarial path, as ``src`` ran it before FGSM worked from the
 gate gradients: ``build_embeddings`` lays the looked-up embeddings onto the
@@ -443,6 +450,126 @@ def carried_segment_sum(keys, values):
         np.add.reduceat(values[order[lo : lo + row_block]], starts, axis=0, out=block)
         block[0] += carry
     return keys[first], sums
+
+
+def separate_buffer_backward(params, trace):
+    """``model.backward`` as it was before the gate gradients took the
+    activations' rows: (the ten parameter gradients, dz).
+
+    The head's [agg_hidden | hidden | 1] input is built, weighted by dlogit
+    and summed per target skill in one segment sum, and the time loop writes
+    dz into a separate [N, 4H] buffer; the trace is left as it was. Attention
+    goes through ``model._attention_backward``, so the two agree bit for bit.
+    """
+    batch = trace.batch
+    b = batch.size
+    hd = params.hidden_dim
+    cells, starts, gates, cell = trace.cells, trace.starts, trace.gates, trace.cell
+    steps, rows = np.divmod(cells, b)
+    grads = model.zero_gradients(params)
+    weight = 1.0 / (b * (batch.seq_lens - 1).astype(FLOAT))
+    dlogit = (trace.pred - batch.responses[rows, steps + 1]) * weight[rows]
+    head_in = np.concatenate(
+        [trace.agg_hidden, trace.hidden, np.ones((len(cells), 1), dtype=FLOAT)], axis=1
+    )
+    head_in *= dlogit[:, None]
+    head_rows, sums = model._segment_sum(trace.target_skills, head_in)
+    grads["head_w"][head_rows] = sums[:, :-1]
+    grads["head_b"][head_rows] = sums[:, -1]
+    dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
+    if trace.attention_enabled:
+        model._attention_backward(params, trace, dlogit, dh_rows, grads)
+
+    s = np.ones(4 * hd, dtype=FLOAT)
+    s[2 * hd : 3 * hd] = 0.0
+    one_minus_s = 1.0 - s
+    bounds = starts.tolist()
+    width = bounds[1]
+    deriv = np.empty((width, 4 * hd), dtype=FLOAT)
+    tanh_c = np.empty((width, hd), dtype=FLOAT)
+    dc_buf, dc_next, dh_next = (np.empty((width, hd), dtype=FLOAT) for _ in range(3))
+    c_zero = np.zeros((width, hd), dtype=FLOAT)
+    dz = np.empty((len(cells), 4 * hd), dtype=FLOAT)
+    dh = dc = c_zero[:0]
+    gi, gf, gg, go = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        m = hi - lo
+        dh_t = dh_rows[lo:hi]
+        dh_t[: len(dh)] += dh
+        a = gates[lo:hi]
+        tc = np.tanh(cell[lo:hi], out=tanh_c[:m])
+        dc_t = np.multiply(tc, tc, out=dc_buf[:m])
+        np.subtract(1.0, dc_t, out=dc_t)
+        dc_t *= go[lo:hi]
+        dc_t *= dh_t
+        dc_t[: len(dc)] += dc
+        c_prev = cell[bounds[t - 1] : bounds[t - 1] + m] if t > 0 else c_zero[:m]
+        dz_t = dz[lo:hi]
+        np.multiply(gg[lo:hi], dc_t, out=dz_t[:, :hd])
+        np.multiply(c_prev, dc_t, out=dz_t[:, hd : 2 * hd])
+        np.multiply(gi[lo:hi], dc_t, out=dz_t[:, 2 * hd : 3 * hd])
+        np.multiply(tc, dh_t, out=dz_t[:, 3 * hd :])
+        d = np.subtract(s, a, out=deriv[:m])
+        d *= a
+        d += one_minus_s
+        dz_t *= d
+        dh = np.matmul(dz_t, params.lstm_u, out=dh_next[:m])
+        dc = np.multiply(gf[lo:hi], dc_t, out=dc_next[:m])
+
+    keys, pair_dz = model._segment_sum(model._cell_keys(batch, cells), dz)
+    np.matmul(pair_dz.T, model._pair_embeddings(params, keys), out=grads["lstm_w"])
+    if trace.shift is not None:
+        grads["lstm_w"] += (dz.T @ trace.shift.direction) @ params.lstm_w
+    first = starts[1]
+    prev = np.arange(first, len(cells)) - np.diff(starts)[steps[first:] - 1]
+    model._gathered_outer(dz[first:], trace.hidden, prev, grads["lstm_u"])
+    np.sum(dz, axis=0, out=grads["lstm_b"])
+    model._embedding_backward(params, keys, pair_dz, grads)
+    return grads, dz
+
+
+def composite_head_logit(params, hidden, agg, target_skills, attention_enabled):
+    """``model._head_logit`` as it was: with attention on, one dot product per
+    target over the [N, 2H] composite [agg | hidden] and its gathered head row.
+    """
+    hd = params.hidden_dim
+    if attention_enabled:
+        composite = np.concatenate([agg, hidden], axis=1)
+        logit = np.einsum("nh,nh->n", composite, params.head_w[target_skills])
+    else:
+        logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
+    logit += params.head_b[target_skills]
+    return logit
+
+
+def buffered_attention_backward(params, trace, dlogit, dhidden, grads):
+    """``model._attention_backward`` as it was, with a new [N, H] or [N, A]
+    array for each product and row sums of [N, H] products.
+    """
+    dagg = dlogit[:, None] * params.head_w[trace.target_skills, : params.hidden_dim]
+    norm = trace.attn_norm[:, None]
+    dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
+    dnorm = -np.sum(dnumer * trace.agg_hidden, axis=1)
+    dnumer_after = model._prefix_sums(dnumer, trace.starts, reverse=True)
+    dnorm_sum = model._prefix_sums(dnorm, trace.starts, reverse=True)
+    a = trace.attn_exp
+    dhidden += a[:, None] * dnumer_after
+    dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
+    u = trace.attn_hidden
+    grads["attn_u"] += dlogits @ u
+    dpre = dlogits[:, None] * params.attn_u
+    dpre *= 1.0 - u * u
+    grads["attn_w"] += dpre.T @ trace.hidden
+    grads["attn_b"] += dpre.sum(axis=0)
+    dhidden += dpre @ params.attn_w
+
+
+def ldexp_scale_rows(x, e, ball):
+    """``adversarial._scale_rows_by_powers_of_two`` as ``np.ldexp`` with
+    broadcast integer exponents, written back into ``x``.
+    """
+    x[...] = np.ldexp(x, e[ball, None])
 
 
 def stepwise_backward(params, trace):

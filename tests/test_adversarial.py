@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atkt import model
+from atkt import adversarial, model
 from atkt.adversarial import FGSM_SCOPES, fgsm_perturbation, make_adversarial
 from atkt.data import InteractionSequence, generate_synthetic, make_batches
 from atkt.linalg import Rng, ShapeError
@@ -10,6 +10,7 @@ from grad_oracle import GRAD_CHECK_STEP, compare_gradients
 from reference_impl import (
     build_embeddings,
     l2_norm,
+    ldexp_scale_rows,
     padded_backward,
     padded_forward,
     two_branch_fgsm,
@@ -92,7 +93,7 @@ class TestFgsm:
 
     def test_direction_depends_only_on_gradient_direction(self):
         dz, w, batch = fgsm_case(5)
-        a = fgsm_perturbation(dz, w, batch, epsilon=3.0)
+        a = fgsm_perturbation(dz.copy(), w, batch, epsilon=3.0)  # FGSM scales its input in place
         b = fgsm_perturbation(17.5 * dz, w, batch, epsilon=3.0)
         c = fgsm_perturbation(dz, 3.25 * w, batch, epsilon=3.0)
         np.testing.assert_allclose(a.r, b.r, rtol=0, atol=1e-12)
@@ -127,8 +128,8 @@ class TestFgsm:
             if case % 10 == 9:
                 dz[...] = 0.0
             eps = float(rng.uniform(0.0, 20.0))
-            got = fgsm_perturbation(dz, w, batch, eps, scope=scope).r
             want = two_branch_fgsm(dense(dz, w, batch), eps, scope)
+            got = fgsm_perturbation(dz, w, batch, eps, scope=scope).r
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(eps, 1.0), err_msg=str(case))
 
     @pytest.mark.parametrize("scope", FGSM_SCOPES)
@@ -138,7 +139,7 @@ class TestFgsm:
         # batch, one magnitude per batch row.
         dz, w, batch = fgsm_case(8, n=6, b=4)
         mixed = dz * np.array([1e200, 1e-170, 1e-310, 1e307])[np.arange(len(dz)) % 4, None]
-        base = fgsm_perturbation(dz, w, batch, epsilon=3.0, scope=scope).r
+        base = fgsm_perturbation(dz.copy(), w, batch, epsilon=3.0, scope=scope).r
         for g in (dz * 1e200, dz * 1e-170, mixed):
             pert = fgsm_perturbation(g, w, batch, epsilon=3.0, scope=scope)
             for norm in ball_norms(pert, scope):
@@ -146,6 +147,42 @@ class TestFgsm:
             if scope == "per_sequence" or g is not mixed:  # in one global ball tiny rows round to 0
                 # A subnormal gate gradient keeps fewer digits than its row had.
                 np.testing.assert_allclose(pert.r, base, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("scope", FGSM_SCOPES)
+    def test_bit_identical_to_ldexp_scaling(self, monkeypatch, scope):
+        # The magnitudes above, one per batch row, and every ball's largest
+        # |dz| exactly 2**-1060 or 2**1023, where 2**-k is not a normal
+        # double. Half the entries of the 2**1023 balls end subnormal.
+        dz, w, batch = fgsm_case(8, n=6, b=4)
+        row = np.arange(len(dz)) % batch.size
+        mixed = dz * np.array([1e200, 1e-170, 1e-310, 1e307])[row, None]
+        peak = np.zeros(batch.size)
+        np.maximum.at(peak, row, np.max(np.abs(dz), axis=1))
+        unit = dz / peak[row, None]
+        huge = unit * 2.0**1023
+        huge[:, ::2] = Rng(8).split("small").uniform(0.0, 1.0, size=huge[:, ::2].shape)
+        for case, g in {"base": dz, "1e200": dz * 1e200, "1e-170": dz * 1e-170, "mixed": mixed,
+                        "2**-1060": unit * 2.0**-1060, "2**1023": huge}.items():
+            got = fgsm_perturbation(g.copy(), w, batch, epsilon=3.0, scope=scope).shift
+            with monkeypatch.context() as m:
+                m.setattr(adversarial, "_scale_rows_by_powers_of_two", ldexp_scale_rows)
+                want = fgsm_perturbation(g.copy(), w, batch, epsilon=3.0, scope=scope).shift
+            np.testing.assert_array_equal(got.direction, want.direction, err_msg=case)
+            np.testing.assert_array_equal(got.projection, want.projection, err_msg=case)
+
+    def test_power_of_two_scaling_rounds_as_ldexp(self):
+        # Every exponent frexp can give a peak's inverse, about both ends of
+        # the normal range, on magnitudes up to the ball's peak and far below.
+        e = np.array([-1024, -1023, -1022, -1021, -1, 0, 1, 1021, 1022, 1023, 1024, 1059, 1073])
+        rng = Rng(11).split("pow2")
+        ball = np.repeat(np.arange(len(e)), 40)
+        top = np.minimum(-e, 1024)[ball, None]  # the ball's peak stays below 2**-e
+        shape = (len(ball), 6)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, size=shape), top - rng.integers(0, 1100, size=shape))
+        got = x.copy()
+        adversarial._scale_rows_by_powers_of_two(got, e, ball)
+        np.testing.assert_array_equal(got, np.ldexp(x, e[ball, None]))
+        assert np.any((got != 0) & (np.abs(got) < 2.0**-1022))  # results that round
 
     @pytest.mark.parametrize("scope", FGSM_SCOPES)
     def test_ball_nearly_in_left_null_space(self, scope):
@@ -159,7 +196,7 @@ class TestFgsm:
         dz[row0] = coef[row0, :7] @ u[:, 5:].T + 1e-5 * coef[row0, 7:] @ u[:, :5].T
         if scope == "global":
             dz[~row0] *= 1e-5  # the whole ball is then nearly null
-        pert = fgsm_perturbation(dz, w, batch, epsilon=3.0, scope=scope)
+        pert = fgsm_perturbation(dz.copy(), w, batch, epsilon=3.0, scope=scope)
         for norm in ball_norms(pert, scope):
             assert abs(norm - 3.0) <= 1e-9
         # A norm from the quadratic form alone would miss the budget there.

@@ -268,11 +268,12 @@ class TestGateActivation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e^800 overflowing to inf must stay silent
             trace, loss = model.forward(p, batch)
+            gates = trace.gates[:, block * hd : (block + 1) * hd].copy()  # backward overwrites them
             grads = model.backward(p, trace)
         assert math.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads.params.values())
         limit = sign if model.GATE_ORDER[block] == "candidate" else max(sign, 0.0)
-        np.testing.assert_array_equal(trace.gates[:, block * hd : (block + 1) * hd], limit)
+        np.testing.assert_array_equal(gates, limit)
 
     def test_matches_two_branch_sigmoid(self):
         # With lstm_w = lstm_u = 0, every cell's pre-activation is lstm_b.
@@ -775,17 +776,62 @@ class TestSegmentSum:
         keys = np.repeat(list(counts), list(counts.values()))
         return Rng(70).split("order").permutation(keys)
 
+    # (value columns, or None for a vector; whether the rows are weighted).
+    # The head sums its weighted halves and its vector dlogit.
+    VALUES = {"matrix": (3, False), "weighted": (3, True), "vector": (None, False)}
+
+    @pytest.mark.parametrize("values", VALUES)
     @pytest.mark.parametrize("row_block", [3, 7, 2048])
     @pytest.mark.parametrize("case", ["mixed", "single_key"])
-    def test_matches_carried_segment_sum(self, monkeypatch, case, row_block):
+    def test_matches_carried_segment_sum(self, monkeypatch, case, row_block, values):
         monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
         keys = self.keys(case, row_block)
         assert len(keys) % row_block == 1
-        values = Rng(70).split("values").normal(size=(len(keys), 3))
-        got_keys, got = model._segment_sum(keys, values)
-        want_keys, want = reference_impl.carried_segment_sum(keys, values)
+        columns, weighted = self.VALUES[values]
+        x = Rng(70).split("values").normal(size=(len(keys),) + ((columns,) if columns else ()))
+        weights = Rng(70).split("weights").normal(size=len(keys)) if weighted else None
+        got_keys, got = model._segment_sum(keys, x, weights)
+        weighted_x = x if weights is None else weights[:, None] * x
+        want_keys, want = reference_impl.carried_segment_sum(keys, weighted_x)
         assert np.array_equal(got_keys, want_keys)
         assert np.array_equal(got, want)
+
+
+class TestGateGradientsOverActivations:
+    """The backward pass that writes dz over the gate activations against the
+    separate-buffer backward it replaced."""
+
+    LENGTHS = {"ragged": (23, 2, 9, 2, 15, 4, 17), "equal": (9,) * 4, "single_row": (17,)}
+
+    @pytest.mark.parametrize("row_block", [None, 5])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
+    @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_bit_identical_to_separate_buffer(self, monkeypatch, lengths, attention, embeddings, row_block):
+        if row_block:  # the head's segment sums then span several blocks
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+        _, batch = random_batch(80, lengths=self.LENGTHS[lengths])
+        p = tiny_params(seed=80, hidden_dim=5, attn_dim=4)
+
+        def trace():  # a trace serves one backward pass, so each gets its own
+            shift, _ = shifted_inputs(p, batch, embeddings, seed=80)
+            return model.forward(p, batch, attention, embeddings=shift)[0]
+
+        got = model.backward(p, trace())
+        want, want_dz = reference_impl.separate_buffer_backward(p, trace())
+        np.testing.assert_array_equal(got.gate_grads, want_dz)
+        for name in model.PARAM_NAMES:
+            np.testing.assert_array_equal(got.params[name], want[name], err_msg=name)
+
+    def test_a_trace_serves_one_backward_pass(self):
+        _, batch = random_batch(81)
+        p = tiny_params(seed=81)
+        trace, _ = model.forward(p, batch)
+        gates = trace.gates
+        grads = model.backward(p, trace)
+        assert grads.gate_grads is gates and trace.gates is None
+        with pytest.raises(ValueError, match="already been used by a backward pass"):
+            model.backward(p, trace)
 
 
 def shifted_inputs(params, batch, embeddings, seed):
@@ -803,25 +849,28 @@ def shifted_inputs(params, batch, embeddings, seed):
 
 
 class TestMemory:
-    """tracemalloc peaks with the reference dimensions.
+    """tracemalloc peaks with the reference dimensions; each bound is the
+    measured peak plus 10%.
 
-    Of one pass at 24 x 200: the backward bound is the figure of the per-step
-    backward with its separate input-projection buffer (39.20 MB above the
-    trace); keeping the gate gradients and building the input gradient only
-    for FGSM brought it to 19.4 MB. The forward bound is its measured 35.2 MB
-    plus 10%: projecting each (response, skill) pair once builds no
-    [n, B, d_in] embedding, which took the peak from 48.0 MB and the trace it
-    keeps from 36.3 to 23.5 MB.
+    Of one pass at 24 x 200: the forward peaks at 27.11 MB. Projecting each
+    (response, skill) pair once builds no [n, B, d_in] embedding, which took
+    the peak from 48.0 MB; applying the head row's halves one at a time, with
+    no [N, 2H] composite, took it from 35.82 MB. The backward peaks 12.46 MB
+    above its trace: keeping the gate gradients and building the input
+    gradient only for FGSM took it from 39.2 MB to 19.41 MB, and writing the
+    gate gradients over the activations, with the head gradients summed
+    straight from the trace, took it to 12.46 MB.
 
     Of one adversarial training step at 24 x 500, the shapes of the
-    train-adv-long benchmark: the bound is the measured 128.33 MB plus 10%.
-    Taking FGSM and the adversarial pass from the gate gradients, with no
-    [n, B, d_in] array, brought the peak from 131.26 MB.
+    train-adv-long benchmark: 113.65 MB. Taking FGSM and the adversarial pass
+    from the gate gradients, with no [n, B, d_in] array, brought the peak
+    from 131.26 to 128.33 MB; one [N, 4H] buffer carrying the clean gates,
+    then dz, then FGSM's direction brought it to 113.65 MB.
     """
 
-    FORWARD_PEAK_MB = 38.7
-    BACKWARD_PEAK_MB = 39.20
-    ADVERSARIAL_STEP_PEAK_MB = 141.2
+    FORWARD_PEAK_MB = 29.8
+    BACKWARD_PEAK_MB = 13.7
+    ADVERSARIAL_STEP_PEAK_MB = 125.0
 
     def test_forward_and_backward_peaks(self):
         ds = generate_synthetic(24, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)
