@@ -74,6 +74,15 @@ and a trace serves one backward pass. After the loop, lstm_u's gradient is
 one pass of block GEMMs; the head rows and the embedding tables are sorted
 segment sums, per target skill and per (response, skill) of the consumed
 interactions, read straight from the trace and dz.
+
+Beyond the trace, each direction of attention holds one [N, H] array and
+row-block temporaries. The forward's aggregate buffer holds a_j h_j, then
+its prefix sums, walked in place, then their ratio to D_k. The backward
+reads -dD from the aggregate a row block at a time and gives the aggregate
+up; one buffer then holds dagg, its reverse prefix sums and, scaled by a
+and with the head's hidden half and dpre @ attn_w added a block at a time,
+the dh the time loop reads. dpre is written over the trace's projection u.
+The head's gathered rows are read a block at a time in both directions.
 """
 
 from __future__ import annotations
@@ -99,6 +108,20 @@ GATE_ORDER = ("input", "forget", "candidate", "output")
 # a GEMM packs all its rows into BLAS's buffer, whose pages then stay
 # resident, and a gather copies all its rows at once.
 _ROW_BLOCK = 2048
+
+
+def _row_blocks(n: int, start: int = 0) -> list[slice]:
+    """Consecutive slices of about ``_ROW_BLOCK`` rows that cover rows ``start:n``.
+
+    A one-row product goes through BLAS's matrix-vector path, which sums in
+    another order than the matrix product, so a lone last row joins the block
+    before it: each row of a blocked product is then bit for bit its row of
+    the product over all ``n`` rows.
+    """
+    cuts = list(range(start, n, _ROW_BLOCK))
+    if len(cuts) > 1 and n - cuts[-1] == 1:
+        cuts.pop()
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [n])]
 
 
 class CheckpointError(ValueError):
@@ -193,7 +216,9 @@ class ForwardTrace:
     and step t's rows are ``starts[t]:starts[t + 1]``, longest batch row
     first. The head's composite input is not stored: readers take
     [agg_hidden | hidden] as its two halves. A trace serves one ``backward``,
-    which writes the gate gradients over ``gates`` and sets it to None.
+    which writes the gate gradients over ``gates`` and attention's dpre over
+    ``attn_hidden`` and gives up both, and ``agg_hidden``, setting them to
+    None; ``skill_probs`` needs the trace before that.
     """
 
     shift: InputShift | None  # the perturbation of the input embeddings, if one was given
@@ -202,13 +227,13 @@ class ForwardTrace:
     cells: np.ndarray  # int64 [N]
     starts: np.ndarray  # int64 [n + 1]
     hidden: np.ndarray  # [N, H]
-    attn_hidden: np.ndarray | None  # [N, attn_dim]
+    attn_hidden: np.ndarray | None  # [N, attn_dim]; None with attention off or after backward
     # a_j = exp(l_j - the row's largest l), and each target's normaliser D_k.
     # Target k's window weights are its row's earlier attn_exp over its
     # attn_norm, so no window reads a row's last a_j.
     attn_exp: np.ndarray | None  # [N]
     attn_norm: np.ndarray | None  # [N]
-    agg_hidden: np.ndarray  # [N, H]; zeros with attention off
+    agg_hidden: np.ndarray | None  # [N, H]; zeros with attention off; None after backward
     pred: np.ndarray  # [N] probability at the attempted skill (the only one computed)
     target_skills: np.ndarray  # int64 [N]
     attention_enabled: bool
@@ -307,25 +332,44 @@ def pack_cells(seq_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix_sums(x: np.ndarray, starts: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Each packed row's sum of ``x`` over the earlier (``reverse``: later) steps of its batch row.
+    """Overwrites each packed row of ``x`` with its sum over the earlier
+    (``reverse``: later) steps of its batch row, and returns ``x``.
 
-    Walks the steps as the recurrence does, one addition per step: step t's
-    sums are step t - 1's sums plus step t - 1's x, over the rows still
-    alive at t, and step 0's are zero. In reverse, step t's sums are step
-    t + 1's plus step t + 1's x, and the rows that end at t keep their zeros.
-    Either way each row's terms are added one at a time, nearest step last.
+    Walks the steps as the recurrence does, one addition per step, in place:
+    step t's rows add step t - 1's (in reverse, step t + 1's), over the rows
+    alive at both, which gives each row its sum up to and including its own
+    step. Each row then takes that sum from one step back along its batch
+    row (in reverse, one step on), a block of rows at a time, in the order
+    that reads every row before it is overwritten; the rows with no earlier
+    (later) step get zeros. The terms are added one at a time, nearest step
+    last, onto the first term plus 0.0, so that every sum is bit for bit a
+    running sum from zero, a -0.0 first term included.
     """
-    out = np.zeros(x.shape, dtype=x.dtype)
     bounds = starts.tolist()
+    widths = np.append(np.diff(starts), 0)  # rows alive at each step, and after the last
+    steps = np.repeat(np.arange(len(bounds) - 1), widths[:-1])
+    rows = np.arange(len(x))
+    if reverse:
+        empty = rows - starts[steps] >= widths[steps + 1]  # each batch row's last step
+        source = np.where(empty, rows, rows + widths[steps])
+    else:
+        empty = steps == 0
+        source = np.where(empty, rows, rows - widths[steps - 1])
+    x[empty] += 0.0
     if reverse:
         for t in range(len(bounds) - 3, -1, -1):
             lo, nxt, end = bounds[t], bounds[t + 1], bounds[t + 2]
-            np.add(out[nxt:end], x[nxt:end], out=out[lo : lo + end - nxt])
+            x[lo : lo + end - nxt] += x[nxt:end]
     else:
         for t in range(1, len(bounds) - 1):
             prev, lo, hi = bounds[t - 1], bounds[t], bounds[t + 1]
-            np.add(out[prev : prev + hi - lo], x[prev : prev + hi - lo], out=out[lo:hi])
-    return out
+            x[lo:hi] += x[prev : prev + hi - lo]
+    # A row's source lies after it in reverse, before it otherwise.
+    blocks = _row_blocks(len(x))
+    for block in blocks if reverse else blocks[::-1]:
+        x[block] = x[source[block]]
+    x[empty] = 0.0
+    return x
 
 
 def _recurrence(gates: np.ndarray, cell: np.ndarray, hidden: np.ndarray, starts: np.ndarray,
@@ -462,14 +506,18 @@ def _head_logit(params, hidden, agg, target_skills, attention_enabled) -> np.nda
 
     The loss reads one skill per target, so O(N*2H) rather than O(N*S*2H) for
     the full head (see skill_probs). The row's two halves are gathered and
-    applied one at a time, with no [N, 2H] composite. With attention off the
-    aggregate half is identically zero; skipping it keeps the ablated model
-    bit-identical to a plain LSTM with the right-half head columns.
+    applied one at a time, a block of targets at a time, with no [N, 2H]
+    composite and no [N, H] gather. With attention off the aggregate half is
+    identically zero; skipping it keeps the ablated model bit-identical to a
+    plain LSTM with the right-half head columns.
     """
     hd = params.hidden_dim
-    logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
-    if attention_enabled:
-        logit += np.einsum("nh,nh->n", agg, params.head_w[target_skills, :hd])
+    logit = np.empty(len(target_skills), dtype=FLOAT)
+    for block in _row_blocks(len(target_skills)):
+        skills = target_skills[block]
+        np.einsum("nh,nh->n", hidden[block], params.head_w[skills, hd:], out=logit[block])
+        if attention_enabled:
+            logit[block] += np.einsum("nh,nh->n", agg[block], params.head_w[skills, :hd])
     logit += params.head_b[target_skills]
     return logit
 
@@ -481,7 +529,13 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
     the full head from the trace for inspection (for one batch row, row t is
     step t). Its entry at the attempted skill agrees with ``trace.pred`` to
     rounding (the dot products are summed in a different order), not bit for bit.
+    The trace must come straight from ``forward``: ``backward`` gives up the
+    aggregate this reads.
     """
+    if trace.agg_hidden is None:
+        raise ValueError(
+            "skill_probs needs a trace no backward pass has used: backward gives up its aggregate"
+        )
     if trace.attention_enabled:
         composite = np.concatenate([trace.agg_hidden, trace.hidden], axis=1)
         logits = composite @ params.head_w.T + params.head_b
@@ -494,8 +548,9 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
 def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     """Exact gradients of the traced batch's loss for all parameters, and its gate gradients.
 
-    The gate gradients are written over the trace's gate activations, which
-    the trace then gives up: a trace serves one backward pass.
+    The gate gradients are written over the trace's gate activations, and
+    attention's pre-activation gradients dpre over its projection; the trace
+    gives up both, and its aggregate: a trace serves one backward pass.
     """
     gates = trace.gates
     if gates is None:
@@ -519,12 +574,14 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     head_rows, sums = _segment_sum(trace.target_skills, trace.hidden, weights=dlogit)
     grads["head_w"][head_rows, hd:] = sums
     grads["head_b"][head_rows] = _segment_sum(trace.target_skills, dlogit)[1]
-    dh_rows = params.head_w[trace.target_skills, hd:]
-    dh_rows *= dlogit[:, None]
     if trace.attention_enabled:
         _, sums = _segment_sum(trace.target_skills, trace.agg_hidden, weights=dlogit)
         grads["head_w"][head_rows, :hd] = sums
-        _attention_backward(params, trace, dlogit, dh_rows, grads)
+        dh_rows = _attention_backward(params, trace, dlogit, grads)
+    else:
+        trace.agg_hidden = None
+        dh_rows = params.head_w[trace.target_skills, hd:]
+        dh_rows *= dlogit[:, None]
 
     # LSTM backward through time over the packed cells: the loop runs only
     # the recurrence and writes every cell's gate gradient over its gate
@@ -631,7 +688,8 @@ def _attention_forward(params, hidden, starts, rows):
 
     The exclusive prefix sums alone pick each window's states. A window past
     step 0 whose exponentials all underflow has D_k = 0 and gets a NaN
-    aggregate, which the loss carries to every caller.
+    aggregate, which the loss carries to every caller. One [N, H] buffer
+    holds a_j h_j, then the numerators N_k, then the aggregates N_k / D_k.
     """
     attn_hidden = hidden @ params.attn_w.T
     attn_hidden += params.attn_b
@@ -643,45 +701,65 @@ def _attention_forward(params, hidden, starts, rows):
     peak = np.full(starts[1], -np.inf)  # step 0 has every batch row
     np.maximum.at(peak, rows, logits)
     attn_exp = np.exp(logits - peak[rows])
-    attn_norm = _prefix_sums(attn_exp, starts)
-    numer = _prefix_sums(attn_exp[:, None] * hidden, starts)
-    # An empty window has N_k = D_k = 0, so 0 / 0 gives its NaN.
+    attn_norm = _prefix_sums(attn_exp.copy(), starts)
+    agg = _prefix_sums(np.multiply(attn_exp[:, None], hidden), starts)
+    # Step 0's windows are empty and keep their zero sums. Past it, an empty
+    # window has N_k = D_k = 0, so 0 / 0 gives its NaN.
+    first = starts[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        agg = np.divide(numer, attn_norm[:, None])
-    agg[: starts[1]] = 0.0  # step 0's window is empty
+        np.divide(agg[first:], attn_norm[first:, None], out=agg[first:])
     return attn_hidden, attn_exp, attn_norm, agg
 
 
-def _attention_backward(params, trace, dlogit, dhidden, grads) -> None:
+def _attention_backward(params, trace, dlogit, grads) -> np.ndarray:
+    """Attention's parameter gradients, and dh: the loss's gradient w.r.t. each hidden state.
+
+    The trace gives up its aggregate once -dD has been read from it, and its
+    projection u = attn_hidden, which dpre is written over. One [N, H]
+    buffer holds dagg, then dN, then the sums of dN over each row's later
+    steps, then dh: the head's hidden-half term and dpre @ attn_w are added
+    a row block at a time, each row's terms in the order of the sum
+    head + attention + projection.
+    """
     # The aggregate is the head input's first half. Through agg_k = N_k / D_k:
     # dN_k = dagg_k / D_k and dD_k = -(dagg_k . agg_k) / D_k. State j enters
     # N_k and D_k for every later k of its row. Step 0's windows are empty
     # and pass nothing back.
-    first = trace.starts[1]
-    dnumer = params.head_w[trace.target_skills, : params.hidden_dim]
-    dnumer *= dlogit[:, None]  # dagg
-    dnumer[:first] = 0.0
-    np.divide(dnumer[first:], trace.attn_norm[first:, None], out=dnumer[first:])
-    neg_dnorm = np.einsum("nh,nh->n", dnumer, trace.agg_hidden)  # -dD_k
-    dnumer_after = _prefix_sums(dnumer, trace.starts, reverse=True)
-    del dnumer
-    neg_dnorm_after = _prefix_sums(neg_dnorm, trace.starts, reverse=True)
+    hd = params.hidden_dim
+    skills, starts, norm = trace.target_skills, trace.starts, trace.attn_norm
+    first = starts[1]
+    neg_dnorm = np.zeros(len(skills), dtype=FLOAT)  # -dD_k
+    for block in _row_blocks(len(skills), first):
+        dnumer = params.head_w[skills[block], :hd]
+        dnumer *= dlogit[block, None]
+        dnumer /= norm[block, None]
+        np.einsum("nh,nh->n", dnumer, trace.agg_hidden[block], out=neg_dnorm[block])
+    trace.agg_hidden = dnumer = None
+    dh = params.head_w[skills, :hd]
+    dh *= dlogit[:, None]  # dagg
+    dh[:first] = 0.0
+    np.divide(dh[first:], norm[first:, None], out=dh[first:])
+    dh = _prefix_sums(dh, starts, reverse=True)
+    neg_dnorm_after = _prefix_sums(neg_dnorm, starts, reverse=True)
     a = trace.attn_exp
-    dlogits = np.einsum("nh,nh->n", trace.hidden, dnumer_after)
+    dlogits = np.einsum("nh,nh->n", trace.hidden, dh)
     dlogits -= neg_dnorm_after
     dlogits *= a
-    dnumer_after *= a[:, None]
-    dhidden += dnumer_after
-    del dnumer_after
-    u = trace.attn_hidden
+    dh *= a[:, None]
+    u, trace.attn_hidden = trace.attn_hidden, None
     grads["attn_u"] += dlogits @ u
-    dpre = np.multiply(u, u)
+    dpre = np.multiply(u, u, out=u)
     np.subtract(1.0, dpre, out=dpre)
     dpre *= params.attn_u
     dpre *= dlogits[:, None]
     grads["attn_w"] += dpre.T @ trace.hidden
     grads["attn_b"] += dpre.sum(axis=0)
-    dhidden += dpre @ params.attn_w
+    for block in _row_blocks(len(skills)):
+        head_term = params.head_w[skills[block], hd:]
+        head_term *= dlogit[block, None]
+        dh[block] += head_term
+        dh[block] += dpre[block] @ params.attn_w
+    return dh
 
 
 def _embedding_backward(params, keys, pair_dz, grads) -> None:

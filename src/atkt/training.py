@@ -283,6 +283,7 @@ def evaluate(
         total_loss += loss * batch.size
         total_rows += batch.size
         logs.append(collect_predictions(trace))
+        del trace  # so that one trace at a time is alive, not the last beside the next
     log = PredictionLog.concat(logs)
     mean_loss = total_loss / max(total_rows, 1)
     return mean_loss, auc(log), log
@@ -375,6 +376,7 @@ def train(
                     f"non-finite training objective at epoch {epoch}", epoch, last_good
                 )
             adam_step(params, grads, state, lr)
+            del grads  # the next step's arrays take its place
             loss_sum += clean_loss * batch.size
             rows += batch.size
         train_loss = loss_sum / max(rows, 1)

@@ -32,6 +32,10 @@ built in one [N, 2H + 1] array; ``composite_head_logit`` and
 ``buffered_attention_backward`` are ``model._head_logit`` and
 ``model._attention_backward`` as they were before they gave up their
 [N, 2H] composite and [N, H] products, drop-in replacements for them;
+``whole_array_attention_forward``, ``whole_array_attention_backward`` and
+``whole_array_head_logit`` are the same three as they were before each
+direction of attention worked in one [N, H] buffer and the head read its
+rows a block at a time, drop-in replacements for them;
 ``ldexp_scale_rows`` is FGSM's scaling by powers of two as ``np.ldexp``;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope.
 The dense adversarial path, as ``src`` ran it before FGSM worked from the
@@ -377,7 +381,7 @@ def masked_attention_forward(params, hidden, starts, rows):
     peak = np.full(len(seq_lens), -np.inf)
     np.maximum.at(peak, rows, logits)
     attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
-    attn_norm = model._prefix_sums(attn_exp, starts)
+    attn_norm = model._prefix_sums(attn_exp.copy(), starts)
     numer = model._prefix_sums(attn_exp[:, None] * hidden, starts)
     agg = np.full_like(numer, np.nan)
     agg[: starts[1]] = 0.0
@@ -386,7 +390,9 @@ def masked_attention_forward(params, hidden, starts, rows):
 
 
 def running_prefix_sums(x, starts, reverse=False):
-    """``model._prefix_sums`` as a running sum: two calls a step, on np.int64 bounds."""
+    """``model._prefix_sums`` as a running sum into a new array: two calls a
+    step, on np.int64 bounds. It leaves ``x`` as it was.
+    """
     out = np.empty_like(x)
     running = np.zeros((starts[1],) + x.shape[1:], dtype=x.dtype)
     steps = range(len(starts) - 1)
@@ -458,8 +464,9 @@ def separate_buffer_backward(params, trace):
 
     The head's [agg_hidden | hidden | 1] input is built, weighted by dlogit
     and summed per target skill in one segment sum, and the time loop writes
-    dz into a separate [N, 4H] buffer; the trace is left as it was. Attention
-    goes through ``model._attention_backward``, so the two agree bit for bit.
+    dz into a separate [N, 4H] buffer; the trace's gates are left as they
+    were. Attention goes through ``model._attention_backward``, so the two
+    agree bit for bit.
     """
     batch = trace.batch
     b = batch.size
@@ -476,9 +483,10 @@ def separate_buffer_backward(params, trace):
     head_rows, sums = model._segment_sum(trace.target_skills, head_in)
     grads["head_w"][head_rows] = sums[:, :-1]
     grads["head_b"][head_rows] = sums[:, -1]
-    dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
     if trace.attention_enabled:
-        model._attention_backward(params, trace, dlogit, dh_rows, grads)
+        dh_rows = model._attention_backward(params, trace, dlogit, grads)
+    else:
+        dh_rows = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
 
     s = np.ones(4 * hd, dtype=FLOAT)
     s[2 * hd : 3 * hd] = 0.0
@@ -543,16 +551,19 @@ def composite_head_logit(params, hidden, agg, target_skills, attention_enabled):
     return logit
 
 
-def buffered_attention_backward(params, trace, dlogit, dhidden, grads):
+def buffered_attention_backward(params, trace, dlogit, grads):
     """``model._attention_backward`` as it was, with a new [N, H] or [N, A]
-    array for each product and row sums of [N, H] products.
+    array for each product and row sums of [N, H] products; returns dh, the
+    head's hidden-half term plus attention's.
     """
-    dagg = dlogit[:, None] * params.head_w[trace.target_skills, : params.hidden_dim]
+    hd = params.hidden_dim
+    dhidden = dlogit[:, None] * params.head_w[trace.target_skills, hd:]
+    dagg = dlogit[:, None] * params.head_w[trace.target_skills, :hd]
     norm = trace.attn_norm[:, None]
     dnumer = np.divide(dagg, norm, out=np.zeros_like(dagg), where=norm > 0)
     dnorm = -np.sum(dnumer * trace.agg_hidden, axis=1)
-    dnumer_after = model._prefix_sums(dnumer, trace.starts, reverse=True)
-    dnorm_sum = model._prefix_sums(dnorm, trace.starts, reverse=True)
+    dnumer_after = running_prefix_sums(dnumer, trace.starts, reverse=True)
+    dnorm_sum = running_prefix_sums(dnorm, trace.starts, reverse=True)
     a = trace.attn_exp
     dhidden += a[:, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
@@ -563,6 +574,74 @@ def buffered_attention_backward(params, trace, dlogit, dhidden, grads):
     grads["attn_w"] += dpre.T @ trace.hidden
     grads["attn_b"] += dpre.sum(axis=0)
     dhidden += dpre @ params.attn_w
+    return dhidden
+
+
+def whole_array_attention_forward(params, hidden, starts, rows):
+    """``model._attention_forward`` as it was before it built the aggregate in
+    one buffer: a_j h_j, its prefix sums and their ratio to D_k are three
+    [N, H] arrays, two of them alive at once.
+    """
+    attn_hidden = hidden @ params.attn_w.T
+    attn_hidden += params.attn_b
+    np.tanh(attn_hidden, out=attn_hidden)
+    logits = attn_hidden @ params.attn_u
+    peak = np.full(starts[1], -np.inf)
+    np.maximum.at(peak, rows, logits)
+    attn_exp = np.exp(logits - peak[rows])
+    attn_norm = running_prefix_sums(attn_exp, starts)
+    numer = running_prefix_sums(attn_exp[:, None] * hidden, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        agg = np.divide(numer, attn_norm[:, None])
+    agg[: starts[1]] = 0.0
+    return attn_hidden, attn_exp, attn_norm, agg
+
+
+def whole_array_attention_backward(params, trace, dlogit, grads):
+    """``model._attention_backward`` as it was before it worked in one [N, H]
+    buffer: dN and its reverse prefix sums are two arrays, dpre and
+    dpre @ attn_w two more, the head's term is gathered for all targets at
+    once, and the trace keeps its aggregate and projection. Returns dh.
+    """
+    hd = params.hidden_dim
+    dhidden = params.head_w[trace.target_skills, hd:]
+    dhidden *= dlogit[:, None]
+    first = trace.starts[1]
+    dnumer = params.head_w[trace.target_skills, :hd]
+    dnumer *= dlogit[:, None]
+    dnumer[:first] = 0.0
+    np.divide(dnumer[first:], trace.attn_norm[first:, None], out=dnumer[first:])
+    neg_dnorm = np.einsum("nh,nh->n", dnumer, trace.agg_hidden)
+    dnumer_after = running_prefix_sums(dnumer, trace.starts, reverse=True)
+    neg_dnorm_after = running_prefix_sums(neg_dnorm, trace.starts, reverse=True)
+    a = trace.attn_exp
+    dlogits = np.einsum("nh,nh->n", trace.hidden, dnumer_after)
+    dlogits -= neg_dnorm_after
+    dlogits *= a
+    dnumer_after *= a[:, None]
+    dhidden += dnumer_after
+    u = trace.attn_hidden
+    grads["attn_u"] += dlogits @ u
+    dpre = np.multiply(u, u)
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= params.attn_u
+    dpre *= dlogits[:, None]
+    grads["attn_w"] += dpre.T @ trace.hidden
+    grads["attn_b"] += dpre.sum(axis=0)
+    dhidden += dpre @ params.attn_w
+    return dhidden
+
+
+def whole_array_head_logit(params, hidden, agg, target_skills, attention_enabled):
+    """``model._head_logit`` as it was before it read a block of targets at a
+    time: each half of the head rows is gathered for all targets at once.
+    """
+    hd = params.hidden_dim
+    logit = np.einsum("nh,nh->n", hidden, params.head_w[target_skills, hd:])
+    if attention_enabled:
+        logit += np.einsum("nh,nh->n", agg, params.head_w[target_skills, :hd])
+    logit += params.head_b[target_skills]
+    return logit
 
 
 def ldexp_scale_rows(x, e, ball):

@@ -27,6 +27,7 @@ from grad_oracle import (
     numeric_gradients,
 )
 import reference_impl
+from memory_probe import MemoryProbe
 from reference_impl import (
     attend_history,
     build_embeddings,
@@ -452,8 +453,10 @@ class TestPrefixSumAttention:
         return p
 
     def compare(self, monkeypatch, p):
+        """Checks the pass against the oracle; returns the attention scores l_j."""
         _, batch = random_batch(30, lengths=self.LENGTHS)
         trace, loss = model.forward(p, batch)
+        scores = trace.attn_hidden @ p.attn_u  # backward gives up attn_hidden
         grads = model.backward(p, trace)
         with monkeypatch.context() as m:
             m.setattr(reference_impl, "padded_attention_forward", loop_attention_forward)
@@ -471,7 +474,7 @@ class TestPrefixSumAttention:
         for name, got, want in pairs:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
-        return trace
+        return scores
 
     @pytest.mark.parametrize("large_logits", [False, True])
     def test_matches_loop_oracle(self, monkeypatch, large_logits):
@@ -480,9 +483,8 @@ class TestPrefixSumAttention:
             # ||attn_u||_1 ~ 205, inside the documented < 350 range.
             p.attn_w *= 20.0
             p.attn_u *= 120.0
-        trace = self.compare(monkeypatch, p)
+        seen = self.compare(monkeypatch, p)
         if large_logits:
-            seen = trace.attn_hidden @ p.attn_u
             assert seen.max() >= 100.0 and seen.min() <= -100.0
 
     def test_matches_loop_oracle_beyond_documented_range(self, monkeypatch):
@@ -732,9 +734,10 @@ class TestFewerCallsPerStep:
     def outputs(p, batch, attention, embeddings):
         shift, _ = shifted_inputs(p, batch, embeddings, seed=60)
         trace, loss = model.forward(p, batch, attention, embeddings=shift)
-        grads = model.backward(p, trace)
         out = {"loss": np.array(loss), "pred": trace.pred, "agg_hidden": trace.agg_hidden,
-               "attn_norm": trace.attn_norm, "gate_grads": grads.gate_grads}
+               "attn_norm": trace.attn_norm}
+        grads = model.backward(p, trace)  # gives up the trace's aggregate
+        out["gate_grads"] = grads.gate_grads
         out.update(grads.params)
         return out
 
@@ -753,14 +756,53 @@ class TestFewerCallsPerStep:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_prefix_sums_match_running_walk(self, reverse):
-        # Rows of lengths 9, 8, ..., 2: one row ends at every step.
+    def test_prefix_sums_match_running_walk(self, monkeypatch, reverse):
+        # Rows of lengths 9, 8, ..., 2: one row ends at every step. Every
+        # fourth value is -0.0, among them first terms of sums, which a
+        # running sum from zero turns into +0.0.
         _, starts = model.pack_cells(np.arange(9, 1, -1))
         x = Rng(61).split("x").normal(size=(starts[-1], 3))
-        for values in (x, np.ascontiguousarray(x[:, 0])):
-            got = model._prefix_sums(values, starts, reverse)
-            want = reference_impl.running_prefix_sums(values, starts, reverse)
-            np.testing.assert_array_equal(got, want)
+        x[::4] = -0.0
+        for row_block in (2048, 3):  # 3: the sums move a step in blocks of rows
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+            for values in (x.copy(), np.ascontiguousarray(x[:, 0])):
+                want = reference_impl.running_prefix_sums(values, starts, reverse)
+                got = model._prefix_sums(values, starts, reverse)
+                assert got is values  # the sums are written over x
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestAttentionInOneBuffer:
+    """Attention with one [N, H] buffer per direction, and the head a block of
+    targets at a time, against the whole-array code they replaced."""
+
+    @pytest.mark.parametrize("row_block", [None, 3, 7])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
+    @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
+    @pytest.mark.parametrize("lengths", TestFewerCallsPerStep.LENGTHS)
+    def test_bit_identical_to_whole_array_code(self, monkeypatch, lengths, attention, embeddings, row_block):
+        # Blocks of 3 and 7 rows cross step boundaries; N = 1996 (all_500)
+        # and 499 (single_row) leave one row over, which joins the block before.
+        if row_block:
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+        _, batch = random_batch(60, lengths=TestFewerCallsPerStep.LENGTHS[lengths])
+        p = tiny_params(seed=60, hidden_dim=8, attn_dim=5)
+        got = TestFewerCallsPerStep.outputs(p, batch, attention, embeddings)
+        monkeypatch.setattr(model, "_attention_forward", reference_impl.whole_array_attention_forward)
+        monkeypatch.setattr(model, "_attention_backward", reference_impl.whole_array_attention_backward)
+        monkeypatch.setattr(model, "_head_logit", reference_impl.whole_array_head_logit)
+        want = TestFewerCallsPerStep.outputs(p, batch, attention, embeddings)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
+    def test_row_blocks_leave_no_lone_row(self, monkeypatch, n):
+        monkeypatch.setattr(model, "_ROW_BLOCK", 3)
+        blocks = model._row_blocks(n)
+        assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+        assert all(block.stop - block.start > 1 for block in blocks) or n == 1
 
 
 class TestSegmentSum:
@@ -826,12 +868,16 @@ class TestGateGradientsOverActivations:
     def test_a_trace_serves_one_backward_pass(self):
         _, batch = random_batch(81)
         p = tiny_params(seed=81)
-        trace, _ = model.forward(p, batch)
-        gates = trace.gates
-        grads = model.backward(p, trace)
-        assert grads.gate_grads is gates and trace.gates is None
-        with pytest.raises(ValueError, match="already been used by a backward pass"):
-            model.backward(p, trace)
+        for attention in (True, False):
+            trace, _ = model.forward(p, batch, attention)
+            gates = trace.gates
+            grads = model.backward(p, trace)
+            assert grads.gate_grads is gates and trace.gates is None
+            assert trace.agg_hidden is None and trace.attn_hidden is None
+            with pytest.raises(ValueError, match="already been used by a backward pass"):
+                model.backward(p, trace)
+            with pytest.raises(ValueError, match="backward gives up its aggregate"):
+                model.skill_probs(p, trace)
 
 
 def shifted_inputs(params, batch, embeddings, seed):
@@ -852,25 +898,36 @@ class TestMemory:
     """tracemalloc peaks with the reference dimensions; each bound is the
     measured peak plus 10%.
 
-    Of one pass at 24 x 200: the forward peaks at 27.11 MB. Projecting each
+    Of one pass at 24 x 200: the forward peaks at 25.49 MB. Projecting each
     (response, skill) pair once builds no [n, B, d_in] embedding, which took
-    the peak from 48.0 MB; applying the head row's halves one at a time, with
-    no [N, 2H] composite, took it from 35.82 MB. The backward peaks 12.46 MB
-    above its trace: keeping the gate gradients and building the input
-    gradient only for FGSM took it from 39.2 MB to 19.41 MB, and writing the
-    gate gradients over the activations, with the head gradients summed
-    straight from the trace, took it to 12.46 MB.
+    the peak from 48.0 to 35.82 MB; applying the head row's halves one at a
+    time, with no [N, 2H] composite, to 27.11 MB; building attention's
+    aggregate in one buffer and gathering the head rows a block at a time,
+    to 25.49 MB.
+    The backward peaks 6.63 MB above its trace: keeping the gate gradients
+    and building the input gradient only for FGSM took it from 39.2 MB to
+    19.41 MB; writing the gate gradients over the activations, with the head
+    gradients summed straight from the trace, to 12.46 MB; and attention's
+    backward in one [N, H] buffer, which becomes dh, to 6.63 MB.
 
     Of one adversarial training step at 24 x 500, the shapes of the
-    train-adv-long benchmark: 113.65 MB. Taking FGSM and the adversarial pass
+    train-adv-long benchmark: 94.30 MB. Taking FGSM and the adversarial pass
     from the gate gradients, with no [n, B, d_in] array, brought the peak
     from 131.26 to 128.33 MB; one [N, 4H] buffer carrying the clean gates,
-    then dz, then FGSM's direction brought it to 113.65 MB.
+    then dz, then FGSM's direction, to 113.65 MB; attention with one [N, H]
+    buffer per direction, to 94.30 MB.
     """
 
-    FORWARD_PEAK_MB = 29.8
-    BACKWARD_PEAK_MB = 13.7
-    ADVERSARIAL_STEP_PEAK_MB = 125.0
+    FORWARD_PEAK_MB = 28.1
+    BACKWARD_PEAK_MB = 7.3
+    ADVERSARIAL_STEP_PEAK_MB = 104.0
+
+    @staticmethod
+    def adversarial_step():
+        ds = generate_synthetic(24, 110, 500, learn_rate=0.1, guess=0.25, slip=0.1, seed=18)
+        batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
+        p = init_params(ds.num_skills, 256, 96, 80, 80, Rng(18).split("init"))
+        return p, batch, TrainConfig(beta=0.2, epsilon=10.0)
 
     def test_forward_and_backward_peaks(self):
         ds = generate_synthetic(24, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)
@@ -890,10 +947,7 @@ class TestMemory:
         assert backward_peak <= self.BACKWARD_PEAK_MB * 2**20, backward_peak / 2**20
 
     def test_adversarial_step_peak(self):
-        ds = generate_synthetic(24, 110, 500, learn_rate=0.1, guess=0.25, slip=0.1, seed=18)
-        batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
-        p = init_params(ds.num_skills, 256, 96, 80, 80, Rng(18).split("init"))
-        cfg = TrainConfig(beta=0.2, epsilon=10.0)
+        p, batch, cfg = self.adversarial_step()
         tracemalloc.start()
         try:
             training.train_batch(p, batch, cfg, run_adversarial=True)
@@ -901,6 +955,29 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.ADVERSARIAL_STEP_PEAK_MB * 2**20, peak / 2**20
+
+    def test_attention_holds_one_hidden_sized_array_per_direction(self):
+        # Both passes of the step. The forward allocates its outputs and
+        # besides them at most one row block and a few [N] index vectors:
+        # no [N, H] array of a_j h_j or of the numerators beside the
+        # aggregate. The backward gives up the aggregate before it builds
+        # dh, and holds no [N, H] array beside dh: at its peak it is no more
+        # than dh above its start.
+        p, batch, cfg = self.adversarial_step()
+        with MemoryProbe(model, ["_attention_forward", "_attention_backward"]) as probe:
+            training.train_batch(p, batch, cfg, run_adversarial=True)
+        block = model._ROW_BLOCK * p.hidden_dim * 8
+        n_valid = int(np.sum(batch.seq_lens - 1))
+        vectors = 8 * n_valid * 8
+        assert n_valid * p.hidden_dim * 8 > 2 * block + vectors  # an [N, H] array outweighs them
+        assert [c.name for c in probe.calls] == ["_attention_forward", "_attention_backward"] * 2
+        for call in probe.calls:
+            above = call.peak - call.start
+            if call.name == "_attention_forward":
+                assert above <= call.returned + block + vectors, (above, call.returned)
+            else:
+                assert call.returned == n_valid * p.hidden_dim * 8  # dh
+                assert above <= call.returned, (above, call.returned)
 
 
 class TestCheckpoint:

@@ -509,13 +509,15 @@ class TestTrainBatch:
         def run():
             shift = shift_for_direction(params, batch, direction)[0] if embeddings == "shifted" else None
             trace, loss = model.forward(params, batch, embeddings=shift)
-            return trace, loss, model.backward(params, trace)
+            agg = trace.agg_hidden  # backward gives it up
+            return trace, agg, loss, model.backward(params, trace)
 
-        trace, loss, grads = run()
+        trace, agg, loss, grads = run()
         monkeypatch.setattr(model, "_attention_forward", masked_attention_forward)
-        want_trace, want_loss, want_grads = run()
+        want_trace, want_agg, want_loss, want_grads = run()
         assert loss == want_loss
-        for name in ("pred", "agg_hidden", "attn_norm"):
+        np.testing.assert_array_equal(agg, want_agg)
+        for name in ("pred", "attn_norm"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(want_trace, name), err_msg=name)
         np.testing.assert_array_equal(grads.gate_grads, want_grads.gate_grads)
         for name in model.PARAM_NAMES:
@@ -530,7 +532,7 @@ class TestTrainBatch:
         # before FGSM, so the adversarial pass reuses the clean pass's memory.
         # Its trace holds one array more, that direction, which lstm_w's
         # gradient reads after the time loop. At these shapes the step peaks
-        # at 14.23 MB, below the 14.52 MB of the dense e + r step.
+        # at 12.49 MB (clean 8.89 MB), below the 14.52 MB of the dense e + r step.
         ds = generate_synthetic(24, 50, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=16)
         batch = make_batches(list(ds.sequences), ds.num_skills, batch_size=24, rng=None)[0]
         cfg = TrainConfig(skill_dim=32, resp_dim=16, hidden_dim=24, attn_dim=24, beta=0.5, epsilon=1.0)
@@ -582,3 +584,26 @@ class TestTrainBatch:
         assert np.isfinite(clean_loss) and np.isnan(objective)
         assert calls == []
         assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+class TestEvaluate:
+    def test_holds_one_trace_at_a_time(self):
+        # Each batch's trace is released once its predictions are collected,
+        # so three batches peak where one forward pass does.
+        ds = generate_synthetic(72, 110, 200, learn_rate=0.3, guess=0.25, slip=0.1, seed=17)
+        cfg = TrainConfig()
+        batches = make_batches(list(ds.sequences), ds.num_skills, cfg.batch_size, rng=None)
+        assert len(batches) == 3
+        params = model.init_params(ds.num_skills, 256, 96, 80, 80, Rng(17).split("init"))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_forward = peak(lambda: model.forward(params, batches[0], cfg.attention))
+        evaluating = peak(lambda: training.evaluate(params, list(ds.sequences), cfg, ds.num_skills))
+        assert evaluating <= 1.1 * one_forward, (evaluating / 2**20, one_forward / 2**20)
