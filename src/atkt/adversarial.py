@@ -111,8 +111,8 @@ def fgsm_perturbation(
     # run: one product over all N rows leaves BLAS's packing buffer resident.
     gram = w @ w.T
     dz_g = np.empty_like(dz)
-    for lo in range(0, len(dz), model._ROW_BLOCK):
-        np.matmul(dz[lo : lo + model._ROW_BLOCK], gram, out=dz_g[lo : lo + model._ROW_BLOCK])
+    for block in model._row_blocks(len(dz)):
+        np.matmul(dz[block], gram, out=dz_g[block])
     cell_sq = np.einsum("ij,ij->i", dz_g, dz)  # ||dz w||^2 per cell
     sq_norms = np.bincount(ball, weights=cell_sq, minlength=balls)
     # Rounding bound, with u = 2**-53: each cell's form is off by at most

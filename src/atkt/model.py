@@ -76,13 +76,16 @@ segment sums, per target skill and per (response, skill) of the consumed
 interactions, read straight from the trace and dz.
 
 Beyond the trace, each direction of attention holds one [N, H] array and
-row-block temporaries. The forward's aggregate buffer holds a_j h_j, then
-its prefix sums, walked in place, then their ratio to D_k. The backward
-reads -dD from the aggregate a row block at a time and gives the aggregate
-up; one buffer then holds dagg, its reverse prefix sums and, scaled by a
-and with the head's hidden half and dpre @ attn_w added a block at a time,
-the dh the time loop reads. dpre is written over the trace's projection u.
-The head's gathered rows are read a block at a time in both directions.
+row-block temporaries. The projection u = tanh(h attn_w^T + attn_b) is not
+kept: the forward takes the scores from it a row block at a time, and the
+backward recomputes it in the same blocks (activation recomputation, Chen
+et al. 2016). The forward's aggregate buffer holds a_j h_j, then its prefix
+sums, walked in place, then their ratio to D_k. The backward reads -dD from
+the aggregate a row block at a time and gives the aggregate up; one buffer
+then holds dagg, its reverse prefix sums and, scaled by a and with the
+head's hidden half and dpre @ attn_w added a block at a time, the dh the
+time loop reads. The head's gathered rows are read a block at a time in
+both directions.
 """
 
 from __future__ import annotations
@@ -170,8 +173,13 @@ class ModelParams:
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.named_arrays()})
+    def copy(self, out: "ModelParams | None" = None) -> "ModelParams":
+        """A copy of every array; given ``out``, the arrays are copied into its arrays."""
+        if out is None:
+            return ModelParams(**{name: arr.copy() for name, arr in self.named_arrays()})
+        for (_, dst), (_, src) in zip(out.named_arrays(), self.named_arrays()):
+            np.copyto(dst, src)
+        return out
 
 
 # The checkpoint's array names, in ModelParams' field order.
@@ -215,10 +223,10 @@ class ForwardTrace:
     with flat index ``cells[r]`` = t * B + b (input step t, target t + 1),
     and step t's rows are ``starts[t]:starts[t + 1]``, longest batch row
     first. The head's composite input is not stored: readers take
-    [agg_hidden | hidden] as its two halves. A trace serves one ``backward``,
-    which writes the gate gradients over ``gates`` and attention's dpre over
-    ``attn_hidden`` and gives up both, and ``agg_hidden``, setting them to
-    None; ``skill_probs`` needs the trace before that.
+    [agg_hidden | hidden] as its two halves, and attention's projection u is
+    recomputed from ``hidden``. A trace serves one ``backward``, which writes
+    the gate gradients over ``gates`` and gives it up, and ``agg_hidden``,
+    setting both to None; ``skill_probs`` needs the trace before that.
     """
 
     shift: InputShift | None  # the perturbation of the input embeddings, if one was given
@@ -227,7 +235,6 @@ class ForwardTrace:
     cells: np.ndarray  # int64 [N]
     starts: np.ndarray  # int64 [n + 1]
     hidden: np.ndarray  # [N, H]
-    attn_hidden: np.ndarray | None  # [N, attn_dim]; None with attention off or after backward
     # a_j = exp(l_j - the row's largest l), and each target's normaliser D_k.
     # Target k's window weights are its row's earlier attn_exp over its
     # attn_norm, so no window reads a row's last a_j.
@@ -455,17 +462,17 @@ def forward(
     else:
         gates, embeddings.projection = embeddings.projection, None
         np.negative(gates, out=gates)
-        for lo in range(0, len(cells), _ROW_BLOCK):
-            block = gates[lo : lo + _ROW_BLOCK]
-            block += proj[pair_of_cell[lo : lo + _ROW_BLOCK]]
+        for block in _row_blocks(len(cells)):
+            shifted = gates[block]
+            shifted += proj[pair_of_cell[block]]
     cell = np.empty((len(cells), hd), dtype=FLOAT)
     hidden = np.empty((len(cells), hd), dtype=FLOAT)
     _recurrence(gates, cell, hidden, starts, params.lstm_u)
 
     steps, rows = np.divmod(cells, b)
-    attn_hidden = attn_exp = attn_norm = None
+    attn_exp = attn_norm = None
     if attention_enabled:
-        attn_hidden, attn_exp, attn_norm, agg = _attention_forward(params, hidden, starts, rows)
+        attn_exp, attn_norm, agg = _attention_forward(params, hidden, starts, rows)
     else:
         agg = np.zeros_like(hidden)
 
@@ -489,7 +496,6 @@ def forward(
         cells=cells,
         starts=starts,
         hidden=hidden,
-        attn_hidden=attn_hidden,
         attn_exp=attn_exp,
         attn_norm=attn_norm,
         agg_hidden=agg,
@@ -548,9 +554,8 @@ def skill_probs(params: ModelParams, trace: ForwardTrace) -> np.ndarray:
 def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
     """Exact gradients of the traced batch's loss for all parameters, and its gate gradients.
 
-    The gate gradients are written over the trace's gate activations, and
-    attention's pre-activation gradients dpre over its projection; the trace
-    gives up both, and its aggregate: a trace serves one backward pass.
+    The gate gradients are written over the trace's gate activations; the
+    trace gives them up, and its aggregate: a trace serves one backward pass.
     """
     gates = trace.gates
     if gates is None:
@@ -649,18 +654,17 @@ def backward(params: ModelParams, trace: ForwardTrace) -> GradientSet:
 
 
 def _gathered_outer(left: np.ndarray, right: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Adds left.T @ right[rows] to ``out``, gathering at most ``_ROW_BLOCK`` rows at a time."""
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
+    """Adds left.T @ right[rows] to ``out``, gathering a row block at a time."""
+    for block in _row_blocks(len(rows)):
         out += left[block].T @ right[rows[block]]
 
 
 def _segment_sum(keys: np.ndarray, values: np.ndarray, weights: np.ndarray | None = None):
     """Sums of the rows of ``values`` per key: (ascending distinct keys, sums).
 
-    The rows are gathered in stable key order, at most ``_ROW_BLOCK`` at a
-    time, each multiplied by its entry of ``weights`` if given (``values``
-    then a matrix), and each run of equal keys is summed with
+    The rows are gathered in stable key order, a row block at a time into
+    one block buffer, each multiplied by its entry of ``weights`` if given
+    (``values`` then a matrix), and each run of equal keys is summed with
     ``np.add.reduceat``; no sorted or weighted copy of all the rows is made
     at once.
     """
@@ -670,11 +674,12 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray, weights: np.ndarray | Non
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     segment = np.cumsum(first) - 1
     sums = np.zeros((int(first.sum()),) + values.shape[1:], dtype=FLOAT)
-    for lo in range(0, len(keys), _ROW_BLOCK):
-        seg = segment[lo : lo + _ROW_BLOCK]
+    buf = np.empty((min(len(keys), _ROW_BLOCK + 1),) + values.shape[1:], dtype=FLOAT)
+    for block_rows in _row_blocks(len(keys)):
+        seg = segment[block_rows]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        rows = order[lo : lo + _ROW_BLOCK]
-        block = values[rows]
+        rows = order[block_rows]
+        block = np.take(values, rows, axis=0, out=buf[: len(rows)], mode="clip")  # "clip" writes unbuffered
         if weights is not None:
             block *= weights[rows, None]
         # A block's segments are consecutive, and its first may have begun
@@ -683,24 +688,40 @@ def _segment_sum(keys: np.ndarray, values: np.ndarray, weights: np.ndarray | Non
     return keys[first], sums
 
 
+def _attention_projection(params, hidden, block, out) -> np.ndarray:
+    """u = tanh(h attn_w^T + attn_b) of the rows ``block`` of ``hidden``, in ``out``'s first rows.
+
+    Both directions compute u in the same row blocks, so the backward's u is
+    bit for bit the forward's, and neither holds it for all rows.
+    """
+    u = out[: block.stop - block.start]
+    np.matmul(hidden[block], params.attn_w.T, out=u)
+    u += params.attn_b
+    return np.tanh(u, out=u)
+
+
 def _attention_forward(params, hidden, starts, rows):
-    """Returns (attn_hidden, attn_exp, attn_norm, agg); see forward.
+    """Returns (attn_exp, attn_norm, agg); see forward.
 
     The exclusive prefix sums alone pick each window's states. A window past
     step 0 whose exponentials all underflow has D_k = 0 and gets a NaN
-    aggregate, which the loss carries to every caller. One [N, H] buffer
-    holds a_j h_j, then the numerators N_k, then the aggregates N_k / D_k.
+    aggregate, which the loss carries to every caller. The scores l_j are
+    taken a row block at a time through one block buffer for the projection
+    u, which is not kept. One [N, H] buffer holds a_j h_j, then the
+    numerators N_k, then the aggregates N_k / D_k.
     """
-    attn_hidden = hidden @ params.attn_w.T
-    attn_hidden += params.attn_b
-    np.tanh(attn_hidden, out=attn_hidden)
-    logits = attn_hidden @ params.attn_u  # l_j
+    u_buf = np.empty((min(len(hidden), _ROW_BLOCK + 1), params.attn_dim), dtype=FLOAT)
+    logits = np.empty(len(hidden), dtype=FLOAT)  # l_j
+    for block in _row_blocks(len(hidden)):
+        np.matmul(_attention_projection(params, hidden, block, u_buf), params.attn_u, out=logits[block])
+    del u_buf  # so that it is not alive beside the aggregate
     # |l_j| <= ||attn_u||_1 because tanh is bounded, so after subtracting the
     # row's largest score every a_j >= exp(-2 ||attn_u||_1) stays a normal
     # float64 (and 1/D_k finite) while ||attn_u||_1 < 350.
     peak = np.full(starts[1], -np.inf)  # step 0 has every batch row
     np.maximum.at(peak, rows, logits)
-    attn_exp = np.exp(logits - peak[rows])
+    logits -= peak[rows]
+    attn_exp = np.exp(logits, out=logits)
     attn_norm = _prefix_sums(attn_exp.copy(), starts)
     agg = _prefix_sums(np.multiply(attn_exp[:, None], hidden), starts)
     # Step 0's windows are empty and keep their zero sums. Past it, an empty
@@ -708,18 +729,18 @@ def _attention_forward(params, hidden, starts, rows):
     first = starts[1]
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(agg[first:], attn_norm[first:, None], out=agg[first:])
-    return attn_hidden, attn_exp, attn_norm, agg
+    return attn_exp, attn_norm, agg
 
 
 def _attention_backward(params, trace, dlogit, grads) -> np.ndarray:
     """Attention's parameter gradients, and dh: the loss's gradient w.r.t. each hidden state.
 
-    The trace gives up its aggregate once -dD has been read from it, and its
-    projection u = attn_hidden, which dpre is written over. One [N, H]
-    buffer holds dagg, then dN, then the sums of dN over each row's later
-    steps, then dh: the head's hidden-half term and dpre @ attn_w are added
-    a row block at a time, each row's terms in the order of the sum
-    head + attention + projection.
+    The trace gives up its aggregate once -dD has been read from it. One
+    [N, H] buffer holds dagg, then dN, then the sums of dN over each row's
+    later steps, then dh. The projection u is recomputed a row block at a
+    time, and each block adds its share of attention's weight gradients and
+    its rows of dh: the head's hidden-half term and dpre @ attn_w, each
+    row's terms in the order of the sum head + attention + projection.
     """
     # The aggregate is the head input's first half. Through agg_k = N_k / D_k:
     # dN_k = dagg_k / D_k and dD_k = -(dagg_k . agg_k) / D_k. State j enters
@@ -746,19 +767,20 @@ def _attention_backward(params, trace, dlogit, grads) -> np.ndarray:
     dlogits -= neg_dnorm_after
     dlogits *= a
     dh *= a[:, None]
-    u, trace.attn_hidden = trace.attn_hidden, None
-    grads["attn_u"] += dlogits @ u
-    dpre = np.multiply(u, u, out=u)
-    np.subtract(1.0, dpre, out=dpre)
-    dpre *= params.attn_u
-    dpre *= dlogits[:, None]
-    grads["attn_w"] += dpre.T @ trace.hidden
-    grads["attn_b"] += dpre.sum(axis=0)
+    u_buf = np.empty((min(len(skills), _ROW_BLOCK + 1), params.attn_dim), dtype=FLOAT)
     for block in _row_blocks(len(skills)):
+        u = _attention_projection(params, trace.hidden, block, u_buf)
+        grads["attn_u"] += dlogits[block] @ u
+        dpre = np.multiply(u, u, out=u)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= params.attn_u
+        dpre *= dlogits[block, None]
+        grads["attn_w"] += dpre.T @ trace.hidden[block]
+        grads["attn_b"] += dpre.sum(axis=0)
         head_term = params.head_w[skills[block], hd:]
         head_term *= dlogit[block, None]
         dh[block] += head_term
-        dh[block] += dpre[block] @ params.attn_w
+        dh[block] += dpre @ params.attn_w
     return dh
 
 

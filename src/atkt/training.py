@@ -307,7 +307,8 @@ def train_batch(
     del trace  # its gate buffer now holds the gate gradients; FGSM reads only them
     if not math.isfinite(clean_loss):
         return clean_loss, math.nan, grads
-    if not np.all(np.isfinite(clean.gate_grads)):
+    # NaN and +-inf survive max and min, which build no copy of dz.
+    if not (math.isfinite(clean.gate_grads.max()) and math.isfinite(clean.gate_grads.min())):
         return clean_loss, math.nan, grads
     # FGSM scales the gate gradients in place into its direction, which the
     # adversarial pass keeps; only the clean parameter gradients outlive the
@@ -359,7 +360,11 @@ def train(
     state = AdamState.for_params(params)
     record = RunRecord()
     best_loss_epoch = -1
+    # The two snapshots are copied into in place. After an epoch that set the
+    # best AUC, the last good state is the best one; after any other epoch it
+    # goes to a second buffer, made the first time it is needed.
     best_params = params.copy()
+    spare: ModelParams | None = None
     last_good: ModelParams | None = None
 
     for epoch in range(config.max_epochs):
@@ -383,12 +388,13 @@ def train(
         val_loss, val_auc, _ = evaluate(params, val_seqs, config, dataset.num_skills)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch, last_good)
-        last_good = params.copy()
         record.epochs.append(EpochStats(epoch, train_loss, val_loss, val_auc, lr))
         if val_auc > record.best_val_auc:
             record.best_val_auc = val_auc
             record.best_epoch = epoch
-            best_params = params.copy()
+            last_good = params.copy(out=best_params)
+        else:
+            last_good = spare = params.copy(out=spare)
         if val_loss < record.best_val_loss:
             record.best_val_loss = val_loss
             best_loss_epoch = epoch

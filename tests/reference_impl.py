@@ -36,6 +36,10 @@ built in one [N, 2H + 1] array; ``composite_head_logit`` and
 ``whole_array_head_logit`` are the same three as they were before each
 direction of attention worked in one [N, H] buffer and the head read its
 rows a block at a time, drop-in replacements for them;
+``StoredProjectionAttention`` holds ``model._attention_forward`` and
+``model._attention_backward`` as they were while the trace kept attention's
+projection u, as a drop-in pair; the oracles that read u from that trace
+now recompute it from the hidden states;
 ``ldexp_scale_rows`` is FGSM's scaling by powers of two as ``np.ldexp``;
 ``two_branch_fgsm`` is the FGSM scaling with one code path per scope.
 The dense adversarial path, as ``src`` ran it before FGSM worked from the
@@ -376,8 +380,7 @@ def masked_attention_forward(params, hidden, starts, rows):
     """
     steps = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     seq_lens = np.bincount(rows, minlength=starts[1]) + 1
-    attn_hidden = np.tanh(hidden @ params.attn_w.T + params.attn_b)
-    logits = attn_hidden @ params.attn_u
+    logits = np.tanh(hidden @ params.attn_w.T + params.attn_b) @ params.attn_u
     peak = np.full(len(seq_lens), -np.inf)
     np.maximum.at(peak, rows, logits)
     attn_exp = np.where(steps < seq_lens[rows] - 2, np.exp(logits - peak[rows]), 0.0)
@@ -386,7 +389,7 @@ def masked_attention_forward(params, hidden, starts, rows):
     agg = np.full_like(numer, np.nan)
     agg[: starts[1]] = 0.0
     np.divide(numer, attn_norm[:, None], out=agg, where=attn_norm[:, None] > 0)
-    return attn_hidden, attn_exp, attn_norm, agg
+    return attn_exp, attn_norm, agg
 
 
 def running_prefix_sums(x, starts, reverse=False):
@@ -439,7 +442,7 @@ def carried_segment_sum(keys, values):
     """``model._segment_sum`` as it was with a carry: each block's sums are
     written over their rows of ``sums``, and the part of the block's first
     segment that the block before had summed is copied aside and added back.
-    It reads ``model._ROW_BLOCK`` at each call.
+    It takes the same row blocks, ``model._row_blocks``, at each call.
     """
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -447,13 +450,12 @@ def carried_segment_sum(keys, values):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     segment = np.cumsum(first) - 1
     sums = np.zeros((int(first.sum()),) + values.shape[1:], dtype=FLOAT)
-    row_block = model._ROW_BLOCK
-    for lo in range(0, len(keys), row_block):
-        seg = segment[lo : lo + row_block]
+    for rows in model._row_blocks(len(keys)):
+        seg = segment[rows]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
         carry = sums[seg[0]].copy()
         block = sums[seg[0] : seg[0] + len(starts)]
-        np.add.reduceat(values[order[lo : lo + row_block]], starts, axis=0, out=block)
+        np.add.reduceat(values[order[rows]], starts, axis=0, out=block)
         block[0] += carry
     return keys[first], sums
 
@@ -567,7 +569,7 @@ def buffered_attention_backward(params, trace, dlogit, grads):
     a = trace.attn_exp
     dhidden += a[:, None] * dnumer_after
     dlogits = a * (np.sum(trace.hidden * dnumer_after, axis=1) + dnorm_sum)
-    u = trace.attn_hidden
+    u = np.tanh(trace.hidden @ params.attn_w.T + params.attn_b)
     grads["attn_u"] += dlogits @ u
     dpre = dlogits[:, None] * params.attn_u
     dpre *= 1.0 - u * u
@@ -580,7 +582,8 @@ def buffered_attention_backward(params, trace, dlogit, grads):
 def whole_array_attention_forward(params, hidden, starts, rows):
     """``model._attention_forward`` as it was before it built the aggregate in
     one buffer: a_j h_j, its prefix sums and their ratio to D_k are three
-    [N, H] arrays, two of them alive at once.
+    [N, H] arrays, two of them alive at once. The projection is taken over
+    all rows at once.
     """
     attn_hidden = hidden @ params.attn_w.T
     attn_hidden += params.attn_b
@@ -594,14 +597,15 @@ def whole_array_attention_forward(params, hidden, starts, rows):
     with np.errstate(invalid="ignore", divide="ignore"):
         agg = np.divide(numer, attn_norm[:, None])
     agg[: starts[1]] = 0.0
-    return attn_hidden, attn_exp, attn_norm, agg
+    return attn_exp, attn_norm, agg
 
 
 def whole_array_attention_backward(params, trace, dlogit, grads):
     """``model._attention_backward`` as it was before it worked in one [N, H]
     buffer: dN and its reverse prefix sums are two arrays, dpre and
     dpre @ attn_w two more, the head's term is gathered for all targets at
-    once, and the trace keeps its aggregate and projection. Returns dh.
+    once, and the trace keeps its aggregate. The projection is recomputed
+    over all rows at once, as the forward took it. Returns dh.
     """
     hd = params.hidden_dim
     dhidden = params.head_w[trace.target_skills, hd:]
@@ -620,7 +624,9 @@ def whole_array_attention_backward(params, trace, dlogit, grads):
     dlogits *= a
     dnumer_after *= a[:, None]
     dhidden += dnumer_after
-    u = trace.attn_hidden
+    u = trace.hidden @ params.attn_w.T
+    u += params.attn_b
+    np.tanh(u, out=u)
     grads["attn_u"] += dlogits @ u
     dpre = np.multiply(u, u)
     np.subtract(1.0, dpre, out=dpre)
@@ -630,6 +636,74 @@ def whole_array_attention_backward(params, trace, dlogit, grads):
     grads["attn_b"] += dpre.sum(axis=0)
     dhidden += dpre @ params.attn_w
     return dhidden
+
+
+class StoredProjectionAttention:
+    """``model._attention_forward`` and ``model._attention_backward`` as they
+    were while the trace kept attention's projection u = tanh(h attn_w^T + attn_b).
+
+    ``forward`` computes u for all rows at once and keeps it, here keyed by
+    the hidden-state array it was taken from (the trace's ``hidden``), and
+    ``backward`` reads it back, takes attention's weight gradients as
+    products over all rows and writes dpre over u. Patch both methods in
+    together, in place of the model's two.
+    """
+
+    def __init__(self):
+        self.projections = {}
+
+    def forward(self, params, hidden, starts, rows):
+        attn_hidden = hidden @ params.attn_w.T
+        attn_hidden += params.attn_b
+        np.tanh(attn_hidden, out=attn_hidden)
+        self.projections[id(hidden)] = attn_hidden
+        logits = attn_hidden @ params.attn_u
+        peak = np.full(starts[1], -np.inf)
+        np.maximum.at(peak, rows, logits)
+        attn_exp = np.exp(logits - peak[rows])
+        attn_norm = model._prefix_sums(attn_exp.copy(), starts)
+        agg = model._prefix_sums(np.multiply(attn_exp[:, None], hidden), starts)
+        first = starts[1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(agg[first:], attn_norm[first:, None], out=agg[first:])
+        return attn_exp, attn_norm, agg
+
+    def backward(self, params, trace, dlogit, grads):
+        hd = params.hidden_dim
+        skills, starts, norm = trace.target_skills, trace.starts, trace.attn_norm
+        first = starts[1]
+        neg_dnorm = np.zeros(len(skills), dtype=FLOAT)
+        for block in model._row_blocks(len(skills), first):
+            dnumer = params.head_w[skills[block], :hd]
+            dnumer *= dlogit[block, None]
+            dnumer /= norm[block, None]
+            np.einsum("nh,nh->n", dnumer, trace.agg_hidden[block], out=neg_dnorm[block])
+        trace.agg_hidden = dnumer = None
+        dh = params.head_w[skills, :hd]
+        dh *= dlogit[:, None]
+        dh[:first] = 0.0
+        np.divide(dh[first:], norm[first:, None], out=dh[first:])
+        dh = model._prefix_sums(dh, starts, reverse=True)
+        neg_dnorm_after = model._prefix_sums(neg_dnorm, starts, reverse=True)
+        a = trace.attn_exp
+        dlogits = np.einsum("nh,nh->n", trace.hidden, dh)
+        dlogits -= neg_dnorm_after
+        dlogits *= a
+        dh *= a[:, None]
+        u = self.projections.pop(id(trace.hidden))
+        grads["attn_u"] += dlogits @ u
+        dpre = np.multiply(u, u, out=u)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= params.attn_u
+        dpre *= dlogits[:, None]
+        grads["attn_w"] += dpre.T @ trace.hidden
+        grads["attn_b"] += dpre.sum(axis=0)
+        for block in model._row_blocks(len(skills)):
+            head_term = params.head_w[skills[block], hd:]
+            head_term *= dlogit[block, None]
+            dh[block] += head_term
+            dh[block] += dpre[block] @ params.attn_w
+        return dh
 
 
 def whole_array_head_logit(params, hidden, agg, target_skills, attention_enabled):

@@ -205,6 +205,19 @@ class TestFgsm:
         direct = np.sum((dz[ball] @ w) ** 2)
         assert not abs(3.0 * np.sqrt(max(form, 0.0) / direct) - 3.0) <= 1e-9
 
+    @pytest.mark.parametrize("scope", FGSM_SCOPES)
+    def test_projection_rows_match_one_unblocked_product(self, monkeypatch, scope):
+        # 25 cells in blocks of 3 or 8 leave one row over. It joins the block
+        # before: alone, its dz G would take BLAS's matrix-vector path, which
+        # sums in another order.
+        dz, w, batch = fgsm_case(12, n=5, b=5, gates=32, d_in=20)
+        monkeypatch.setattr(model, "_ROW_BLOCK", len(dz))
+        want = fgsm_perturbation(dz.copy(), w, batch, epsilon=3.0, scope=scope).shift.projection
+        for row_block in (3, 8):
+            monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
+            got = fgsm_perturbation(dz.copy(), w, batch, epsilon=3.0, scope=scope).shift.projection
+            np.testing.assert_array_equal(got, want, err_msg=str(row_block))
+
     def test_rejects_bad_arguments(self):
         dz, w, batch = fgsm_case(10)
         with pytest.raises(ValueError):

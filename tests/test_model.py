@@ -456,7 +456,7 @@ class TestPrefixSumAttention:
         """Checks the pass against the oracle; returns the attention scores l_j."""
         _, batch = random_batch(30, lengths=self.LENGTHS)
         trace, loss = model.forward(p, batch)
-        scores = trace.attn_hidden @ p.attn_u  # backward gives up attn_hidden
+        scores = np.tanh(trace.hidden @ p.attn_w.T + p.attn_b) @ p.attn_u
         grads = model.backward(p, trace)
         with monkeypatch.context() as m:
             m.setattr(reference_impl, "padded_attention_forward", loop_attention_forward)
@@ -774,28 +774,56 @@ class TestFewerCallsPerStep:
 
 
 class TestAttentionInOneBuffer:
-    """Attention with one [N, H] buffer per direction, and the head a block of
-    targets at a time, against the whole-array code they replaced."""
+    """Attention with one [N, H] buffer per direction and its projection
+    recomputed a row block at a time, and the head a block of targets at a
+    time, against the code they replaced."""
 
-    @pytest.mark.parametrize("row_block", [None, 3, 7])
-    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
-    @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
-    @pytest.mark.parametrize("lengths", TestFewerCallsPerStep.LENGTHS)
-    def test_bit_identical_to_whole_array_code(self, monkeypatch, lengths, attention, embeddings, row_block):
+    # Attention's weight gradients are sums over all rows, which the
+    # recomputed projection adds up a row block at a time.
+    BLOCK_SUMMED = ("attn_u", "attn_w", "attn_b")
+
+    def compare(self, monkeypatch, lengths, attention, embeddings, row_block, oracles):
         # Blocks of 3 and 7 rows cross step boundaries; N = 1996 (all_500)
         # and 499 (single_row) leave one row over, which joins the block before.
         if row_block:
             monkeypatch.setattr(model, "_ROW_BLOCK", row_block)
         _, batch = random_batch(60, lengths=TestFewerCallsPerStep.LENGTHS[lengths])
         p = tiny_params(seed=60, hidden_dim=8, attn_dim=5)
+        p.attn_b[:] = Rng(60).split("attn_b").uniform(-1.0, 1.0, size=p.attn_dim)  # init leaves it 0
         got = TestFewerCallsPerStep.outputs(p, batch, attention, embeddings)
-        monkeypatch.setattr(model, "_attention_forward", reference_impl.whole_array_attention_forward)
-        monkeypatch.setattr(model, "_attention_backward", reference_impl.whole_array_attention_backward)
-        monkeypatch.setattr(model, "_head_logit", reference_impl.whole_array_head_logit)
+        for name, oracle in oracles.items():
+            monkeypatch.setattr(model, name, oracle)
         want = TestFewerCallsPerStep.outputs(p, batch, attention, embeddings)
         assert got.keys() == want.keys()
+        # Over one row block, every output is bit for bit the oracle's.
+        one_block = len(model._row_blocks(len(want["pred"]))) == 1
         for name in want:
-            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+            if name in self.BLOCK_SUMMED and not one_block:
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+            else:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("row_block", [None, 3, 7])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
+    @pytest.mark.parametrize("attention", [True, False], ids=["causal", "off"])
+    @pytest.mark.parametrize("lengths", TestFewerCallsPerStep.LENGTHS)
+    def test_bit_identical_to_whole_array_code(self, monkeypatch, lengths, attention, embeddings, row_block):
+        self.compare(monkeypatch, lengths, attention, embeddings, row_block, {
+            "_attention_forward": reference_impl.whole_array_attention_forward,
+            "_attention_backward": reference_impl.whole_array_attention_backward,
+            "_head_logit": reference_impl.whole_array_head_logit,
+        })
+
+    @pytest.mark.parametrize("row_block", [None, 3, 7])
+    @pytest.mark.parametrize("embeddings", ["clean", "shifted"])
+    @pytest.mark.parametrize("lengths", TestFewerCallsPerStep.LENGTHS)
+    def test_matches_stored_projection_code(self, monkeypatch, lengths, embeddings, row_block):
+        stored = reference_impl.StoredProjectionAttention()
+        self.compare(monkeypatch, lengths, True, embeddings, row_block, {
+            "_attention_forward": stored.forward, "_attention_backward": stored.backward,
+        })
+        assert stored.projections == {}  # every projection kept was read back
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
     def test_row_blocks_leave_no_lone_row(self, monkeypatch, n):
@@ -811,9 +839,10 @@ class TestSegmentSum:
     @staticmethod
     def keys(case, r):
         if case == "single_key":
-            return np.full(3 * r + 1, 5)  # three blocks, then one row
+            return np.full(3 * r + 1, 5)  # three blocks, the last with one row more
         # Sorted, key 3 starts one row into block 0 and spans three blocks, and
-        # keys 4 and 8 cross block boundaries; 4r + 1 rows leave one in the last block.
+        # keys 4 and 8 cross block boundaries; 4r + 1 rows leave one row over,
+        # which joins the last block.
         counts = {1: 1, 3: 2 * r + 1, 4: r + 1, 8: r - 2}
         keys = np.repeat(list(counts), list(counts.values()))
         return Rng(70).split("order").permutation(keys)
@@ -873,7 +902,7 @@ class TestGateGradientsOverActivations:
             gates = trace.gates
             grads = model.backward(p, trace)
             assert grads.gate_grads is gates and trace.gates is None
-            assert trace.agg_hidden is None and trace.attn_hidden is None
+            assert trace.agg_hidden is None
             with pytest.raises(ValueError, match="already been used by a backward pass"):
                 model.backward(p, trace)
             with pytest.raises(ValueError, match="backward gives up its aggregate"):
@@ -898,29 +927,34 @@ class TestMemory:
     """tracemalloc peaks with the reference dimensions; each bound is the
     measured peak plus 10%.
 
-    Of one pass at 24 x 200: the forward peaks at 25.49 MB. Projecting each
+    Of one pass at 24 x 200: the forward peaks at 22.55 MB. Projecting each
     (response, skill) pair once builds no [n, B, d_in] embedding, which took
     the peak from 48.0 to 35.82 MB; applying the head row's halves one at a
     time, with no [N, 2H] composite, to 27.11 MB; building attention's
     aggregate in one buffer and gathering the head rows a block at a time,
-    to 25.49 MB.
-    The backward peaks 6.63 MB above its trace: keeping the gate gradients
+    to 25.49 MB; keeping no [N, attn_dim] projection in the trace, to
+    22.55 MB.
+    The backward peaks 5.47 MB above its trace: keeping the gate gradients
     and building the input gradient only for FGSM took it from 39.2 MB to
     19.41 MB; writing the gate gradients over the activations, with the head
-    gradients summed straight from the trace, to 12.46 MB; and attention's
-    backward in one [N, H] buffer, which becomes dh, to 6.63 MB.
+    gradients summed straight from the trace, to 12.46 MB; attention's
+    backward in one [N, H] buffer, which becomes dh, to 6.63 MB; the
+    segment sums gathering into one block buffer, to 4.22 MB. Recomputing
+    attention's projection a row block at a time then adds one block buffer:
+    5.47 MB above a trace 2.9 MB smaller.
 
     Of one adversarial training step at 24 x 500, the shapes of the
-    train-adv-long benchmark: 94.30 MB. Taking FGSM and the adversarial pass
+    train-adv-long benchmark: 88.07 MB. Taking FGSM and the adversarial pass
     from the gate gradients, with no [n, B, d_in] array, brought the peak
     from 131.26 to 128.33 MB; one [N, 4H] buffer carrying the clean gates,
     then dz, then FGSM's direction, to 113.65 MB; attention with one [N, H]
-    buffer per direction, to 94.30 MB.
+    buffer per direction, to 94.30 MB; attention's projection recomputed a
+    row block at a time in the backward, not kept in the trace, to 88.07 MB.
     """
 
-    FORWARD_PEAK_MB = 28.1
-    BACKWARD_PEAK_MB = 7.3
-    ADVERSARIAL_STEP_PEAK_MB = 104.0
+    FORWARD_PEAK_MB = 24.8
+    BACKWARD_PEAK_MB = 6.0
+    ADVERSARIAL_STEP_PEAK_MB = 96.9
 
     @staticmethod
     def adversarial_step():
@@ -978,6 +1012,23 @@ class TestMemory:
             else:
                 assert call.returned == n_valid * p.hidden_dim * 8  # dh
                 assert above <= call.returned, (above, call.returned)
+
+
+    def test_segment_sum_holds_one_block(self):
+        # Every segment sum of the step gathers its rows into one block
+        # buffer: at its peak it is at most that block, its returned keys and
+        # sums, and a few [N] index vectors above its start. The widest rows
+        # it sums are dz's 4H.
+        p, batch, cfg = self.adversarial_step()
+        with MemoryProbe(model, ["_segment_sum"]) as probe:
+            training.train_batch(p, batch, cfg, run_adversarial=True)
+        block = (model._ROW_BLOCK + 1) * 4 * p.hidden_dim * 8
+        n_valid = int(np.sum(batch.seq_lens - 1))
+        vectors = 8 * n_valid * 8
+        assert n_valid > 2 * model._ROW_BLOCK and block > vectors  # several blocks; a block outweighs them
+        assert len(probe.calls) == 8  # the head's three and dz's per (response, skill), per pass
+        for call in probe.calls:
+            assert call.peak - call.start <= call.returned + block + vectors, (call.peak - call.start, call.returned)
 
 
 class TestCheckpoint:

@@ -250,6 +250,52 @@ class TestTrain:
             train(cfg, ds, split, initial_params=poisoned)
         assert err.value.epoch == 0
 
+    # Scripted validation AUCs: epochs 0 and 2 set the best, 1, 3 and 4 do not.
+    SNAPSHOT_AUCS = (0.6, 0.5, 0.7, 0.55, 0.65)
+
+    def scripted_run(self, monkeypatch, diverge_at=None, how=None):
+        """Trains 5 epochs with ``SNAPSHOT_AUCS`` as the validation AUCs, and a
+        divergence at epoch ``diverge_at``: a NaN objective in its training
+        (``how`` = "objective") or a NaN validation loss at its end
+        ("val_loss"). Returns (the state at each epoch's end, as ``evaluate``
+        saw it; the result, or the DivergenceError raised)."""
+        states = []
+        evaluate, step = training.evaluate, training.train_batch
+
+        def scripted_evaluate(params, *args):
+            states.append(params_bytes(params))
+            loss, _, log = evaluate(params, *args)
+            epoch = len(states) - 1
+            return (np.nan if (epoch, how) == (diverge_at, "val_loss") else loss), self.SNAPSHOT_AUCS[epoch], log
+
+        def scripted_step(*args):
+            clean_loss, objective, grads = step(*args)
+            return clean_loss, (np.nan if (len(states), how) == (diverge_at, "objective") else objective), grads
+
+        monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+        monkeypatch.setattr(training, "train_batch", scripted_step)
+        ds = tiny_dataset(seed=8)
+        cfg = tiny_config(max_epochs=len(self.SNAPSHOT_AUCS))
+        try:
+            return states, train(cfg, ds, make_folds(ds, seed=8)[0])
+        except DivergenceError as err:
+            return states, err
+
+    def test_result_is_the_state_at_the_end_of_the_best_epoch(self, monkeypatch):
+        states, result = self.scripted_run(monkeypatch)
+        assert len(set(states)) == len(states) == 5  # every epoch moved the parameters
+        assert result.record.best_epoch == 2
+        assert params_bytes(result.params) == states[2]
+
+    @pytest.mark.parametrize("how", ["objective", "val_loss"])
+    @pytest.mark.parametrize("epoch", [1, 2, 3, 4])
+    def test_divergence_carries_the_state_at_the_end_of_the_epoch_before(self, monkeypatch, epoch, how):
+        # The epoch before set the best at epochs 1 and 3, and did not at 2 and 4.
+        states, err = self.scripted_run(monkeypatch, diverge_at=epoch, how=how)
+        assert isinstance(err, DivergenceError) and err.epoch == epoch
+        assert len(set(states)) == len(states) == epoch + (how == "val_loss")
+        assert params_bytes(err.last_good) == states[epoch - 1]
+
     def test_run_record_csv_layout(self):
         ds = tiny_dataset(seed=9)
         split = make_folds(ds, seed=9)[0]
@@ -564,26 +610,28 @@ class TestTrainBatch:
         assert calls == []
 
     def test_non_finite_input_gradient_gives_nan_objective_without_fgsm(self, monkeypatch):
-        # The clean loss is finite, but one inf among the gate gradients, and
-        # so in the input gradient, leaves FGSM no direction.
+        # The clean loss is finite, but one inf, -inf or NaN among the gate
+        # gradients, and so in the input gradient, leaves FGSM no direction.
         batch = self.batch("mixed")
         cfg = tiny_config(beta=0.5, epsilon=1.0)
         params = model.init_params(batch.num_skills, 6, 3, 5, 5, Rng(3).split("init"))
         backward = model.backward
 
-        def with_inf(*args):
-            grads = backward(*args)
-            grads.gate_grads[0, 0] = np.inf
-            return grads
-
         calls, fgsm = [], adversarial.fgsm_perturbation
-        monkeypatch.setattr(model, "backward", with_inf)
         monkeypatch.setattr(adversarial, "fgsm_perturbation",
                             lambda *args, **kw: calls.append(args) or fgsm(*args, **kw))
-        clean_loss, objective, grads = train_batch(params, batch, cfg, run_adversarial=True)
-        assert np.isfinite(clean_loss) and np.isnan(objective)
-        assert calls == []
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        for bad in (np.inf, -np.inf, np.nan):
+
+            def with_bad(*args):
+                grads = backward(*args)
+                grads.gate_grads[3, 1] = bad
+                return grads
+
+            monkeypatch.setattr(model, "backward", with_bad)
+            clean_loss, objective, grads = train_batch(params, batch, cfg, run_adversarial=True)
+            assert np.isfinite(clean_loss) and np.isnan(objective), bad
+            assert calls == []
+            assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 class TestEvaluate:
